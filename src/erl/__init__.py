@@ -28,8 +28,7 @@ from .errors import (CapacityError, ErlError, GenerationError, GraphParseError,
 from .graph import (Bag, Graph, cut, cut_after_toggle, cut_table, generate,
                     parse_graph, serialize_graph)
 from .resistance import (LATTICE_CAP, ORACLE_CAP, UNREACHED,
-                         CompleteGraphResistance, MonotoneResistanceTable,
-                         ResistanceTable, brute_force_resistance,
-                         brute_force_resistance_all, check_bellman, cutwidth,
-                         monotone_resistance_table, resistance_table,
-                         witness_crusade)
+                         CompleteGraphResistance, ResistanceTable,
+                         brute_force_resistance, brute_force_resistance_all,
+                         check_bellman, cutwidth, monotone_resistance_table,
+                         resistance_table, witness_crusade)

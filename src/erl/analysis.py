@@ -20,7 +20,7 @@ from jsonschema import Draft202012Validator
 from .epidemic import (RECOVERY, EpidemicConfig, EventLog, Policy,
                        builtin_policy, derive_seed, replay, simulate)
 from .errors import CapacityError, ErlError, LemmaViolationError
-from .graph import Graph, cut_table, generate
+from .graph import Bag, Graph, cut, cut_table, generate, toggle_delta
 from .resistance import ResistanceTable, check_bellman, resistance_table
 
 
@@ -321,32 +321,16 @@ def _states_of(log: EventLog, g: Graph) -> tuple[list[float], list[int]]:
     return times, masks
 
 
-def _cut_sequence(g: Graph, state_masks: list[int]) -> list[int]:
-    """Cuts of a unit-step mask sequence, maintained incrementally."""
-    cuts = [_mask_cut(g, state_masks[0])]
-    for i in range(1, len(state_masks)):
-        prev, cur = state_masks[i - 1], state_masks[i]
-        vbit = prev ^ cur
-        v = vbit.bit_length() - 1
-        inside = sum(1 for u in g.adjacency[v] if (cur >> u) & 1)
-        if cur & vbit:   # node joined
-            cuts.append(cuts[-1] + (g.degree(v) - inside) - inside)
-        else:            # node left
-            cuts.append(cuts[-1] - (g.degree(v) - inside) + inside)
+def _cut_sequence(g: Graph, masks: list[int]) -> list[int]:
+    """Cuts along a mask sequence whose consecutive masks are equal or
+    differ in one node, maintained incrementally."""
+    cuts = [cut(g, Bag.from_mask(masks[0]))]
+    for prev, cur in zip(masks, masks[1:]):
+        delta = 0
+        if cur != prev:
+            delta = toggle_delta(g, prev, (prev ^ cur).bit_length() - 1)
+        cuts.append(cuts[-1] + delta)
     return cuts
-
-
-def _mask_cut(g: Graph, mask: int) -> int:
-    total = 0
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        v = low.bit_length() - 1
-        for u in g.adjacency[v]:
-            if not (mask >> u) & 1:
-                total += 1
-    return total
 
 
 @dataclass(frozen=True)
@@ -394,7 +378,7 @@ def audit_recovery_bound(g: Graph, table, log: EventLog,
     theta_masks = [seg_masks[0]]
     for cur in seg_masks[1:]:
         theta_masks.append(theta_masks[-1] & cur)
-    theta_cuts = _cut_sequence_theta(g, theta_masks)
+    theta_cuts = _cut_sequence(g, theta_masks)
 
     gamma0 = table.gamma(log.initial_infected)
     half = gamma0 // 2
@@ -427,21 +411,6 @@ def audit_recovery_bound(g: Graph, table, log: EventLog,
     return RecoveryBoundReport(recoveries, infections, c0, cmax,
                                g.degree_bound, crossing_index, crossing_cut,
                                crossing_gamma_before)
-
-
-def _cut_sequence_theta(g: Graph, theta_masks: list[int]) -> list[int]:
-    """Cuts along a bottleneck sequence (changes only by single removals)."""
-    cuts = [_mask_cut(g, theta_masks[0])]
-    for i in range(1, len(theta_masks)):
-        prev, cur = theta_masks[i - 1], theta_masks[i]
-        if cur == prev:
-            cuts.append(cuts[-1])
-            continue
-        vbit = prev ^ cur
-        v = vbit.bit_length() - 1
-        inside = sum(1 for u in g.adjacency[v] if (cur >> u) & 1)
-        cuts.append(cuts[-1] - (g.degree(v) - inside) + inside)
-    return cuts
 
 
 CASE1 = "CASE1"
@@ -649,10 +618,24 @@ def _run_replication(args) -> tuple[int, float | None]:
     return j, res.extinction_time
 
 
-def _make_sweep_policy(kind: str, g: Graph) -> Policy:
+def make_policy(kind: str, g: Graph) -> Policy:
+    """A builtin policy for ``g``, building the resistance table the
+    resistance-greedy policy ranks by."""
     if kind == "resistance_greedy":
         return builtin_policy(kind, table=resistance_table(g))
     return builtin_policy(kind)
+
+
+def mean_and_stderr(taus: list[float]) -> tuple[float | None, float | None]:
+    """Sample mean of the uncensored extinction times and its standard
+    error; None where there are too few values to define one."""
+    if not taus:
+        return None, None
+    mean = sum(taus) / len(taus)
+    if len(taus) < 2:
+        return mean, None
+    var = sum((x - mean) ** 2 for x in taus) / (len(taus) - 1)
+    return mean, math.sqrt(var / len(taus))
 
 
 def extinction_sweep(spec: dict, threads: int = 1) -> list[SweepRecord]:
@@ -674,7 +657,7 @@ def extinction_sweep(spec: dict, threads: int = 1) -> list[SweepRecord]:
         try:
             g = _sweep_graph(spec["family"], size, spec)
             r = _sweep_budget(spec["budget"], g.node_count)
-            policy = _make_sweep_policy(spec["policy"], g)
+            policy = make_policy(spec["policy"], g)
             config = EpidemicConfig(
                 graph=g, initial_infected=g.all_nodes(), budget=r,
                 horizon=spec.get("horizon"), seed=point_seed,
@@ -694,15 +677,7 @@ def extinction_sweep(spec: dict, threads: int = 1) -> list[SweepRecord]:
         outcomes.sort(key=lambda o: o[0])
         taus = [tau for _, tau in outcomes if tau is not None]
         censored = reps - len(taus)
-        if taus:
-            mean = sum(taus) / len(taus)
-            if len(taus) > 1:
-                var = sum((x - mean) ** 2 for x in taus) / (len(taus) - 1)
-                stderr = math.sqrt(var / len(taus))
-            else:
-                stderr = None
-        else:
-            mean = stderr = None
+        mean, stderr = mean_and_stderr(taus)
         records.append(SweepRecord(
             spec["family"], g.node_count, float(r), spec["policy"], reps,
             mean, stderr, censored, None, point_seed,

@@ -16,11 +16,11 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .analysis import (audit_recovery_bound, extinction_sweep,
-                       scan_halving_window, sweep_to_csv,
+from .analysis import (audit_recovery_bound, extinction_sweep, make_policy,
+                       mean_and_stderr, scan_halving_window, sweep_to_csv,
                        verify_table_invariants)
 from .crusade import audit_bottleneck, crusade_to_json, validate_crusade, width
-from .epidemic import (EpidemicConfig, builtin_policy, replay, simulate)
+from .epidemic import EpidemicConfig, replay, simulate
 from .errors import (CapacityError, ErlError, GenerationError, GraphParseError,
                      LemmaViolationError)
 from .graph import Bag, Graph, generate, parse_graph
@@ -53,12 +53,22 @@ def _load_graph(args) -> Graph:
 def _parse_bag(spec: str, g: Graph) -> Bag:
     if spec == "all":
         return g.all_nodes()
-    if spec.startswith("0x") or spec.startswith("0X"):
-        bag = Bag.from_mask(int(spec, 16))
-    else:
-        bag = Bag(int(x) for x in spec.split(","))
+    try:
+        if spec.startswith("0x") or spec.startswith("0X"):
+            bag = Bag.from_mask(int(spec, 16))
+        else:
+            bag = Bag(int(x) for x in spec.split(","))
+    except ValueError:
+        raise ErlError(f"bad bag {spec!r}: expected all, 0xMASK or an id list")
     g.check_bag(bag)
     return bag
+
+
+def _parse_budget(spec: str) -> Fraction:
+    try:
+        return Fraction(spec)
+    except (ValueError, ZeroDivisionError):
+        raise ErlError(f"bad budget {spec!r}: expected a number")
 
 
 def _write(path: str, data) -> None:
@@ -127,12 +137,12 @@ def cmd_simulate(args, argv) -> int:
     started = time.time()
     g = _load_graph(args)
     initial = _parse_bag(args.initial, g)
-    budget = Fraction(args.budget)
+    budget = _parse_budget(args.budget)
     config = EpidemicConfig(
         graph=g, initial_infected=initial, budget=budget,
         infection_rate=args.infection_rate, horizon=args.horizon,
         seed=args.seed, max_events=args.max_events)
-    policy = _make_policy(args.policy, g)
+    policy = make_policy(args.policy, g)
     outputs = []
     if args.replications == 1:
         result = simulate(config, policy)
@@ -148,11 +158,7 @@ def cmd_simulate(args, argv) -> int:
                 taus.append(res.extinction_time)
             else:
                 censored += 1
-        mean = sum(taus) / len(taus) if taus else None
-        stderr = None
-        if len(taus) > 1:
-            var = sum((x - mean) ** 2 for x in taus) / (len(taus) - 1)
-            stderr = (var / len(taus)) ** 0.5
+        mean, stderr = mean_and_stderr(taus)
         doc = {"replications": args.replications, "mean_tau": mean,
                "stderr": stderr, "censored": censored,
                "policy": policy.name, "budget": str(budget), "seed": args.seed}
@@ -162,12 +168,6 @@ def cmd_simulate(args, argv) -> int:
     print(json.dumps(doc, sort_keys=True))
     _manifest("simulate", argv, args.seed, outputs, started, 1)
     return 0
-
-
-def _make_policy(kind: str, g: Graph):
-    if kind == "resistance_greedy":
-        return builtin_policy(kind, table=resistance_table(g))
-    return builtin_policy(kind)
 
 
 def cmd_verify(args, argv) -> int:
@@ -183,9 +183,9 @@ def cmd_verify(args, argv) -> int:
     trajectory_failures = []
     audits = 0
     if args.trajectories:
-        budget = Fraction(args.budget) if args.budget else Fraction(
+        budget = _parse_budget(args.budget) if args.budget else Fraction(
             2 * g.degree_bound + 2)
-        policy = _make_policy(args.policy, g)
+        policy = make_policy(args.policy, g)
         config = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
                                 budget=budget, seed=args.seed,
                                 max_events=10**6)

@@ -25,9 +25,9 @@ class Crusade:
     def __post_init__(self):
         if not self.bags:
             raise ErlError("a crusade has at least one bag")
-        for i in range(len(self.bags) - 1):
-            if len(self.bags[i] - self.bags[i + 1]) > 1:
-                raise ErlError(f"step {i} removes more than one node")
+        check = validate_crusade(self.bags, self.bags[0], self.bags[-1])
+        if not check.valid:
+            raise ErlError(check.reason)
 
     def __len__(self) -> int:
         return len(self.bags)

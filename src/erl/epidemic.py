@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ErlError, PolicyViolationError, ReplayError
-from .graph import Bag, Graph
+from .graph import Bag, Graph, cut, mask_of, toggle_delta
 
 INFECTION = "INFECTION"
 RECOVERY = "RECOVERY"
@@ -33,20 +33,13 @@ MAX_EVENTS = "MAX_EVENTS"
 STALLED = "STALLED"
 
 LOG_MAGIC = b"REL1"
+_EVENT = struct.Struct("<dBI")
 
 
 class Event(NamedTuple):
     time: float
     kind: str
     node: int
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
 
 
 def event_streams(seed: int, replication: int = 0):
@@ -78,7 +71,7 @@ class EpidemicConfig:
     max_events: int = 10**8
 
     def __post_init__(self):
-        object.__setattr__(self, "budget", _as_fraction(self.budget))
+        object.__setattr__(self, "budget", Fraction(self.budget))
         self.graph.check_bag(self.initial_infected)
         if self.budget < 0:
             raise ErlError("budget must be nonnegative")
@@ -111,11 +104,19 @@ class EventLog:
         for line in lines[1:]:
             if not line.strip():
                 continue
-            time_s, kind, node_s = line.split(",")
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ErlError(f"event line {line!r} needs 3 fields")
+            time_s, kind, node_s = fields
             if kind not in (INFECTION, RECOVERY):
                 raise ErlError(f"unknown event kind {kind!r}")
-            node = int(node_s)
-            events.append(Event(float(time_s), kind, node))
+            try:
+                time, node = float(time_s), int(node_s)
+            except ValueError:
+                raise ErlError(f"bad number in event line {line!r}")
+            if node < 0:
+                raise ErlError(f"negative node id in event line {line!r}")
+            events.append(Event(time, kind, node))
             if kind == INFECTION:
                 mask |= 1 << node
             else:
@@ -130,7 +131,7 @@ class EventLog:
             out.append(struct.pack(f"<{len(nodes)}I", *nodes))
         out.append(struct.pack("<Q", len(self.events)))
         for ev in self.events:
-            out.append(struct.pack("<dBI", ev.time, 0 if ev.kind == INFECTION else 1,
+            out.append(_EVENT.pack(ev.time, 0 if ev.kind == INFECTION else 1,
                                    ev.node))
         return b"".join(out)
 
@@ -140,17 +141,23 @@ class EventLog:
             raise ErlError("bad magic bytes in event log")
         off = 4
         bags = []
-        for _ in range(2):
-            (k,) = struct.unpack_from("<I", data, off)
-            off += 4
-            bags.append(Bag(struct.unpack_from(f"<{k}I", data, off)))
-            off += 4 * k
-        (count,) = struct.unpack_from("<Q", data, off)
-        off += 8
+        try:
+            for _ in range(2):
+                (k,) = struct.unpack_from("<I", data, off)
+                off += 4
+                bags.append(Bag(struct.unpack_from(f"<{k}I", data, off)))
+                off += 4 * k
+            (count,) = struct.unpack_from("<Q", data, off)
+            off += 8
+        except struct.error:
+            raise ErlError("event log ends inside its header")
+        if len(data) - off != count * _EVENT.size:
+            raise ErlError(f"event log declares {count} events but holds "
+                           f"{len(data) - off} bytes of them")
         events = []
-        for _ in range(count):
-            t, kind, node = struct.unpack_from("<dBI", data, off)
-            off += struct.calcsize("<dBI")
+        for t, kind, node in _EVENT.iter_unpack(data[off:]):
+            if kind > 1:
+                raise ErlError(f"unknown event kind byte {kind}")
             events.append(Event(t, INFECTION if kind == 0 else RECOVERY, node))
         return cls(bags[0], tuple(events), bags[1])
 
@@ -203,20 +210,6 @@ class Policy:
         raise NotImplementedError
 
 
-def _cut_of_set(g: Graph, infected: set[int]) -> int:
-    total = 0
-    for v in infected:
-        for u in g.adjacency[v]:
-            if u not in infected:
-                total += 1
-    return total
-
-
-def _cut_after_removal(g: Graph, infected: set[int], cut_now: int, v: int) -> int:
-    inside = sum(1 for u in g.adjacency[v] if u in infected)
-    return cut_now - (g.degree(v) - inside) + inside
-
-
 class MaxCutDropPolicy(Policy):
     """All budget on the infected node whose removal leaves the smallest cut;
     ties go to the smaller node id."""
@@ -224,9 +217,8 @@ class MaxCutDropPolicy(Policy):
     name = "max_cut_drop"
 
     def allocate(self, graph, infected, elapsed, history, budget, rng):
-        cut_now = _cut_of_set(graph, infected)
-        best = min(infected,
-                   key=lambda v: (_cut_after_removal(graph, infected, cut_now, v), v))
+        mask = mask_of(infected)
+        best = min(infected, key=lambda v: (toggle_delta(graph, mask, v), v))
         return {best: budget}
 
 
@@ -243,15 +235,11 @@ class ResistanceGreedyPolicy(Policy):
         self.table = table
 
     def allocate(self, graph, infected, elapsed, history, budget, rng):
-        cut_now = _cut_of_set(graph, infected)
-        mask = 0
-        for v in infected:
-            mask |= 1 << v
+        mask = mask_of(infected)
 
         def key(v):
-            rest = mask & ~(1 << v)
-            return (self.table.gamma(rest),
-                    _cut_after_removal(graph, infected, cut_now, v), v)
+            return (self.table.gamma(mask & ~(1 << v)),
+                    toggle_delta(graph, mask, v), v)
 
         return {min(infected, key=key): budget}
 
@@ -399,7 +387,7 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
             cut_now += 2 * inf_nbrs[node] - g.degree(node)
             events.append(Event(t, RECOVERY, node))
         if debug:
-            fresh = _cut_of_set(g, infected)
+            fresh = cut(g, Bag(infected))
             if fresh != cut_now:
                 raise ErlError(
                     f"hazard bookkeeping drifted: cached cut {cut_now}, "

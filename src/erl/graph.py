@@ -15,15 +15,16 @@ import numpy as np
 
 from .errors import GenerationError, GraphParseError, InvalidBagError
 
-GENERATOR_KINDS = (
-    "line",
-    "cycle",
-    "star",
-    "complete",
-    "hypercube",
-    "grid",
-    "random_regular",
-)
+# Generator kinds and the number of integer parameters each takes.
+GENERATOR_ARITY = {
+    "line": 1,
+    "cycle": 1,
+    "star": 1,
+    "complete": 1,
+    "hypercube": 1,
+    "grid": 2,
+    "random_regular": 2,
+}
 
 
 def mask_of(nodes: Iterable[int]) -> int:
@@ -188,16 +189,29 @@ def cut(g: Graph, a: Bag) -> int:
     g.check_bag(a)
     mask = a.mask
     total = 0
-    for v in a:
-        for u in g.adjacency[v]:
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        for u in g.adjacency[low.bit_length() - 1]:
             if not (mask >> u) & 1:
                 total += 1
     return total
 
 
-def cut_of_mask(g: Graph, mask: int) -> int:
-    """Cut of a bag given directly as a bitmask."""
-    return cut(g, Bag.from_mask(mask))
+def toggle_delta(g: Graph, mask: int, v: int) -> int:
+    """Change in the cut of the bag ``mask`` when node ``v`` is toggled.
+
+    deg(v) - 2*inside when ``v`` joins, the negation when it leaves, where
+    inside counts the neighbours of ``v`` in ``mask``.  Unchecked; callers
+    pass a node of ``g`` and a bag inside it.
+    """
+    adj = g.adjacency[v]
+    inside = 0
+    for u in adj:
+        inside += (mask >> u) & 1
+    delta = len(adj) - 2 * inside
+    return -delta if (mask >> v) & 1 else delta
 
 
 def cut_after_toggle(g: Graph, a: Bag, v: int, current_cut: int) -> int:
@@ -209,14 +223,7 @@ def cut_after_toggle(g: Graph, a: Bag, v: int, current_cut: int) -> int:
     if not 0 <= v < g.node_count:
         raise InvalidBagError(f"node {v} out of range")
     g.check_bag(a)
-    inside = 0
-    for u in g.adjacency[v]:
-        if u in a:
-            inside += 1
-    outside = g.degree(v) - inside
-    if v in a:
-        return current_cut - outside + inside
-    return current_cut + outside - inside
+    return current_cut + toggle_delta(g, a.mask, v)
 
 
 def cut_table(g: Graph) -> np.ndarray:
@@ -246,6 +253,11 @@ def _pairing_attempt(n: int, d: int, rng: np.random.Generator):
 
 def generate(kind: str, params: tuple[int, ...] = (), seed: int = 0) -> Graph:
     """Build a named graph family member; deterministic for a given seed."""
+    if kind not in GENERATOR_ARITY:
+        raise GenerationError(f"unknown graph kind {kind!r}")
+    if len(params) != GENERATOR_ARITY[kind]:
+        raise GenerationError(f"{kind} takes {GENERATOR_ARITY[kind]} "
+                              f"parameter(s), got {len(params)}")
     if kind == "line":
         (n,) = params
         if n < 1:
@@ -297,7 +309,6 @@ def generate(kind: str, params: tuple[int, ...] = (), seed: int = 0) -> Graph:
             if edges is not None:
                 return Graph(n, edges)
         raise GenerationError(f"pairing model failed for n={n}, d={d}, seed={seed}")
-    raise GenerationError(f"unknown graph kind {kind!r}")
 
 
 def parse_graph(text: str) -> Graph:

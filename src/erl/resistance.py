@@ -52,15 +52,26 @@ def superset_min(values: np.ndarray, n: int) -> np.ndarray:
     return m
 
 
+def step_min(values: np.ndarray, n: int) -> np.ndarray:
+    """out[A] = min over {B : |A \\ B| <= 1} of values[B].
+
+    That is the minimum of m[A] and of m[A - v] over v in A, where m is the
+    superset minimum.  Per node v the bags holding v read the half of the
+    lattice without v through strided views; bags without v are skipped,
+    because for them A - v is A itself.
+    """
+    m = superset_min(values, n)
+    out = m.copy()
+    for v in range(n):
+        src = m.reshape(-1, 2, 1 << v)
+        dst = out.reshape(-1, 2, 1 << v)
+        np.minimum(dst[:, 1, :], src[:, 0, :], out=dst[:, 1, :])
+    return out
+
+
 def _bellman_rhs(values: np.ndarray, cut_t: np.ndarray, n: int) -> np.ndarray:
     """One application of the fixed-point operator to ``values``."""
-    f = np.maximum(cut_t, values)
-    m = superset_min(f, n)
-    rhs = m.copy()
-    masks = np.arange(1 << n, dtype=np.int64)
-    for v in range(n):
-        np.minimum(rhs, m[masks & ~(1 << v)], out=rhs)
-    return rhs
+    return step_min(np.maximum(cut_t, values), n)
 
 
 class ResistanceTable:
@@ -91,7 +102,12 @@ class ResistanceTable:
     def load_binary(cls, data: bytes, graph: Graph | None = None) -> "ResistanceTable":
         if data[:4] != MAGIC:
             raise ErlError("bad magic bytes in table dump")
+        if len(data) < 8:
+            raise ErlError("table dump ends inside its header")
         (n,) = struct.unpack("<I", data[4:8])
+        if n > LATTICE_CAP:
+            raise ErlError(f"table dump declares n={n}, above the cap "
+                           f"n <= {LATTICE_CAP}")
         body = data[8:]
         if len(body) != 2 << n:
             raise ErlError(f"table dump for n={n} has wrong length {len(body)}")
@@ -104,10 +120,6 @@ class ResistanceTable:
         for mask, g in enumerate(self.values):
             out.write(f"{mask},{g}\n")
         return out.getvalue()
-
-
-class MonotoneResistanceTable(ResistanceTable):
-    """Resistance restricted to crusades that only remove nodes."""
 
 
 def resistance_table(g: Graph) -> ResistanceTable:
@@ -139,7 +151,7 @@ def _popcount_layers(n: int) -> list[np.ndarray]:
     return layers
 
 
-def monotone_resistance_table(g: Graph) -> MonotoneResistanceTable:
+def monotone_resistance_table(g: Graph) -> ResistanceTable:
     """DP over subsets in increasing size order; removal-only crusades.
 
     The full-set entry is the classical deletion-ordering CutWidth.
@@ -160,7 +172,7 @@ def monotone_resistance_table(g: Graph) -> MonotoneResistanceTable:
             cand = np.maximum(cut_t[sub], mg[sub])
             best[hasv] = np.minimum(best[hasv], cand)
         mg[layer] = best
-    return MonotoneResistanceTable(g, mg, converged_rounds=1)
+    return ResistanceTable(g, mg, converged_rounds=1)
 
 
 def cutwidth(g: Graph) -> int:
@@ -318,12 +330,8 @@ def witness_crusade(g: Graph, table: ResistanceTable, a: Bag) -> Crusade:
     for _ in range(size + 1):
         if steps[src] < inf:
             break
-        f = np.where(allowed, steps, inf)
-        m = superset_min(f, n)
-        new = m.copy()
-        for v in range(n):
-            np.minimum(new, m[masks & ~(1 << v)], out=new)
-        np.minimum(steps, new + 1, out=steps)
+        np.minimum(steps, step_min(np.where(allowed, steps, inf), n) + 1,
+                   out=steps)
     else:
         raise ErlError("no crusade within the optimal width reached the source "
                        "(implementation bug)")

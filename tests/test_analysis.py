@@ -6,10 +6,12 @@ import pytest
 from erl import (CASE1, CASE2, NOT_APPLICABLE, Bag, CompleteGraphResistance,
                  EpidemicConfig, ErlError, EventLog, LemmaViolationError,
                  RECOVERY, ResistanceTable, audit_recovery_bound,
-                 builtin_policy, complete_extinction_mean, extinction_sweep,
-                 generate, poisson_ld_exponent, poisson_tail_probability,
+                 builtin_policy, complete_extinction_mean, cut_table,
+                 extinction_sweep, generate, iter_bottleneck,
+                 poisson_ld_exponent, poisson_tail_probability, replay,
                  resistance_table, scan_halving_window, simulate,
                  slow_regime_constants, sweep_to_csv, verify_table_invariants)
+from erl.analysis import _cut_sequence
 from erl.epidemic import Event
 
 from conftest import rng_for
@@ -157,6 +159,18 @@ def simulated_extinct_log(kind, params, budget, seed):
     res = simulate(cfg, builtin_policy("max_cut_drop"))
     assert res.extinct
     return g, res.log
+
+
+class TestCutSequence:
+    def test_matches_cut_table(self):
+        g, log = simulated_extinct_log("random_regular", (10, 3), 8, 9)
+        table = cut_table(g)
+        states = [bag.mask for _, bag in replay(log, g)]
+        theta = [bag.mask for bag in iter_bottleneck(
+            Bag.from_mask(m) for m in states)]
+        assert len(set(theta)) < len(theta)    # holds repeated masks
+        for masks in (states, theta):
+            assert _cut_sequence(g, masks) == [int(table[m]) for m in masks]
 
 
 class TestRecoveryBoundAudit:

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -138,6 +139,20 @@ class TestSimulateCommand:
         assert code == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--gen", "line:3", "--budget", "abc"),
+        ("simulate", "--gen", "line:3", "--budget", "1", "--initial", "x,y"),
+        ("cutwidth", "--gen", "line:1,2"),
+        ("cutwidth", "--gen", "grid:3"),
+    ], ids=["budget", "initial", "line_arity", "grid_arity"])
+    def test_bad_argument_exit_2_one_line(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_clean_graph_exit_0(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -202,9 +217,9 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "1"
 
     def test_console_script(self):
+        if shutil.which("erl") is None:
+            pytest.skip("console script not on PATH")
         proc = subprocess.run(["erl", "cutwidth", "--gen", "cycle:4"],
                               capture_output=True, text=True)
-        if proc.returncode == 127:
-            pytest.skip("console script not on PATH")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2"

@@ -5,7 +5,7 @@ import pytest
 
 from erl import (HORIZON, MAX_EVENTS, RECOVERY, STALLED, Bag, EpidemicConfig,
                  ErlError, EventLog, Graph, Policy, PolicyViolationError,
-                 ReplayError, builtin_policy, generate, replay,
+                 ReplayError, builtin_policy, cut, generate, replay,
                  resistance_table, simulate, validate_log)
 from erl.epidemic import Event, INFECTION
 
@@ -64,6 +64,25 @@ class TestPolicies:
         # tie-break fires: cut({0}) = 1 < cut({1}) = 2, cure node 1
         alloc = pol.allocate(g, {0, 1}, 0.0, [], Fraction(3), None)
         assert alloc == {1: Fraction(3)}
+
+    def test_cut_policies_match_from_scratch_argmin(self, zoo_graph):
+        g = zoo_graph
+        table = resistance_table(g)
+        drop = builtin_policy("max_cut_drop")
+        greedy = builtin_policy("resistance_greedy", table=table)
+        for mask in range(1, 1 << g.node_count):
+            infected = set(Bag.from_mask(mask))
+
+            def after(v):
+                rest = Bag.from_mask(mask & ~(1 << v))
+                return table.gamma(rest), cut(g, rest), v
+
+            want_drop = min(infected, key=lambda v: after(v)[1:])
+            want_greedy = min(infected, key=after)
+            assert drop.allocate(g, infected, 0.0, [], Fraction(1), None) \
+                == {want_drop: Fraction(1)}
+            assert greedy.allocate(g, infected, 0.0, [], Fraction(1), None) \
+                == {want_greedy: Fraction(1)}
 
     def test_unknown_kind(self):
         with pytest.raises(ErlError):
@@ -304,6 +323,32 @@ class TestLogSerialization:
     def test_binary_round_trip(self):
         g, log = self.make_log()
         assert EventLog.from_binary(log.to_binary()) == log
+
+    def test_binary_truncated_rejected(self):
+        g, log = self.make_log()
+        data = log.to_binary()
+        for end in (6, len(data) - 1):
+            with pytest.raises(ErlError):
+                EventLog.from_binary(data[:end])
+
+    def test_binary_trailing_bytes_rejected(self):
+        g, log = self.make_log()
+        with pytest.raises(ErlError):
+            EventLog.from_binary(log.to_binary() + b"\x00")
+
+    def test_binary_unknown_kind_rejected(self):
+        g, log = self.make_log()
+        data = bytearray(log.to_binary())
+        data[-5] = 2    # kind byte of the last event
+        with pytest.raises(ErlError):
+            EventLog.from_binary(bytes(data))
+
+    @pytest.mark.parametrize("line", [
+        "abc,INFECTION,0", "1.0,INFECTION,x", "1.0,INFECTION,-1",
+        "1.0,INFECTION", "1.0,INFECTION,0,0"])
+    def test_csv_malformed_line_rejected(self, line):
+        with pytest.raises(ErlError):
+            EventLog.from_csv("time,kind,node\n" + line + "\n", Bag())
 
     def test_csv_header_required(self):
         with pytest.raises(ErlError):

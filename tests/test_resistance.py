@@ -8,7 +8,7 @@ from erl import (Bag, CapacityError, CompleteGraphResistance, ErlError, Graph,
                  brute_force_resistance_all, check_bellman, cut, cutwidth,
                  generate, monotone_resistance_table, resistance_table,
                  validate_crusade, width, witness_crusade)
-from erl.resistance import UNREACHED
+from erl.resistance import UNREACHED, step_min
 
 from conftest import random_bounded_graph, rng_for
 
@@ -208,6 +208,12 @@ class TestDumpFormats:
         with pytest.raises(ErlError):
             ResistanceTable.load_binary(data[:-2])
 
+    def test_bad_header_rejected(self):
+        # n near 2^32 must be refused before the length 2 << n is formed
+        for data in (b"RGT1\x00", b"RGT1" + (2**32 - 1).to_bytes(4, "little")):
+            with pytest.raises(ErlError):
+                ResistanceTable.load_binary(data)
+
     def test_csv(self):
         g = generate("line", (3,))
         text = resistance_table(g).to_csv()
@@ -236,3 +242,15 @@ class TestCompleteGraphClosedForm:
         assert cg.cutwidth == 16 * 16
         assert cg.gamma(Bag([0])) == 0
         assert cg.gamma(Bag([0, 1])) == 31
+
+
+class TestStepMin:
+    def test_matches_literal_definition(self):
+        rng = rng_for(31)
+        for n in range(9):
+            values = rng.integers(0, 1 << 16, size=1 << n).astype(np.uint16)
+            out = step_min(values, n)
+            masks = np.arange(1 << n)
+            for a in range(1 << n):
+                near = np.bitwise_count(a & ~masks) <= 1
+                assert out[a] == values[near].min()
