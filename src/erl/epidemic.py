@@ -1,10 +1,14 @@
 """Event-driven simulation of the budget-constrained SIS curing process.
 
 Between events the state is constant, so a state-feedback policy's
-allocation is too; the simulator therefore re-queries the policy exactly at
-events and samples the next event from the total hazard (direct Gillespie
-method).  Each healthy node's infection hazard is the infection rate times
-its infected-neighbor count, so the total infection hazard equals the
+allocation is too; the simulator samples the next event from the total
+hazard (direct Gillespie method).  A policy's ``allocate`` must be a
+function of its arguments (graph, infected mask, budget, policy stream):
+each allocation is Fraction-validated when computed and then reused at every
+later visit to the same bag within the run, unless the call that produced
+it drew from the policy stream, in which case the policy is queried again
+at each visit.  Each healthy node's infection hazard is the infection rate
+times its infected-neighbor count, so the total infection hazard equals the
 infection rate times the cut of the infected set, which is maintained
 incrementally and (in debug runs) re-derived from scratch at every event.
 
@@ -16,14 +20,19 @@ from __future__ import annotations
 
 import io
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from itertools import accumulate
+from math import lcm
+from numbers import Rational
+from operator import index, mul
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ErlError, PolicyViolationError, ReplayError
-from .graph import Bag, Graph, cut, mask_of, toggle_delta
+from .graph import Bag, Graph, cut, members, toggle_delta
 
 INFECTION = "INFECTION"
 RECOVERY = "RECOVERY"
@@ -33,6 +42,10 @@ MAX_EVENTS = "MAX_EVENTS"
 STALLED = "STALLED"
 
 LOG_MAGIC = b"REL1"
+# Bound on a run's allocation memo in entries times nodes (an entry holds
+# at most two tables of one item per node), a few tens of MB; the memo is
+# emptied when it reaches the bound, which changes no output.
+_MEMO_CELLS = 1 << 20
 _EVENT = struct.Struct("<dBI")
 
 
@@ -193,19 +206,24 @@ class SimulationResult:
 
 
 class Policy:
-    """Maps the observable history to a curing-rate allocation.
+    """Maps the infected set to a curing-rate allocation.
 
-    ``allocate`` returns a map node -> nonnegative Fraction whose sum must
-    not exceed the budget and whose support must lie inside the infected
-    set.  ``rng`` is a dedicated stream owned by the run, separate from the
-    event stream, so randomized policies stay reproducible.  ``history`` is
-    the live event list and must not be mutated.
+    ``allocate`` receives the infected set as a bitmask (bit v set = node v
+    infected) and returns a map node -> nonnegative rational (int or
+    Fraction) whose sum must not exceed the budget and whose support must
+    lie inside the infected set.  ``rng`` is a dedicated stream owned by the
+    run, separate from the event stream, so randomized policies stay
+    reproducible; at the first visit to a bag it is a stand-in that forwards
+    every attribute to that stream.
+
+    ``allocate`` must be a function of its arguments: ``simulate`` computes
+    an allocation once per bag and reuses it at every later visit to that
+    bag in the run, unless the call that produced it drew from ``rng``.
     """
 
     name = "abstract"
 
-    def allocate(self, graph: Graph, infected: set[int], elapsed: float,
-                 history: Sequence[Event], budget: Fraction,
+    def allocate(self, graph: Graph, infected: int, budget: Fraction,
                  rng: np.random.Generator) -> dict[int, Fraction]:
         raise NotImplementedError
 
@@ -216,9 +234,9 @@ class MaxCutDropPolicy(Policy):
 
     name = "max_cut_drop"
 
-    def allocate(self, graph, infected, elapsed, history, budget, rng):
-        mask = mask_of(infected)
-        best = min(infected, key=lambda v: (toggle_delta(graph, mask, v), v))
+    def allocate(self, graph, infected, budget, rng):
+        best = min(members(infected),
+                   key=lambda v: (toggle_delta(graph, infected, v), v))
         return {best: budget}
 
 
@@ -234,14 +252,12 @@ class ResistanceGreedyPolicy(Policy):
     def __init__(self, table):
         self.table = table
 
-    def allocate(self, graph, infected, elapsed, history, budget, rng):
-        mask = mask_of(infected)
-
+    def allocate(self, graph, infected, budget, rng):
         def key(v):
-            return (self.table.gamma(mask & ~(1 << v)),
-                    toggle_delta(graph, mask, v), v)
+            return (self.table.gamma(infected & ~(1 << v)),
+                    toggle_delta(graph, infected, v), v)
 
-        return {min(infected, key=key): budget}
+        return {min(members(infected), key=key): budget}
 
 
 class DegreeProportionalPolicy(Policy):
@@ -250,21 +266,24 @@ class DegreeProportionalPolicy(Policy):
 
     name = "degree_proportional"
 
-    def allocate(self, graph, infected, elapsed, history, budget, rng):
-        nodes = sorted(infected)
+    def allocate(self, graph, infected, budget, rng):
+        nodes = members(infected)
         total = sum(graph.degree(v) for v in nodes)
         if total == 0:
             share = budget / len(nodes)
             return {v: share for v in nodes}
-        return {v: budget * graph.degree(v) / total for v in nodes}
+        unit = budget / total
+        rate = {d: unit * d for d in {graph.degree(v) for v in nodes}}
+        return {v: rate[graph.degree(v)] for v in nodes}
 
 
 class UniformPolicy(Policy):
     name = "uniform"
 
-    def allocate(self, graph, infected, elapsed, history, budget, rng):
-        share = budget / len(infected)
-        return {v: share for v in sorted(infected)}
+    def allocate(self, graph, infected, budget, rng):
+        nodes = members(infected)
+        share = budget / len(nodes)
+        return {v: share for v in nodes}
 
 
 class RandomNodePolicy(Policy):
@@ -272,9 +291,11 @@ class RandomNodePolicy(Policy):
 
     name = "random_node"
 
-    def allocate(self, graph, infected, elapsed, history, budget, rng):
-        nodes = sorted(infected)
-        return {nodes[int(rng.integers(len(nodes)))]: budget}
+    def allocate(self, graph, infected, budget, rng):
+        rest = infected
+        for _ in range(int(rng.integers(infected.bit_count()))):
+            rest &= rest - 1    # drop the smallest member
+        return {(rest & -rest).bit_length() - 1: budget}
 
 
 _POLICY_KINDS = {
@@ -293,20 +314,74 @@ def builtin_policy(kind: str, **params) -> Policy:
     return _POLICY_KINDS[kind](**params)
 
 
-def _validate_allocation(alloc: dict[int, Fraction], infected: set[int],
-                         budget: Fraction, policy_name: str) -> Fraction:
-    total = Fraction(0)
+def _curing_table(alloc: dict[int, Fraction], infected: int,
+                  budget: Fraction, policy_name: str):
+    """Validate an allocation exactly and tabulate it for drawing the cured
+    node.
+
+    Returns the total rate as a float, the allocated nodes in ascending
+    order and the running float sums of their rates in that order; the node
+    cured by a uniform draw u in [0, total) is the first whose sum exceeds u.
+    The total is summed over a common denominator, in integers.
+    """
+    den = 1
+    pairs = []
     for v, rate in alloc.items():
-        if v not in infected:
+        try:
+            node = index(v)
+        except TypeError:
+            node = -1
+        if node < 0 or not (infected >> node) & 1:
             raise PolicyViolationError(policy_name,
                                        f"allocated to non-infected node {v}")
-        if rate < 0:
+        if not isinstance(rate, Rational):
+            raise PolicyViolationError(
+                policy_name, f"rate {rate!r} at node {v} is not rational")
+        if rate.numerator < 0:
             raise PolicyViolationError(policy_name, f"negative rate at node {v}")
-        total += rate
-    if total > budget:
-        raise PolicyViolationError(policy_name,
-                                   f"total rate {total} exceeds budget {budget}")
-    return total
+        den = lcm(den, rate.denominator)
+        pairs.append((node, rate))
+    num = sum(rate.numerator * (den // rate.denominator) for _, rate in pairs)
+    if num * budget.denominator > budget.numerator * den:
+        raise PolicyViolationError(
+            policy_name,
+            f"total rate {Fraction(num, den)} exceeds budget {budget}")
+    pairs.sort()    # node ids are distinct, so rates are never compared
+    return (num / den, [node for node, _ in pairs],
+            list(accumulate(float(rate) for _, rate in pairs)))
+
+
+def _stream_position(bits: np.random.Philox) -> tuple:
+    """Where a Philox stream stands: its block counter, the next word of its
+    output buffer and whether half a word is held back.  Every draw moves
+    at least one of them."""
+    state = bits.state
+    return (state["state"]["counter"].tobytes(), state["buffer_pos"],
+            state["has_uint32"])
+
+
+class _StreamWatch:
+    """Stands in for the policy stream during one policy call and forwards
+    every attribute to it, noting whether the policy touched the stream.
+
+    ``start`` is the stream position before the call; when the caller does
+    not know it, it is read at the first touch, so a call that never
+    touches the stream costs no read.
+    """
+
+    __slots__ = ("_rng", "start", "touched")
+
+    def __init__(self, rng: np.random.Generator, start: tuple | None):
+        self._rng = rng
+        self.start = start
+        self.touched = False
+
+    def __getattr__(self, name):
+        if not self.touched:
+            self.touched = True
+            if self.start is None:
+                self.start = _stream_position(self._rng.bit_generator)
+        return getattr(self._rng, name)
 
 
 def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
@@ -314,21 +389,34 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
     """Run one trajectory to extinction, horizon, or the event cap.
 
     Identical (config, policy, replication) produce a bit-identical event
-    log.  ``debug`` re-derives the cached infection hazard from scratch at
-    every event and asserts agreement (exact integer comparison).
+    log.  For each bag the run visits it keeps the validated curing table,
+    reused at later visits unless the policy call that produced it drew from
+    the policy stream, and, from the first infection there on, the table of
+    infection targets.  ``debug`` re-derives the cached infection hazard
+    from scratch at every event and asserts agreement (exact integer
+    comparison).
     """
     g = config.graph
-    n = g.node_count
+    adjacency = g.adjacency
+    degree = [g.degree(v) for v in range(g.node_count)]
     ev_rng, pol_rng = event_streams(config.seed, replication)
     beta = float(config.infection_rate)
     budget = config.budget
 
-    infected: set[int] = set(config.initial_infected)
-    inf_nbrs = [0] * n
-    for v in infected:
-        for u in g.adjacency[v]:
+    mask = config.initial_infected.mask
+    healthy = [0 if (mask >> v) & 1 else 1 for v in range(g.node_count)]
+    inf_nbrs = [0] * g.node_count
+    for v in config.initial_infected:
+        for u in adjacency[v]:
             inf_nbrs[u] += 1
-    cut_now = sum(inf_nbrs[u] for u in range(n) if u not in infected)
+    cut_now = cut(g, config.initial_infected)
+    # mask -> [curing table, None when its allocation drew from the policy
+    #          stream; running sums over nodes of healthy x infected-neighbor
+    #          count, None until the first infection there]
+    memo: dict[int, list] = {}
+    memo_limit = max(1, _MEMO_CELLS // g.node_count)
+    # policy-stream position after the last policy call, if it was read
+    position = None
 
     events: list[Event] = []
     t = 0.0
@@ -336,16 +424,33 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
     censored: str | None = None
 
     while True:
-        if not infected:
+        if not mask:
             extinction_time = t
             break
         if len(events) >= config.max_events:
             censored = MAX_EVENTS
             break
-        alloc = policy.allocate(g, infected, t, events, budget, pol_rng)
-        rho_total = _validate_allocation(alloc, infected, budget, policy.name)
+        entry = memo.get(mask)
+        if entry is not None and entry[0] is not None:
+            curing = entry[0]
+        elif entry is not None:
+            curing = _curing_table(policy.allocate(g, mask, budget, pol_rng),
+                                   mask, budget, policy.name)
+            position = None
+        else:
+            if len(memo) >= memo_limit:
+                memo.clear()
+            watch = _StreamWatch(pol_rng, position)
+            curing = _curing_table(policy.allocate(g, mask, budget, watch),
+                                   mask, budget, policy.name)
+            drew = False
+            if watch.touched:
+                position = _stream_position(pol_rng.bit_generator)
+                drew = position != watch.start
+            entry = memo[mask] = [None if drew else curing, None]
+        rho, cured, cured_sums = curing
         infection_hazard = beta * cut_now
-        total = infection_hazard + float(rho_total)
+        total = infection_hazard + rho
         if total == 0.0:
             censored = STALLED
             break
@@ -356,44 +461,35 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
         t += dt
         if ev_rng.random() * total < infection_hazard:
             k = int(ev_rng.integers(cut_now))
-            node = -1
-            for u in range(n):
-                if u not in infected and inf_nbrs[u] > 0:
-                    k -= inf_nbrs[u]
-                    if k < 0:
-                        node = u
-                        break
-            if node < 0:
+            if entry[1] is None:
+                entry[1] = list(accumulate(map(mul, healthy, inf_nbrs)))
+            node = bisect_right(entry[1], k)
+            if node == len(healthy):
                 raise ErlError("hazard bookkeeping drifted: cached cut "
                                f"{cut_now} exceeds boundary weight")
-            infected.add(node)
-            for w in g.adjacency[node]:
+            mask |= 1 << node
+            healthy[node] = 0
+            for w in adjacency[node]:
                 inf_nbrs[w] += 1
-            cut_now += g.degree(node) - 2 * inf_nbrs[node]
+            cut_now += degree[node] - 2 * inf_nbrs[node]
             events.append(Event(t, INFECTION, node))
         else:
-            u = ev_rng.random() * float(rho_total)
-            acc = 0.0
-            items = sorted(alloc.items())
-            node = items[-1][0]
-            for v, rate in items:
-                acc += float(rate)
-                if u < acc:
-                    node = v
-                    break
-            infected.discard(node)
-            for w in g.adjacency[node]:
+            i = bisect_right(cured_sums, ev_rng.random() * rho)
+            node = cured[i] if i < len(cured) else cured[-1]
+            mask &= ~(1 << node)
+            healthy[node] = 1
+            for w in adjacency[node]:
                 inf_nbrs[w] -= 1
-            cut_now += 2 * inf_nbrs[node] - g.degree(node)
+            cut_now += 2 * inf_nbrs[node] - degree[node]
             events.append(Event(t, RECOVERY, node))
         if debug:
-            fresh = cut(g, Bag(infected))
+            fresh = cut(g, Bag.from_mask(mask))
             if fresh != cut_now:
                 raise ErlError(
                     f"hazard bookkeeping drifted: cached cut {cut_now}, "
                     f"recomputed {fresh} after event {len(events) - 1}")
 
-    log = EventLog(config.initial_infected, tuple(events), Bag(infected))
+    log = EventLog(config.initial_infected, tuple(events), Bag.from_mask(mask))
     return SimulationResult(
         extinction_time=extinction_time,
         censored=censored,
@@ -415,7 +511,7 @@ def replay(log: EventLog, g: Graph) -> Iterator[tuple[float, Bag]]:
     yield (0.0, Bag.from_mask(mask))
     prev_t = 0.0
     for i, ev in enumerate(log.events):
-        if ev.time <= prev_t:
+        if not ev.time > prev_t:
             raise ReplayError(f"time {ev.time} not after {prev_t}", i)
         prev_t = ev.time
         if not 0 <= ev.node < g.node_count:

@@ -27,11 +27,14 @@ GENERATOR_ARITY = {
 }
 
 
-def mask_of(nodes: Iterable[int]) -> int:
-    m = 0
-    for v in nodes:
-        m |= 1 << v
-    return m
+def members(mask: int) -> list[int]:
+    """The nodes of the bag ``mask`` in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class Bag:
@@ -62,14 +65,10 @@ class Bag:
         return (Bag.from_mask, (self.mask,))
 
     def nodes(self) -> tuple[int, ...]:
-        return tuple(self)
+        return tuple(members(self.mask))
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return iter(members(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from erl import (HORIZON, MAX_EVENTS, RECOVERY, STALLED, Bag, EpidemicConfig,
                  ErlError, EventLog, Graph, Policy, PolicyViolationError,
                  ReplayError, builtin_policy, cut, generate, replay,
                  resistance_table, simulate, validate_log)
+from erl import epidemic
 from erl.epidemic import Event, INFECTION
 
 from conftest import rng_for
@@ -20,28 +22,28 @@ class TestPolicies:
     def test_max_cut_drop_prefers_interior_removal(self):
         g = generate("line", (3,))
         alloc = builtin_policy("max_cut_drop").allocate(
-            g, {0, 1}, 0.0, [], Fraction(2), None)
+            g, Bag([0, 1]).mask, Fraction(2), None)
         assert alloc == {1: Fraction(2)}
 
     def test_max_cut_drop_tie_breaks_to_smaller_id(self):
         alloc = builtin_policy("max_cut_drop").allocate(
-            isolated(3), {1, 2}, 0.0, [], Fraction(1), None)
+            isolated(3), Bag([1, 2]).mask, Fraction(1), None)
         assert alloc == {1: Fraction(1)}
 
     def test_degree_proportional_star(self):
         g = generate("star", (3,))
         alloc = builtin_policy("degree_proportional").allocate(
-            g, {0, 1}, 0.0, [], Fraction(1), None)
+            g, Bag([0, 1]).mask, Fraction(1), None)
         assert alloc == {0: Fraction(3, 4), 1: Fraction(1, 4)}
 
     def test_degree_proportional_isolated_falls_back_to_uniform(self):
         alloc = builtin_policy("degree_proportional").allocate(
-            isolated(4), {0, 2}, 0.0, [], Fraction(1), None)
+            isolated(4), Bag([0, 2]).mask, Fraction(1), None)
         assert alloc == {0: Fraction(1, 2), 2: Fraction(1, 2)}
 
     def test_uniform_split(self):
         alloc = builtin_policy("uniform").allocate(
-            isolated(6), {0, 1, 2, 3}, 0.0, [], Fraction(2), None)
+            isolated(6), Bag([0, 1, 2, 3]).mask, Fraction(2), None)
         assert alloc == {v: Fraction(1, 2) for v in range(4)}
 
     def test_random_node_uses_policy_stream(self):
@@ -49,7 +51,7 @@ class TestPolicies:
         rng = rng_for(1)
         picks = set()
         for _ in range(40):
-            alloc = pol.allocate(isolated(5), {1, 3, 4}, 0.0, [], Fraction(1), rng)
+            alloc = pol.allocate(isolated(5), Bag([1, 3, 4]).mask, Fraction(1), rng)
             (node, rate), = alloc.items()
             assert rate == Fraction(1)
             picks.add(node)
@@ -62,7 +64,7 @@ class TestPolicies:
         pol = builtin_policy("resistance_greedy", table=table)
         # both removals leave a zero-resistance singleton, so the cut
         # tie-break fires: cut({0}) = 1 < cut({1}) = 2, cure node 1
-        alloc = pol.allocate(g, {0, 1}, 0.0, [], Fraction(3), None)
+        alloc = pol.allocate(g, Bag([0, 1]).mask, Fraction(3), None)
         assert alloc == {1: Fraction(3)}
 
     def test_cut_policies_match_from_scratch_argmin(self, zoo_graph):
@@ -79,9 +81,9 @@ class TestPolicies:
 
             want_drop = min(infected, key=lambda v: after(v)[1:])
             want_greedy = min(infected, key=after)
-            assert drop.allocate(g, infected, 0.0, [], Fraction(1), None) \
+            assert drop.allocate(g, mask, Fraction(1), None) \
                 == {want_drop: Fraction(1)}
-            assert greedy.allocate(g, infected, 0.0, [], Fraction(1), None) \
+            assert greedy.allocate(g, mask, Fraction(1), None) \
                 == {want_greedy: Fraction(1)}
 
     def test_unknown_kind(self):
@@ -95,8 +97,8 @@ class BadPolicy(Policy):
     def __init__(self, alloc_fn):
         self.alloc_fn = alloc_fn
 
-    def allocate(self, graph, infected, elapsed, history, budget, rng):
-        return self.alloc_fn(infected, budget)
+    def allocate(self, graph, infected, budget, rng):
+        return self.alloc_fn(set(Bag.from_mask(infected)), budget)
 
 
 class TestAllocationContract:
@@ -123,10 +125,87 @@ class TestAllocationContract:
         with pytest.raises(PolicyViolationError):
             simulate(self.config, pol)
 
+    def test_float_rate_rejected(self):
+        pol = BadPolicy(lambda inf, b: {min(inf): 0.5})
+        with pytest.raises(PolicyViolationError) as exc:
+            simulate(self.config, pol)
+        assert "rational" in str(exc.value)
+
     def test_exact_budget_is_fine(self):
         pol = BadPolicy(lambda inf, b: {v: b / len(inf) for v in inf})
         res = simulate(self.config, pol)
         assert res.extinct
+
+
+class CountingPolicy(Policy):
+    """Forwards to a policy and records the bag of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.bags = []
+
+    def allocate(self, graph, infected, budget, rng):
+        self.bags.append(infected)
+        return self.inner.allocate(graph, infected, budget, rng)
+
+
+class TestAllocationMemo:
+    def run(self, kind):
+        g = generate("complete", (6,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(2), seed=17)
+        pol = CountingPolicy(builtin_policy(kind))
+        res = simulate(cfg, pol, replication=1)
+        assert res.extinct
+        assert res.log == simulate(cfg, builtin_policy(kind),
+                                   replication=1).log
+        # the bag before each event; an extinct run calls the policy there only
+        before = [bag.mask for _, bag in replay(res.log, g)][:-1]
+        return pol.bags, before
+
+    @pytest.mark.parametrize("kind", ["max_cut_drop", "degree_proportional",
+                                      "uniform"])
+    def test_deterministic_policy_called_once_per_bag(self, kind):
+        calls, before = self.run(kind)
+        assert len(before) > 4 * len(set(before))
+        assert sorted(calls) == sorted(set(before))
+
+    def test_random_node_called_whenever_it_draws(self):
+        calls, before = self.run("random_node")
+        singles = {m for m in before if m.bit_count() == 1}
+        # one-node bags are revisited, and integers(1) draws nothing there
+        assert sum(m.bit_count() == 1 for m in before) > len(singles)
+        drawing = [m for m in before if m.bit_count() >= 2]
+        assert sorted(calls) == sorted(drawing + list(singles))
+
+    def test_full_memo_is_emptied_without_changing_the_log(self, monkeypatch):
+        cfg = golden_config("complete:6")
+        monkeypatch.setattr(epidemic, "_MEMO_CELLS", 3 * cfg.graph.node_count)
+        pol = CountingPolicy(builtin_policy("uniform"))
+        log = simulate(cfg, pol, replication=3).log
+        assert sha256(log) == GOLDEN_LOGS["complete:6", "uniform"]
+        assert len(pol.bags) > 10 * len(set(pol.bags))
+
+    def test_requeried_allocation_is_validated(self):
+        class Overspends(Policy):
+            """Draws at every call and overspends from the fifth call on."""
+            name = "overspends"
+            calls = 0
+
+            def allocate(self, graph, infected, budget, rng):
+                rng.random()
+                self.calls += 1
+                node = (infected & -infected).bit_length() - 1
+                return {node: budget if self.calls < 5 else 2 * budget}
+
+        g = generate("line", (2,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(1, 10), seed=3)
+        pol = Overspends()
+        with pytest.raises(PolicyViolationError):
+            simulate(cfg, pol)
+        assert pol.calls == 5
 
 
 class TestConfigValidation:
@@ -249,6 +328,58 @@ class TestSimulate:
             validate_log(res.log, g)
 
 
+# SHA-256 of log.to_binary() for replication 3 of the run below, recorded
+# from the per-event simulator before the allocation memo replaced it; the
+# memo changes no RNG draw, so every log must stay byte for byte the same.
+GOLDEN_LOGS = {
+    ("complete:6", "max_cut_drop"):
+        "17be4d216f757ea79cfb35c4b4a632d04b4dfab7b34176bc649529698931ab9d",
+    ("complete:6", "resistance_greedy"):
+        "17be4d216f757ea79cfb35c4b4a632d04b4dfab7b34176bc649529698931ab9d",
+    ("complete:6", "degree_proportional"):
+        "32156aed4f7f5891cbf981db1517d1bc32edcc7447424575c3ff063796d687bd",
+    ("complete:6", "uniform"):
+        "32156aed4f7f5891cbf981db1517d1bc32edcc7447424575c3ff063796d687bd",
+    ("complete:6", "random_node"):
+        "6825c63d615e14132f372bf3c9107660b114271a9e23a8d8355057e1dee357d1",
+    ("random_regular:10,3", "max_cut_drop"):
+        "249bf34cc69bb8bf3d791230c8e37864d4be4e4bfe8accd71fe988b769884079",
+    ("random_regular:10,3", "resistance_greedy"):
+        "249bf34cc69bb8bf3d791230c8e37864d4be4e4bfe8accd71fe988b769884079",
+    ("random_regular:10,3", "degree_proportional"):
+        "993717b91f86cbb6a74de615880d29776651b98832daeb85f98fed352f2d77a9",
+    ("random_regular:10,3", "uniform"):
+        "993717b91f86cbb6a74de615880d29776651b98832daeb85f98fed352f2d77a9",
+    ("random_regular:10,3", "random_node"):
+        "66b260f825d53190caab595e60c3ace9231b6a031d129ae8eb973101015b7608",
+}
+# graph spec -> (family, params, budget, max_events); complete:6 is the slow
+# regime and is cut at the event cap, random_regular:10,3 runs to extinction
+GOLDEN_RUNS = {
+    "complete:6": ("complete", (6,), Fraction(3, 2), 4000),
+    "random_regular:10,3": ("random_regular", (10, 3), Fraction(3), 4000),
+}
+
+
+def golden_config(spec: str) -> EpidemicConfig:
+    family, params, budget, cap = GOLDEN_RUNS[spec]
+    g = generate(family, params, seed=41)
+    return EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                          budget=budget, seed=4242, max_events=cap)
+
+
+def sha256(log: EventLog) -> str:
+    return hashlib.sha256(log.to_binary()).hexdigest()
+
+
+@pytest.mark.parametrize("spec,kind", sorted(GOLDEN_LOGS))
+def test_event_logs_bit_identical(spec, kind):
+    cfg = golden_config(spec)
+    pol = (builtin_policy(kind, table=resistance_table(cfg.graph))
+           if kind == "resistance_greedy" else builtin_policy(kind))
+    assert sha256(simulate(cfg, pol, replication=3).log) == GOLDEN_LOGS[spec, kind]
+
+
 class TestReplay:
     def test_empty_log_single_segment(self):
         g = generate("line", (5,))
@@ -300,6 +431,17 @@ class TestReplay:
         with pytest.raises(ReplayError) as exc:
             validate_log(log, g)
         assert exc.value.index == 1
+
+    def test_nan_time_rejected(self):
+        log = EventLog(Bag([0]), (Event(math.nan, RECOVERY, 0),), Bag())
+        with pytest.raises(ReplayError) as exc:
+            validate_log(log, generate("line", (1,)))
+        assert exc.value.index == 0
+
+    def test_nan_time_from_csv_rejected(self):
+        log = EventLog.from_csv("time,kind,node\nnan,RECOVERY,0\n", Bag([0]))
+        with pytest.raises(ReplayError):
+            validate_log(log, generate("line", (1,)))
 
     def test_final_mismatch_rejected(self):
         g = isolated(1)
