@@ -25,8 +25,8 @@ from .epidemic import (HORIZON, INFECTION, MAX_EVENTS, RECOVERY, STALLED,
 from .errors import (CapacityError, ErlError, GenerationError, GraphParseError,
                      InvalidBagError, LemmaViolationError, PolicyViolationError,
                      ReplayError)
-from .graph import (Bag, Graph, cut, cut_after_toggle, cut_table, generate,
-                    parse_graph, serialize_graph)
+from .graph import (GENERATE_CAP, Bag, Graph, cut, cut_after_toggle,
+                    cut_table, generate, parse_graph, serialize_graph)
 from .resistance import (LATTICE_CAP, ORACLE_CAP, UNREACHED,
                          CompleteGraphResistance, ResistanceTable,
                          brute_force_resistance, brute_force_resistance_all,

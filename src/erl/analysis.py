@@ -156,14 +156,39 @@ def _collect(viols: list, bad_masks, detail) -> None:
         viols.append({"bag": int(m), **detail(int(m))})
 
 
+def _insert_bit(k, v: int, bit: int):
+    """Masks with bit ``v`` set to ``bit`` from indices that lack that bit.
+
+    The index of a bag in a half-view ``x.reshape(-1, 2, 2^v)[:, bit, :]``
+    is its mask with bit v removed; inserting the bit back keeps order.
+    """
+    low = (1 << v) - 1
+    return ((k & ~low) << 1) | (k & low) | (bit << v)
+
+
+def _first(cond: np.ndarray) -> np.ndarray:
+    """Indices of the first reportable witnesses in a flattened condition."""
+    return np.flatnonzero(cond)[:_MAX_WITNESSES]
+
+
 def verify_table_invariants(g: Graph, table: ResistanceTable,
                             mode: str = "exhaustive", samples: int = 100_000,
                             seed: int = 0) -> InvariantReport:
     """Run the full invariant suite for cuts and resistances.
 
-    Exhaustive mode iterates all bags (all bag pairs when n <= 8, all
-    single-node steps plus ``samples`` random pairs above); sampled mode
-    uses random pairs throughout.  The fixed-point check is always complete.
+    Exhaustive mode checks all bag pairs when n <= 8 and all subset pairs
+    for monotonicity when n <= 10; above that, and throughout sampled mode,
+    the pair checks run over all single-node steps plus ``samples`` random
+    pairs.  The fixed-point and cut-at-drop checks are always complete.
+
+    Single-node steps use strided half-views: ``x.reshape(-1, 2, 2^v)``
+    lines every bag without v up with the bag that adds v, so no mask array
+    is built or gathered.  Submodularity takes dv = cut(A - v) - cut(A) on
+    the half holding v and compares it with itself one node u higher,
+    O(n^2 2^(n-2)) int32 compares in all.  Values are widened to int32, and
+    full-size int64 mask arrays exist only in the n <= 8 and n <= 10
+    exhaustive branches.  Only reported witnesses are mapped back to masks,
+    in mask order, so reports match a literal enumeration of the bags.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ErlError(f"unknown mode {mode!r}")
@@ -173,11 +198,9 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
         raise ErlError("table does not match graph size")
     if table.graph is not None and table.graph != g:
         raise ErlError("table was built for a different graph")
-    cut_t = cut_table(g).astype(np.int64)
-    gam = table.values.astype(np.int64)
+    cut_t = cut_table(g).astype(np.int32)
+    gam = table.values.astype(np.int32)
     delta = g.degree_bound
-    masks = np.arange(size, dtype=np.int64)
-    pops = np.bitwise_count(masks).astype(np.int64)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     all_pairs = mode == "exhaustive" and n <= 8
     all_subsets = mode == "exhaustive" and n <= 10
@@ -186,8 +209,10 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     # |f(A) - f(B)| <= delta * |A xor B| for f in {cut, resistance}
     for name, vals in (("cut_lipschitz", cut_t), ("resistance_smooth", gam)):
         viols: list = []
+        checked = 0
         if all_pairs:
-            checked = 0
+            masks = np.arange(size, dtype=np.int64)
+            pops = np.bitwise_count(masks).astype(np.int64)
             for bm in range(size):
                 bad = np.nonzero(np.abs(vals - vals[bm])
                                  > delta * pops[masks ^ bm])[0]
@@ -195,15 +220,18 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
                 _collect(viols, bad, lambda m, bm=bm: {"other": bm})
             strategy = "all_pairs"
         else:
-            checked = 0
             for v in range(n):
-                other = masks ^ (1 << v)
-                bad = np.nonzero(np.abs(vals - vals[other]) > delta)[0]
+                r = vals.reshape(-1, 2, 1 << v)
+                k = _first(np.abs(r[:, 0, :] - r[:, 1, :]) > delta)
                 checked += size
+                # both bags of a bad step are witnesses, in mask order
+                bad = np.sort(np.concatenate([_insert_bit(k, v, 0),
+                                              _insert_bit(k, v, 1)]))
                 _collect(viols, bad, lambda m, v=v: {"other": m ^ (1 << v)})
             a = rng.integers(0, size, samples)
             bm = rng.integers(0, size, samples)
-            bad = np.nonzero(np.abs(vals[a] - vals[bm]) > delta * pops[a ^ bm])[0]
+            dist = np.bitwise_count(a ^ bm).astype(np.int64)
+            bad = np.nonzero(np.abs(vals[a] - vals[bm]) > delta * dist)[0]
             checked += samples
             _collect(viols, a[bad], lambda m: {})
             strategy = "single_steps+sampled_pairs"
@@ -211,8 +239,8 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
 
     # resistance is monotone under set inclusion
     viols = []
+    checked = 0
     if all_subsets:
-        checked = 0
         gl = gam.tolist()
         for bm in range(size):
             gb = gl[bm]
@@ -226,12 +254,12 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
                 s = (s - 1) & bm
         strategy = "all_subset_pairs"
     else:
-        checked = 0
         for v in range(n):
-            sub = masks & ~(1 << v)
-            bad = np.nonzero(gam[sub] > gam)[0]
+            r = gam.reshape(-1, 2, 1 << v)
+            k = _first(r[:, 0, :] > r[:, 1, :])
             checked += size
-            _collect(viols, bad, lambda m, v=v: {"bag": m & ~(1 << v), "superset": m})
+            _collect(viols, _insert_bit(k, v, 1),
+                     lambda m, v=v: {"bag": m & ~(1 << v), "superset": m})
         sup = rng.integers(0, size, samples)
         sub = sup & rng.integers(0, size, samples)
         bad = np.nonzero(gam[sub] > gam[sup])[0]
@@ -243,8 +271,8 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     # cut submodularity: dropping v hurts a small bag at most as much as a
     # containing one: cut(A-v) - cut(A) <= cut(B-v) - cut(B) for A <= B
     viols = []
+    checked = 0
     if all_pairs:
-        checked = 0
         cl = cut_t.tolist()
         for bm in range(size):
             s = bm
@@ -264,21 +292,20 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
                 s = (s - 1) & bm
         strategy = "all_subset_pairs"
     else:
-        checked = 0
         for v in range(n):
-            vbit = 1 << v
-            has_v = (masks & vbit) != 0
-            dv = cut_t[masks & ~vbit] - cut_t
+            r = cut_t.reshape(-1, 2, 1 << v)
+            # dv[A - v] = cut(A - v) - cut(A) for the bags A holding v
+            dv = (r[:, 0, :] - r[:, 1, :]).reshape(-1)
             for u in range(n):
                 if u == v:
                     continue
-                ubit = 1 << u
-                rows = has_v & ((masks & ubit) == 0)
-                bigger = dv[masks | ubit]
-                bad = np.nonzero(rows & (dv > bigger))[0]
-                checked += int(rows.sum())
-                _collect(viols, bad, lambda m, u=u, v=v: {"superset": m | (1 << u),
-                                                          "node": v})
+                w = u - (u > v)     # u's bit once v's bit is removed
+                d = dv.reshape(-1, 2, 1 << w)
+                k = _first(d[:, 0, :] > d[:, 1, :])
+                checked += size >> 2
+                _collect(viols, _insert_bit(_insert_bit(k, w, 0), v, 1),
+                         lambda m, u=u, v=v: {"superset": m | (1 << u),
+                                              "node": v})
         strategy = "single_steps"
     checks["cut_submodular"] = CheckResult(checked, strategy, viols)
 
@@ -287,12 +314,12 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     viols = []
     checked = 0
     for v in range(n):
-        vbit = 1 << v
-        sub = masks & ~vbit
-        cond = ((masks & vbit) != 0) & (gam[sub] < gam)
-        bad = np.nonzero(cond & (cut_t[sub] < gam))[0]
-        checked += int(((masks & vbit) != 0).sum())
-        _collect(viols, bad, lambda m, v=v: {"node": v})
+        gr = gam.reshape(-1, 2, 1 << v)
+        cr = cut_t.reshape(-1, 2, 1 << v)
+        g_in = gr[:, 1, :]
+        k = _first((gr[:, 0, :] < g_in) & (cr[:, 0, :] < g_in))
+        checked += size >> 1
+        _collect(viols, _insert_bit(k, v, 1), lambda m, v=v: {"node": v})
     checks["cut_at_drop"] = CheckResult(checked, "all_bag_node_pairs", viols)
 
     # no bag is harder than the full set

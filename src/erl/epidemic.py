@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import inf, lcm
 from numbers import Rational
 from operator import index, mul
 from typing import Iterator, NamedTuple
@@ -511,8 +511,9 @@ def replay(log: EventLog, g: Graph) -> Iterator[tuple[float, Bag]]:
     yield (0.0, Bag.from_mask(mask))
     prev_t = 0.0
     for i, ev in enumerate(log.events):
-        if not ev.time > prev_t:
-            raise ReplayError(f"time {ev.time} not after {prev_t}", i)
+        if not prev_t < ev.time < inf:
+            raise ReplayError(f"time {ev.time} is not a finite time after "
+                              f"{prev_t}", i)
         prev_t = ev.time
         if not 0 <= ev.node < g.node_count:
             raise ReplayError(f"node {ev.node} out of range", i)

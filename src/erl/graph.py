@@ -26,6 +26,22 @@ GENERATOR_ARITY = {
     "random_regular": 2,
 }
 
+# generate builds at most this many nodes and at most this many edges.
+GENERATE_CAP = 100_000
+
+# Node and edge counts of a family member, from its parameters clamped at
+# zero (the family checks reject negative ones); a hypercube past d = 64
+# is as far over the cap as d = 64, and 1 << 64 stays cheap to form.
+_SIZE_OF = {
+    "line": lambda n: (n, n - 1),
+    "cycle": lambda n: (n, n),
+    "star": lambda leaves: (leaves + 1, leaves),
+    "complete": lambda n: (n, n * (n - 1) // 2),
+    "hypercube": lambda d: (1 << min(d, 64), d << min(d, 64) >> 1),
+    "grid": lambda rows, cols: (rows * cols, 2 * rows * cols - rows - cols),
+    "random_regular": lambda n, d: (n, n * d // 2),
+}
+
 
 def members(mask: int) -> list[int]:
     """The nodes of the bag ``mask`` in ascending order."""
@@ -226,12 +242,24 @@ def cut_after_toggle(g: Graph, a: Bag, v: int, current_cut: int) -> int:
 
 
 def cut_table(g: Graph) -> np.ndarray:
-    """Cuts of all 2^n bags as a uint16 array indexed by bag bitmask."""
-    n = g.node_count
-    masks = np.arange(1 << n, dtype=np.uint32)
-    table = np.zeros(1 << n, dtype=np.uint16)
-    for u, v in sorted(g.edges):
-        table += (((masks >> u) ^ (masks >> v)) & 1).astype(np.uint16)
+    """Cuts of all 2^n bags as a uint16 array indexed by bag bitmask.
+
+    Built node by node.  While ``table[:2^v]`` holds the cuts of the bags
+    A of nodes 0..v-1 counting only edges among those nodes, node v's edges
+    to them add |N(v) ∩ A| to A and |N(v) - A| to A + v.  The counts
+    |N(v) ∩ A| take one strided half-view ``reshape(-1, 2, 2^u)[:, 1, :]``
+    per neighbour u below v; no mask array is built.
+    """
+    table = np.zeros(1 << g.node_count, dtype=np.uint16)
+    for v, adj in enumerate(g.adjacency):
+        half = 1 << v
+        lower = [u for u in adj if u < v]
+        inside = np.zeros(half, dtype=np.uint16)
+        for u in lower:
+            inside.reshape(-1, 2, 1 << u)[:, 1, :] += 1
+        prefix = table[:half]
+        np.subtract(prefix + len(lower), inside, out=table[half:2 * half])
+        prefix += inside
     return table
 
 
@@ -251,12 +279,20 @@ def _pairing_attempt(n: int, d: int, rng: np.random.Generator):
 
 
 def generate(kind: str, params: tuple[int, ...] = (), seed: int = 0) -> Graph:
-    """Build a named graph family member; deterministic for a given seed."""
+    """Build a named graph family member; deterministic for a given seed.
+
+    Members with more than ``GENERATE_CAP`` nodes or edges are rejected
+    before anything is built.
+    """
     if kind not in GENERATOR_ARITY:
         raise GenerationError(f"unknown graph kind {kind!r}")
     if len(params) != GENERATOR_ARITY[kind]:
         raise GenerationError(f"{kind} takes {GENERATOR_ARITY[kind]} "
                               f"parameter(s), got {len(params)}")
+    if max(_SIZE_OF[kind](*(max(p, 0) for p in params))) > GENERATE_CAP:
+        raise GenerationError(
+            f"{kind}:{','.join(map(str, params))} is too large: generate "
+            f"builds at most {GENERATE_CAP} nodes and {GENERATE_CAP} edges")
     if kind == "line":
         (n,) = params
         if n < 1:

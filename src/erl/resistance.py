@@ -327,14 +327,12 @@ def witness_crusade(g: Graph, table: ResistanceTable, a: Bag) -> Crusade:
     steps = np.full(size, inf, dtype=np.int64)
     steps[0] = 0
     src = a.mask
-    for _ in range(size + 1):
-        if steps[src] < inf:
-            break
-        np.minimum(steps, step_min(np.where(allowed, steps, inf), n) + 1,
-                   out=steps)
-    else:
-        raise ErlError("no crusade within the optimal width reached the source "
-                       "(implementation bug)")
+    while steps[src] >= inf:
+        nxt = np.minimum(steps, step_min(np.where(allowed, steps, inf), n) + 1)
+        if np.array_equal(nxt, steps):
+            raise ErlError("no crusade within the optimal width reached the "
+                           "source (implementation bug)")
+        steps = nxt
 
     # Composite key packs (steps, popcount, mask) so one superset-min gives
     # the lexicographic argmin over supersets.

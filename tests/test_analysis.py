@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import erl.analysis
 from erl import (CASE1, CASE2, NOT_APPLICABLE, Bag, CompleteGraphResistance,
                  EpidemicConfig, ErlError, EventLog, LemmaViolationError,
                  RECOVERY, ResistanceTable, audit_recovery_bound,
@@ -99,6 +103,13 @@ class TestInvariantSuite:
         report = verify_table_invariants(g, t, mode="sampled", samples=20000)
         assert report.ok
 
+    def test_dense_graph_sampled_clean(self):
+        # degree bound times pair distance reaches 16 * 17 here, past uint8
+        g = generate("complete", (17,))
+        report = verify_table_invariants(g, resistance_table(g), mode="sampled",
+                                         samples=20000)
+        assert report.ok, report.violations()
+
     def test_lowered_entry_detected_with_witness(self):
         g = generate("random_regular", (8, 3), seed=19)
         t = resistance_table(g)
@@ -144,6 +155,103 @@ class TestInvariantSuite:
         assert set(doc["checks"]) == {
             "cut_lipschitz", "resistance_smooth", "resistance_monotone",
             "cut_submodular", "cut_at_drop", "below_cutwidth", "fixed_point"}
+
+
+# (case id, n, mode, edited table, edit, edited entries).  Graphs are
+# random_regular:n,4 with graph seed n; edits hit entries picked by
+# rng_for(100 + n).
+GOLDEN_CASES = [
+    ("clean_n12", 12, "sampled", None, None, 0),
+    ("clean_n14", 14, "sampled", None, None, 0),
+    ("gamma_raise_n8_exh", 8, "exhaustive", "gamma", "raise", 6),
+    ("gamma_raise_n9_exh", 9, "exhaustive", "gamma", "raise", 6),
+    ("gamma_lower_n9_smp", 9, "sampled", "gamma", "lower", 6),
+    ("gamma_lower_n10_exh", 10, "exhaustive", "gamma", "lower", 40),
+    ("gamma_raise_n10_smp", 10, "sampled", "gamma", "raise", 1),
+    ("gamma_raise_n11_exh", 11, "exhaustive", "gamma", "raise", 40),
+    ("gamma_lower_n11_smp", 11, "sampled", "gamma", "lower", 3),
+    ("gamma_lower_n12_exh", 12, "exhaustive", "gamma", "lower", 2),
+    ("gamma_raise_n12_smp", 12, "sampled", "gamma", "raise", 40),
+    ("cut_raise_n8_exh", 8, "exhaustive", "cut", "raise", 3),
+    ("cut_raise_n9_exh", 9, "exhaustive", "cut", "raise", 1),
+    ("cut_lower_n9_smp", 9, "sampled", "cut", "lower", 64),
+    ("cut_lower_n10_exh", 10, "exhaustive", "cut", "lower", 2),
+    ("cut_raise_n11_smp", 11, "sampled", "cut", "raise", 64),
+    ("cut_lower_n12_exh", 12, "exhaustive", "cut", "lower", 64),
+    ("cut_raise_n12_smp", 12, "sampled", "cut", "raise", 2),
+]
+
+# SHA-256 of json.dumps(report.to_json_dict(), sort_keys=True), recorded
+# with the mask-gather implementation of the single-step checks.
+GOLDEN_DIGESTS = {
+    "clean_n12": "18dc80312a2d4aef0273fdd733126493cafdbdc38958ac8ef68fc84c8403345b",
+    "clean_n14": "51856550c027050b5c0c69b33691667f362bbc787b4e1578ffb5fa708b16c37d",
+    "gamma_raise_n8_exh": "21d22cec807d2c938443d046a0a004df6a673d86935ccc32acf760af7906767c",
+    "gamma_raise_n9_exh": "0fdb491fa935ff1fbc333365ae31ed522266e32e8c088f4baef7c89e9d794efa",
+    "gamma_lower_n9_smp": "3cdf8aaf1bf2e25856f7e97c2ab8c7e16336117a54d0a72b57cec632f8297751",
+    "gamma_lower_n10_exh": "5fbbedfea6e43d18b6d0cafae295bb17bf6dd97755f8e00e59528ff5bfe4bb1a",
+    "gamma_raise_n10_smp": "86d4c5da55357e75f2275bbb8284eac493bb231aa3a526fc102c81c0562b3729",
+    "gamma_raise_n11_exh": "7a57071042944086d90aae03e2b56a66ede225a0f2123dbb797448430f62afa8",
+    "gamma_lower_n11_smp": "24a246b14804eb849baf989b9f48430d27e388b5a861e9defd48a49706019a2f",
+    "gamma_lower_n12_exh": "f138e9a20e22a0bbf6113d7b105ec03b9c4bde4b4f4cb9df4b931f578f5ce41b",
+    "gamma_raise_n12_smp": "2eedff9af3f93717936a55c66d891de7b764aed6352ebcf49edd82bd3428dda0",
+    "cut_raise_n8_exh": "494ca00b721ae8a447bba539668b53ae9aa862f2cf1218e0056de0a46c9024e6",
+    "cut_raise_n9_exh": "4757fedeb1a3e24472f4f8c8244951d3b4ccabf17b1adae524c7de5a9d4059bd",
+    "cut_lower_n9_smp": "1e27ac97d412d8f3f4075c4519fe92c44796625553d4b1db05c8bea95eea9313",
+    "cut_lower_n10_exh": "897e3d6f46782163de5a400c7bce39a1cd8b6d34067b64106199ecc79613deff",
+    "cut_raise_n11_smp": "005c4bb1e97da6faf7e747ff85e67c5ed59fdb60d7fe333a7e2ba996ef20b265",
+    "cut_lower_n12_exh": "db2dd86a77b7a6aba8d86f52407f22128aef2a08544c8c2011998f231f289456",
+    "cut_raise_n12_smp": "b93460eb3f6ff765ba47832bd3356ffdb65da20ecd97e218dca7bb79433c8a41",
+}
+
+
+def _edit(values: np.ndarray, n: int, how: str, count: int, step: int) -> np.ndarray:
+    picked = rng_for(100 + n).choice(1 << n, size=count, replace=False)
+    out = values.astype(np.int64)
+    if how == "raise":
+        out[picked] += step
+    else:
+        out[picked] = 0
+    return out.astype(values.dtype)
+
+
+def golden_report(case, monkeypatch):
+    _, n, mode, target, how, count = case
+    g = generate("random_regular", (n, 4), seed=n)
+    table = resistance_table(g)
+    if target == "gamma":
+        table = ResistanceTable(g, _edit(table.values, n, how, count, 2), 1)
+    elif target == "cut":
+        bad_cuts = _edit(cut_table(g), n, how, count, 2 * g.degree_bound + 1)
+        monkeypatch.setattr(erl.analysis, "cut_table", lambda _g: bad_cuts.copy())
+    return verify_table_invariants(g, table, mode=mode, samples=4000, seed=n)
+
+
+class TestInvariantGolden:
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+    def test_report_digest(self, case, monkeypatch):
+        doc = golden_report(case, monkeypatch).to_json_dict()
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[case[0]]
+
+    def test_cases_exercise_every_witness_path(self, monkeypatch):
+        failing: dict[str, list[int]] = {}
+        for case in GOLDEN_CASES:
+            with monkeypatch.context() as mp:
+                report = golden_report(case, mp)
+            if case[3] is None:
+                assert report.ok, report.violations()
+            for name, c in report.checks.items():
+                if not c.ok:
+                    failing.setdefault(name, []).append(len(c.violations))
+        for name in ("cut_lipschitz", "cut_submodular", "cut_at_drop",
+                     "resistance_smooth", "resistance_monotone"):
+            assert name in failing, name
+        # some case hits the witness limit on each single-step cut check,
+        # and some case reports fewer witnesses than the limit
+        for name in ("cut_lipschitz", "cut_submodular", "cut_at_drop"):
+            assert max(failing[name]) == 5, (name, failing[name])
+        assert min(min(v) for v in failing.values()) < 5
 
 
 def k32_monotone_log() -> tuple:

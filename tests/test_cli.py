@@ -145,7 +145,8 @@ class TestUsageErrors:
         ("simulate", "--gen", "line:3", "--budget", "1", "--initial", "x,y"),
         ("cutwidth", "--gen", "line:1,2"),
         ("cutwidth", "--gen", "grid:3"),
-    ], ids=["budget", "initial", "line_arity", "grid_arity"])
+        ("cutwidth", "--gen", "complete:1000"),
+    ], ids=["budget", "initial", "line_arity", "grid_arity", "size_cap"])
     def test_bad_argument_exit_2_one_line(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2

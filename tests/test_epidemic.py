@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -442,6 +443,32 @@ class TestReplay:
         log = EventLog.from_csv("time,kind,node\nnan,RECOVERY,0\n", Bag([0]))
         with pytest.raises(ReplayError):
             validate_log(log, generate("line", (1,)))
+
+    def test_inf_time_rejected(self):
+        g = isolated(2)
+        log = EventLog(Bag([0, 1]),
+                       (Event(1.0, RECOVERY, 0), Event(math.inf, RECOVERY, 1)),
+                       Bag())
+        with pytest.raises(ReplayError) as exc:
+            validate_log(log, g)
+        assert exc.value.index == 1
+
+    def test_inf_time_from_csv_rejected(self):
+        log = EventLog.from_csv("time,kind,node\ninf,RECOVERY,0\n", Bag([0]))
+        assert log.events[0].time == math.inf
+        with pytest.raises(ReplayError) as exc:
+            validate_log(log, generate("line", (1,)))
+        assert exc.value.index == 0
+
+    def test_inf_time_from_binary_rejected(self):
+        # REL1: initial bag {0}, final bag {}, one recovery of node 0 at inf
+        blob = (b"REL1" + struct.pack("<III", 1, 0, 0) + struct.pack("<Q", 1)
+                + struct.pack("<dBI", math.inf, 1, 0))
+        log = EventLog.from_binary(blob)
+        assert log.events == (Event(math.inf, RECOVERY, 0),)
+        with pytest.raises(ReplayError) as exc:
+            validate_log(log, generate("line", (1,)))
+        assert exc.value.index == 0
 
     def test_final_mismatch_rejected(self):
         g = isolated(1)

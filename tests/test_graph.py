@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from erl import (Bag, GenerationError, Graph, GraphParseError, InvalidBagError,
-                 cut, cut_after_toggle, generate, parse_graph, serialize_graph)
+from erl import (GENERATE_CAP, Bag, GenerationError, Graph, GraphParseError,
+                 InvalidBagError, cut, cut_after_toggle, generate, parse_graph,
+                 serialize_graph)
 from erl.graph import cut_table
 
 from conftest import random_bounded_graph, rng_for
@@ -64,6 +66,37 @@ class TestGenerators:
     def test_degree_bound_is_exact_max(self, zoo_graph):
         assert zoo_graph.degree_bound == max(
             zoo_graph.degree(v) for v in range(zoo_graph.node_count))
+
+
+class TestGenerateCap:
+    # (kind, largest parameters within the cap, smallest ones above it)
+    @pytest.mark.parametrize("kind, inside, outside", [
+        ("line", (GENERATE_CAP,), (GENERATE_CAP + 1,)),
+        ("cycle", (GENERATE_CAP,), (GENERATE_CAP + 1,)),
+        ("star", (GENERATE_CAP - 1,), (GENERATE_CAP,)),
+        ("complete", (447,), (448,)),
+        ("hypercube", (13,), (14,)),
+        ("grid", (1, GENERATE_CAP), (1, GENERATE_CAP + 1)),
+        ("grid", (224, 224), (224, 225)),
+        ("random_regular", (GENERATE_CAP, 2), (GENERATE_CAP + 2, 2)),
+    ], ids=["line", "cycle", "star", "complete", "hypercube", "grid_nodes",
+            "grid_edges", "random_regular"])
+    def test_boundary(self, kind, inside, outside):
+        g = generate(kind, inside)
+        assert max(g.node_count, len(g.edges)) <= GENERATE_CAP
+        with pytest.raises(GenerationError, match="too large"):
+            generate(kind, outside)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("complete", (10**6,)),
+        ("hypercube", (10**6,)),
+        ("grid", (10**5, 10**5)),
+        ("random_regular", (1000, 202)),
+    ])
+    def test_rejected_before_building(self, kind, params):
+        # none of these could be built in the lifetime of the test run
+        with pytest.raises(GenerationError, match="too large"):
+            generate(kind, params)
 
 
 class TestGraphConstruction:
@@ -159,6 +192,23 @@ class TestCutTable:
         table = cut_table(g)
         for mask in range(1 << g.node_count):
             assert int(table[mask]) == cut(g, Bag.from_mask(mask))
+
+    def test_every_edge_offset(self):
+        """Edges (0, n-1), every (v, v+1) and random ones put a neighbour at
+        each bit offset below a node, checked on every mask."""
+        rng = rng_for(31)
+        for n in range(1, 13):
+            path = [(v, v + 1) for v in range(n - 1)]
+            graphs = [Graph(n, []), Graph(n, path), random_bounded_graph(n, n - 1, rng)]
+            if n > 1:
+                graphs.append(Graph(n, [(0, n - 1)]))
+            if n > 2:
+                graphs.append(Graph(n, path + [(0, n - 1)]))
+            for g in graphs:
+                table = cut_table(g)
+                assert table.dtype == np.uint16
+                assert table.tolist() == [cut(g, Bag.from_mask(m))
+                                          for m in range(1 << n)]
 
 
 class TestCutInequalities:

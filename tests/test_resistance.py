@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import erl.resistance
 from erl import (Bag, CapacityError, CompleteGraphResistance, ErlError, Graph,
                  ResistanceTable, brute_force_resistance,
                  brute_force_resistance_all, check_bellman, cut, cutwidth,
@@ -188,6 +189,22 @@ class TestWitness:
         c1 = witness_crusade(g, t, g.all_nodes())
         c2 = witness_crusade(g, t, g.all_nodes())
         assert c1 == c2
+
+    def test_lowered_full_set_raises_promptly(self, monkeypatch):
+        g = generate("random_regular", (12, 3), seed=5)
+        values = resistance_table(g).values.copy()
+        values[-1] -= 1
+        rounds = []
+
+        def counting_step_min(vals, n):
+            rounds.append(n)
+            return step_min(vals, n)
+
+        monkeypatch.setattr(erl.resistance, "step_min", counting_step_min)
+        with pytest.raises(ErlError, match="no crusade within the optimal width"):
+            witness_crusade(g, ResistanceTable(g, values, 1), g.all_nodes())
+        # the search stops at the first round that reaches no new bag
+        assert len(rounds) <= g.node_count
 
 
 class TestDumpFormats:
