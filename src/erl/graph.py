@@ -351,7 +351,9 @@ def parse_graph(text: str) -> Graph:
 
     Edge list: first line is n, then one ``u v`` pair per line, 0-based;
     ``#`` starts a comment.  JSON: ``{"n": int, "edges": [[u, v], ...],
-    "degree_bound": int?}``.
+    "degree_bound": int?}``.  Like ``generate``, at most ``GENERATE_CAP``
+    nodes and ``GENERATE_CAP`` edges are accepted; the declared n is checked
+    before anything is built, and the edge count as edges are read.
     """
     if text.lstrip().startswith("{"):
         return _parse_graph_json(text)
@@ -370,9 +372,10 @@ def parse_graph(text: str) -> Graph:
                 n = int(fields[0])
             except ValueError:
                 raise GraphParseError(f"bad node count {fields[0]!r}", line=lineno)
-            if n < 1:
-                raise GraphParseError("node count must be positive", line=lineno)
+            _check_node_count(n, lineno)
             continue
+        if len(edges) == GENERATE_CAP:
+            raise GraphParseError(f"more than {GENERATE_CAP} edges", line=lineno)
         if len(fields) != 2:
             raise GraphParseError(f"expected 'u v', got {line!r}", line=lineno)
         try:
@@ -393,6 +396,19 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, edges)
 
 
+def _check_node_count(n: int, line: int | None = None) -> None:
+    if n < 1:
+        raise GraphParseError("node count must be positive", line=line)
+    if n > GENERATE_CAP:
+        raise GraphParseError(f"node count {n} is above the cap of "
+                              f"{GENERATE_CAP} nodes", line=line)
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass, but true is no id."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_graph_json(text: str) -> Graph:
     try:
         doc = json.loads(text)
@@ -400,11 +416,21 @@ def _parse_graph_json(text: str) -> Graph:
         raise GraphParseError(f"bad JSON: {exc}", line=exc.lineno)
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphParseError('JSON graph needs "n" and "edges"')
-    edges = [tuple(e) for e in doc["edges"]]
+    n, edges, bound = doc["n"], doc["edges"], doc.get("degree_bound")
+    if not _is_int(n):
+        raise GraphParseError(f'"n" must be an integer, got {type(n).__name__}')
+    _check_node_count(n)
+    if not isinstance(edges, list):
+        raise GraphParseError(f'"edges" must be a list, got {type(edges).__name__}')
+    if len(edges) > GENERATE_CAP:
+        raise GraphParseError(f"more than {GENERATE_CAP} edges")
     for e in edges:
-        if len(e) != 2 or not all(isinstance(x, int) for x in e):
-            raise GraphParseError(f"bad edge {list(e)!r}")
-    return Graph(doc["n"], edges, degree_bound=doc.get("degree_bound"))
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+            raise GraphParseError(f"bad edge {e!r}")
+    if bound is not None and not _is_int(bound):
+        raise GraphParseError('"degree_bound" must be an integer, got '
+                              f'{type(bound).__name__}')
+    return Graph(n, map(tuple, edges), degree_bound=bound)
 
 
 def serialize_graph(g: Graph, fmt: str = "edgelist") -> str:

@@ -11,13 +11,19 @@ equation
     gamma(A) = min over {B : |A \\ B| <= 1} of max(cut(B), gamma(B))
 
 with the exponentially large successor set collapsed to n+1 lookups per bag
-by a superset-minimum lattice transform.  Entries only decrease and are
-bounded below by zero, so iteration from the all-unreached start terminates
-at the greatest fixed point, which is the crusade-definition value.
+by a superset-minimum lattice transform.  Iteration starts from the
+removal-only (monotone) table.  That start is exact: a removal-only crusade
+is a crusade, so the monotone table bounds gamma from above at every bag;
+the operator is monotone, so the iterates stay above gamma while they fall;
+and entries only decrease and are bounded below by zero, so iteration
+terminates at the greatest fixed point, which is the crusade-definition
+value.  It converges in one or two rounds where a start from "unreached"
+everywhere needs n + 1; the round count is recorded but nothing relies on it.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import io
 import struct
@@ -31,6 +37,7 @@ from .graph import Bag, Graph, cut_table
 LATTICE_CAP = 20    # full 2^n tables
 ORACLE_CAP = 10     # literal state-graph search
 UNREACHED = int(np.iinfo(np.uint16).max)
+NO_STEP = int(np.iinfo(np.uint8).max)    # witness search: bag not reached
 
 MAGIC = b"RGT1"
 
@@ -122,68 +129,86 @@ class ResistanceTable:
         return out.getvalue()
 
 
-def resistance_table(g: Graph) -> ResistanceTable:
-    """gamma(A) for all 2^n bags by value iteration (n <= 20)."""
+def _value_iteration(g: Graph, start: np.ndarray) -> ResistanceTable:
+    """Apply the fixed-point operator from ``start`` until nothing changes.
+
+    ``start`` must bound gamma from above with ``start[0] == 0``; it is not
+    modified, and the returned table never shares its array.
+    """
     n = g.node_count
-    _require_cap(n, LATTICE_CAP, "resistance_table")
     cut_t = cut_table(g)
-    gamma = np.full(1 << n, UNREACHED, dtype=np.uint16)
-    gamma[0] = 0
+    gamma = start
     rounds = 0
     while True:
         rounds += 1
         new = np.minimum(gamma, _bellman_rhs(gamma, cut_t, n))
         if np.array_equal(new, gamma):
-            break
+            return ResistanceTable(g, new, converged_rounds=rounds)
         gamma = new
-    return ResistanceTable(g, gamma, converged_rounds=rounds)
 
 
-def _popcount_layers(n: int) -> list[np.ndarray]:
-    masks = np.arange(1 << n, dtype=np.int64)
-    pops = np.bitwise_count(masks).astype(np.int64)
-    order = np.argsort(pops, kind="stable")
-    counts = np.bincount(pops, minlength=n + 1)
-    layers, start = [], 0
-    for k in range(n + 1):
-        layers.append(order[start:start + counts[k]])
-        start += counts[k]
-    return layers
+def resistance_table(g: Graph) -> ResistanceTable:
+    """gamma(A) for all 2^n bags by value iteration from the monotone
+    table (n <= 20)."""
+    _require_cap(g.node_count, LATTICE_CAP, "resistance_table")
+    return _value_iteration(g, monotone_resistance_table(g).values)
+
+
+@functools.cache
+def _popcount_layers(n: int) -> tuple[np.ndarray, ...]:
+    """The bags of each size k = 0..n as ascending uint32 masks (read-only,
+    built once per n)."""
+    masks = np.arange(1 << n, dtype=np.uint32)
+    pops = np.bitwise_count(masks)
+    order = np.argsort(pops, kind="stable").astype(np.uint32)
+    order.setflags(write=False)
+    bounds = np.cumsum(np.bincount(pops, minlength=n + 1))[:-1]
+    return tuple(np.split(order, bounds))
 
 
 def monotone_resistance_table(g: Graph) -> ResistanceTable:
     """DP over subsets in increasing size order; removal-only crusades.
 
-    The full-set entry is the classical deletion-ordering CutWidth.
+    The full-set entry is the classical deletion-ordering CutWidth.  Layer
+    by layer, mg(A) is the minimum over v of h(A xor v), where h holds
+    max(cut, mg) on the finished layers and UNREACHED elsewhere: for v in A
+    that is the step to A - v, and for v not in A it reads the next,
+    unfinished layer and changes nothing.
     """
     n = g.node_count
     _require_cap(n, LATTICE_CAP, "monotone_resistance_table")
     cut_t = cut_table(g)
     mg = np.full(1 << n, UNREACHED, dtype=np.uint16)
-    mg[0] = 0
+    h = mg.copy()
+    mg[0] = h[0] = 0
     for layer in _popcount_layers(n)[1:]:
         best = np.full(layer.shape, UNREACHED, dtype=np.uint16)
+        sub = np.empty_like(layer)
+        cand = np.empty_like(best)
         for v in range(n):
-            bit = 1 << v
-            hasv = (layer & bit) != 0
-            if not hasv.any():
-                continue
-            sub = layer[hasv] ^ bit
-            cand = np.maximum(cut_t[sub], mg[sub])
-            best[hasv] = np.minimum(best[hasv], cand)
+            np.bitwise_xor(layer, np.uint32(1 << v), out=sub)
+            np.take(h, sub, out=cand)
+            np.minimum(best, cand, out=best)
         mg[layer] = best
+        h[layer] = np.maximum(cut_t[layer], best)
     return ResistanceTable(g, mg, converged_rounds=1)
 
 
 def cutwidth(g: Graph) -> int:
     """Resistance of the full node set; cross-checked against the
     removal-only DP, which computes the same number by a theorem of the
-    underlying theory."""
-    w = resistance_table(g).cutwidth
-    w_mono = monotone_resistance_table(g).cutwidth
-    if w != w_mono:
+    underlying theory.
+
+    The monotone table is built once: value iteration starts from it, and
+    the two full-set entries are compared, so a returned width is also the
+    monotone DP's.
+    """
+    _require_cap(g.node_count, LATTICE_CAP, "resistance_table")
+    mono = monotone_resistance_table(g)
+    w = _value_iteration(g, mono.values).cutwidth
+    if w != mono.cutwidth:
         raise ErlError(
-            f"cutwidth mismatch: nonmonotone {w} vs monotone {w_mono} "
+            f"cutwidth mismatch: nonmonotone {w} vs monotone {mono.cutwidth} "
             "(implementation bug)")
     return w
 
@@ -310,6 +335,12 @@ def witness_crusade(g: Graph, table: ResistanceTable, a: Bag) -> Crusade:
     Walks a shortest crusade among those of optimal width: every entered bag
     has cut at most gamma(a).  Ties prefer fewer remaining steps, then
     smaller bags, then smaller bitmask, so output is deterministic.
+
+    Step counts are uint8 with NO_STEP = 255 as "not reached", so a search
+    that would need 255 steps or more raises ErlError.  The (steps,
+    popcount, mask) tie key is uint32 when it fits in 32 bits (at n = 20,
+    whenever the longest step count found is below 128) and uint64
+    otherwise.
     """
     n = g.node_count
     _require_cap(n, LATTICE_CAP, "witness_crusade")
@@ -318,40 +349,49 @@ def witness_crusade(g: Graph, table: ResistanceTable, a: Bag) -> Crusade:
         return Crusade((a,))
     t = table.gamma(a)
     size = 1 << n
-    cut_t = cut_table(g)
-    allowed = cut_t <= t
-    masks = np.arange(size, dtype=np.int64)
-    pops = np.bitwise_count(masks).astype(np.int64)
-    inf = np.int64(1) << 62
+    allowed = cut_table(g) <= t
 
-    steps = np.full(size, inf, dtype=np.int64)
+    # Breadth-first: round r reaches the bags r steps from the empty bag,
+    # so finite counts stay below the round count and the +1 cannot wrap.
+    steps = np.full(size, NO_STEP, dtype=np.uint8)
     steps[0] = 0
     src = a.mask
-    while steps[src] >= inf:
-        nxt = np.minimum(steps, step_min(np.where(allowed, steps, inf), n) + 1)
+    rounds = 0
+    while steps[src] == NO_STEP:
+        rounds += 1
+        if rounds == NO_STEP:
+            raise ErlError(f"witness crusade needs more than {NO_STEP - 1} "
+                           "steps, the limit of its uint8 step counts")
+        near = step_min(np.where(allowed, steps, NO_STEP), n)
+        nxt = np.minimum(steps, np.minimum(near, NO_STEP - 1) + 1)
         if np.array_equal(nxt, steps):
             raise ErlError("no crusade within the optimal width reached the "
                            "source (implementation bug)")
         steps = nxt
 
     # Composite key packs (steps, popcount, mask) so one superset-min gives
-    # the lexicographic argmin over supersets.
-    key = np.where(allowed & (steps < inf),
-                   (steps << (n + 5)) | (pops << n) | masks,
-                   inf)
+    # the lexicographic argmin over supersets; popcount <= 20 fits 5 bits.
+    keyed = allowed & (steps != NO_STEP)
+    top = int(steps.max(where=keyed, initial=0))
+    kt = np.uint32 if top.bit_length() + 5 + n <= 32 else np.uint64
+    none = int(np.iinfo(kt).max)
+    key = np.arange(size, dtype=kt)
+    key |= np.bitwise_count(key).astype(kt) << kt(n)
+    key |= steps.astype(kt) << kt(n + 5)
+    key[~keyed] = none
     km = superset_min(key, n)
 
     bags = [a]
     cur = src
     while cur:
-        best = km[cur]
+        best = int(km[cur])
         for v in range(n):
             if (cur >> v) & 1:
-                best = min(best, km[cur & ~(1 << v)])
-        if best >= inf:
+                best = min(best, int(km[cur & ~(1 << v)]))
+        if best == none:
             raise ErlError("witness walk stuck (implementation bug)")
-        nxt = int(best & (size - 1))
-        if int(best >> (n + 5)) != int(steps[cur]) - 1:
+        nxt = best & (size - 1)
+        if best >> (n + 5) != int(steps[cur]) - 1:
             raise ErlError("witness walk did not shorten (implementation bug)")
         bags.append(Bag.from_mask(nxt))
         cur = nxt

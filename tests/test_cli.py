@@ -153,6 +153,24 @@ class TestUsageErrors:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", [
+        "1000000\n",
+        '{"n": "3", "edges": [[0, 1]]}',
+        '{"n": 3.5, "edges": [[0, 1]]}',
+        '{"n": true, "edges": []}',
+        '{"n": 3, "edges": 5}',
+        '{"n": 3, "edges": [[true, 2]]}',
+        '{"n": 3, "edges": [[0, 1]], "degree_bound": "x"}',
+    ], ids=["node_cap", "n_str", "n_float", "n_bool", "edges_int", "edge_bool",
+            "bound_str"])
+    def test_bad_graph_file_exit_2_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        code, _, err = run(capsys, "cutwidth", "--graph", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_clean_graph_exit_0(self, capsys, tmp_path):

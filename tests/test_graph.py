@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -97,6 +99,46 @@ class TestGenerateCap:
         # none of these could be built in the lifetime of the test run
         with pytest.raises(GenerationError, match="too large"):
             generate(kind, params)
+
+
+class TestParseCap:
+    # a cycle on GENERATE_CAP nodes has exactly GENERATE_CAP edges
+    CYCLE = [(i, (i + 1) % GENERATE_CAP) for i in range(GENERATE_CAP)]
+
+    @staticmethod
+    def edge_list(n, edges):
+        return "\n".join([str(n), *(f"{u} {v}" for u, v in edges)]) + "\n"
+
+    @staticmethod
+    def json_doc(n, edges):
+        return json.dumps({"n": n, "edges": [list(e) for e in edges]})
+
+    @pytest.mark.parametrize("fmt", ["edge_list", "json_doc"])
+    def test_node_count_boundary(self, fmt):
+        text = getattr(self, fmt)
+        assert parse_graph(text(GENERATE_CAP, [])).node_count == GENERATE_CAP
+        with pytest.raises(GraphParseError, match="above the cap"):
+            parse_graph(text(GENERATE_CAP + 1, []))
+
+    @pytest.mark.parametrize("fmt", ["edge_list", "json_doc"])
+    def test_edge_count_boundary(self, fmt):
+        text = getattr(self, fmt)
+        g = parse_graph(text(GENERATE_CAP, self.CYCLE))
+        assert len(g.edges) == GENERATE_CAP
+        with pytest.raises(GraphParseError, match=f"more than {GENERATE_CAP} edges"):
+            parse_graph(text(GENERATE_CAP, self.CYCLE + [(0, 2)]))
+
+    def test_edge_cap_reports_line(self):
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(self.edge_list(GENERATE_CAP, self.CYCLE + [(0, 2)]))
+        assert exc.value.line == GENERATE_CAP + 2
+
+    def test_huge_declared_count(self):
+        # rejected before a Graph of that size is built
+        with pytest.raises(GraphParseError, match="line 1: node count"):
+            parse_graph("1000000\n")
+        with pytest.raises(GraphParseError, match="node count"):
+            parse_graph('{"n": 1000000000000, "edges": []}')
 
 
 class TestGraphConstruction:
@@ -279,6 +321,26 @@ class TestSerialization:
     def test_empty_input(self):
         with pytest.raises(GraphParseError):
             parse_graph("   \n# nothing\n")
+
+    @pytest.mark.parametrize("text", [
+        '{"n": "3", "edges": [[0, 1]]}',
+        '{"n": 3.5, "edges": [[0, 1]]}',
+        '{"n": true, "edges": []}',
+        '{"n": 0, "edges": []}',
+        '{"n": 3, "edges": 5}',
+        '{"n": 3, "edges": {"0": 1}}',
+        '{"n": 3, "edges": [5]}',
+        '{"n": 3, "edges": [[true, 2]]}',
+        '{"n": 3, "edges": [[0, 1.0]]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": 3, "edges": [[0, 1]], "degree_bound": "x"}',
+        '{"n": 3, "edges": [[0, 1]], "degree_bound": true}',
+    ], ids=["n_str", "n_float", "n_bool", "n_zero", "edges_int", "edges_dict",
+            "edge_int", "edge_bool", "edge_float", "edge_triple", "bound_str",
+            "bound_bool"])
+    def test_malformed_json(self, text):
+        with pytest.raises(GraphParseError):
+            parse_graph(text)
 
     def test_json_degree_bound_optional(self):
         g = parse_graph('{"n": 3, "edges": [[0, 1]]}')

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -9,9 +10,10 @@ from erl import (Bag, CapacityError, CompleteGraphResistance, ErlError, Graph,
                  brute_force_resistance_all, check_bellman, cut, cutwidth,
                  generate, monotone_resistance_table, resistance_table,
                  validate_crusade, width, witness_crusade)
-from erl.resistance import UNREACHED, step_min
+from erl.graph import cut_table
+from erl.resistance import UNREACHED, _bellman_rhs, step_min
 
-from conftest import random_bounded_graph, rng_for
+from conftest import ZOO, random_bounded_graph, rng_for
 
 
 def ordering_cutwidth(g: Graph) -> int:
@@ -129,6 +131,15 @@ class TestTableShape:
     def test_rounds_positive(self, zoo_graph):
         assert resistance_table(zoo_graph).converged_rounds >= 1
 
+    def test_warm_start_not_aliased(self, zoo_graph):
+        # k4 and star3 converge in the first round, where the start itself
+        # is already the fixed point
+        mono = monotone_resistance_table(zoo_graph)
+        before = mono.values.copy()
+        table = erl.resistance._value_iteration(zoo_graph, mono.values)
+        assert not np.shares_memory(table.values, mono.values)
+        assert np.array_equal(mono.values, before)
+
     def test_capacity_errors(self):
         with pytest.raises(CapacityError):
             resistance_table(generate("line", (21,)))
@@ -189,6 +200,30 @@ class TestWitness:
         c1 = witness_crusade(g, t, g.all_nodes())
         c2 = witness_crusade(g, t, g.all_nodes())
         assert c1 == c2
+
+    def test_unreachable_source_raises(self, zoo_graph):
+        # a lowered gamma(full) admits no crusade; the uint8 step counts
+        # must stay "not reached" rather than wrap to 0 and end the search
+        g = zoo_graph
+        values = resistance_table(g).values.copy()
+        values[-1] -= 1
+        with pytest.raises(ErlError, match="no crusade within the optimal width"):
+            witness_crusade(g, ResistanceTable(g, values, 1), g.all_nodes())
+
+    def test_step_limit_raises(self, monkeypatch):
+        # an operator that reaches mask r in round r needs 511 rounds to
+        # reach the full set of 9 nodes, past the 254 a uint8 count can hold
+        def path_step_min(vals, n):
+            out = vals.copy()
+            np.minimum(out[1:], vals[:-1], out=out[1:])
+            return out
+
+        g = generate("line", (9,))
+        values = resistance_table(g).values.copy()
+        values[-1] = 100
+        monkeypatch.setattr(erl.resistance, "step_min", path_step_min)
+        with pytest.raises(ErlError, match="more than 254 steps"):
+            witness_crusade(g, ResistanceTable(g, values, 1), g.all_nodes())
 
     def test_lowered_full_set_raises_promptly(self, monkeypatch):
         g = generate("random_regular", (12, 3), seed=5)
@@ -271,3 +306,95 @@ class TestStepMin:
             for a in range(1 << n):
                 near = np.bitwise_count(a & ~masks) <= 1
                 assert out[a] == values[near].min()
+
+
+def cold_resistance_table(g: Graph) -> np.ndarray:
+    """Oracle: value iteration from the all-unreached start.
+
+    Every entry but the empty bag's starts at UNREACHED, and the Bellman
+    operator is applied until nothing changes.  ``resistance_table`` starts
+    from the monotone table instead; both must reach the same fixed point.
+    """
+    n = g.node_count
+    cut_t = cut_table(g)
+    gamma = np.full(1 << n, UNREACHED, dtype=np.uint16)
+    gamma[0] = 0
+    while True:
+        new = np.minimum(gamma, _bellman_rhs(gamma, cut_t, n))
+        if np.array_equal(new, gamma):
+            return gamma
+        gamma = new
+
+
+RANDOM_REGULAR = [(n, d, seed) for n in (6, 8, 10, 12, 14, 16)
+                  for d in (3, 4) for seed in (1, 2)]
+
+
+class TestColdStartOracle:
+    def test_zoo(self, zoo_graph):
+        assert np.array_equal(cold_resistance_table(zoo_graph),
+                              resistance_table(zoo_graph).values)
+
+    @pytest.mark.parametrize("n,d,seed", RANDOM_REGULAR,
+                             ids=[f"rr{n}_{d}s{s}" for n, d, s in RANDOM_REGULAR])
+    def test_random_regular(self, n, d, seed):
+        g = generate("random_regular", (n, d), seed=seed)
+        assert np.array_equal(cold_resistance_table(g),
+                              resistance_table(g).values)
+
+
+GOLDEN_GRAPHS = dict(ZOO)
+GOLDEN_GRAPHS.update({
+    f"rr{n}_3s{seed}": (lambda n=n, seed=seed:
+                        generate("random_regular", (n, 3), seed=seed))
+    for n in (16, 18) for seed in (1, 2)})
+
+# First 16 hex digits of the SHA-256 of: the monotone table's values, the
+# resistance table's values (both little-endian uint16), and the witness
+# crusades' mask sequences from the full set and from five seeded bags.
+GOLDEN = {
+    "cycle6": ("4721abff60a74d1d", "d6ee2c75d7c9ad8c", "2504a0fef55d28f2"),
+    "grid2x3": ("835eb7bb609e6bec", "2715687582fb77dc", "94a7aa62774af161"),
+    "hypercube3": ("d4e874d0781bdf07", "faa6ed2758946fbe",
+                   "7daa151f085aef46"),
+    "k4": ("5452f7906b1a28a8", "5452f7906b1a28a8", "81fd91ca821de6dc"),
+    "line5": ("34cd412bb7ef7a18", "a477b087e36cfa8b", "bee239f87a888467"),
+    "line9": ("8316e422941e445f", "b9c44c36d80a4c16", "49ee849ff81442e0"),
+    "rr10_3": ("42125a4204ea76dc", "d76dfc65e5b4d806", "a58a5840133e98bd"),
+    "rr16_3s1": ("47d7ecc259d5b397", "0e973624f3ae598c", "ea9e46bd9acfcc42"),
+    "rr16_3s2": ("25ffaad1545e2d66", "fd3f3059ac6a8a22", "047fe0cf74e83644"),
+    "rr18_3s1": ("bbdb91014d4f3405", "b6c7e933093c800b", "b84de6e1ab54a854"),
+    "rr18_3s2": ("2bb8831c39b24c8a", "af7fe194f90b8197", "3a5fd24691e19cfc"),
+    "rr8_3": ("d62b72574d3fd818", "ebdcf83a43969410", "8d7f3f0fe16291df"),
+    "star3": ("8c3a2e88b9a57312", "8c3a2e88b9a57312", "d9566dfe80b29859"),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _witness_digest(g: Graph, table: ResistanceTable) -> str:
+    rng = rng_for(80)
+    sources = [g.full_mask, *(int(m) for m in rng.integers(1, g.full_mask + 1, 5))]
+    h = hashlib.sha256()
+    for mask in sources:
+        bags = witness_crusade(g, table, Bag.from_mask(mask)).bags
+        h.update(len(bags).to_bytes(4, "little"))
+        h.update(np.array([b.mask for b in bags], dtype="<u4").tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestGolden:
+    """Tables and witnesses recorded before the warm start and the
+    small-type witness search; both must stay bit-identical."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+    def test_digests(self, name):
+        g = GOLDEN_GRAPHS[name]()
+        mono = monotone_resistance_table(g)
+        table = resistance_table(g)
+        got = (_sha(mono.values.astype("<u2").tobytes()),
+               _sha(table.values.astype("<u2").tobytes()),
+               _witness_digest(g, table))
+        assert got == GOLDEN[name]
