@@ -20,7 +20,8 @@ from jsonschema import Draft202012Validator
 from .epidemic import (RECOVERY, EpidemicConfig, EventLog, Policy,
                        builtin_policy, derive_seed, replay, simulate)
 from .errors import CapacityError, ErlError, LemmaViolationError
-from .graph import Bag, Graph, cut, cut_table, generate, toggle_delta
+from .graph import (Bag, Graph, cut, cut_table, generate, halves, rowwise,
+                    toggle_delta)
 from .resistance import ResistanceTable, check_bellman, resistance_table
 
 
@@ -159,8 +160,9 @@ def _collect(viols: list, bad_masks, detail) -> None:
 def _insert_bit(k, v: int, bit: int):
     """Masks with bit ``v`` set to ``bit`` from indices that lack that bit.
 
-    The index of a bag in a half-view ``x.reshape(-1, 2, 2^v)[:, bit, :]``
-    is its mask with bit v removed; inserting the bit back keeps order.
+    The flattened index of a bag in ``halves(x, v)[bit]``, and in any
+    array of that shape, is its mask with bit v removed; inserting the bit
+    back keeps order.
     """
     low = (1 << v) - 1
     return ((k & ~low) << 1) | (k & low) | (bit << v)
@@ -181,23 +183,28 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     the pair checks run over all single-node steps plus ``samples`` random
     pairs.  The fixed-point and cut-at-drop checks are always complete.
 
-    Single-node steps use strided half-views: ``x.reshape(-1, 2, 2^v)``
-    lines every bag without v up with the bag that adds v, so no mask array
-    is built or gathered.  Submodularity takes dv = cut(A - v) - cut(A) on
-    the half holding v and compares it with itself one node u higher,
-    O(n^2 2^(n-2)) int32 compares in all.  Values are widened to int32, and
-    full-size int64 mask arrays exist only in the n <= 8 and n <= 10
-    exhaustive branches.  Only reported witnesses are mapped back to masks,
-    in mask order, so reports match a literal enumeration of the bags.
+    Single-node steps use the half-views of ``graph.halves``: they line
+    every bag without v up with the bag that adds v, so no mask array is
+    built or gathered.  Each step condition is written by ``rowwise`` into
+    a reused half-size buffer of the half-view's shape.  Submodularity
+    takes dv = cut(A - v) - cut(A) on the half holding v and compares it
+    with itself one node u higher, O(n^2 2^(n-2)) int32 compares in all.
+    Values are widened to int32, and full-size int64 mask arrays exist
+    only in the n <= 8 and n <= 10 exhaustive branches.  Only reported
+    witnesses are mapped back to masks, in mask order, so reports match a
+    literal enumeration of the bags.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ErlError(f"unknown mode {mode!r}")
+    table.require_graph(g)
+    # computed before the work arrays below exist, so its own arrays do
+    # not stack on theirs; reported last
+    bc = check_bellman(g, table)
     n = g.node_count
     size = 1 << n
-    if len(table.values) != size:
-        raise ErlError("table does not match graph size")
-    if table.graph is not None and table.graph != g:
-        raise ErlError("table was built for a different graph")
+    # half-size work buffers, viewed in each pass with the half-view's shape
+    diff = np.empty(size >> 1, dtype=np.int32)
+    cond = np.empty(size >> 1, dtype=bool)
     cut_t = cut_table(g).astype(np.int32)
     gam = table.values.astype(np.int32)
     delta = g.degree_bound
@@ -221,8 +228,11 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
             strategy = "all_pairs"
         else:
             for v in range(n):
-                r = vals.reshape(-1, 2, 1 << v)
-                k = _first(np.abs(r[:, 0, :] - r[:, 1, :]) > delta)
+                without, with_v = halves(vals, v)
+                rowwise(np.subtract, without, with_v,
+                        out=diff.reshape(without.shape))
+                np.abs(diff, out=diff)
+                k = _first(np.greater(diff, delta, out=cond))
                 checked += size
                 # both bags of a bad step are witnesses, in mask order
                 bad = np.sort(np.concatenate([_insert_bit(k, v, 0),
@@ -255,8 +265,9 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
         strategy = "all_subset_pairs"
     else:
         for v in range(n):
-            r = gam.reshape(-1, 2, 1 << v)
-            k = _first(r[:, 0, :] > r[:, 1, :])
+            without, with_v = halves(gam, v)
+            k = _first(rowwise(np.greater, without, with_v,
+                               out=cond.reshape(without.shape)))
             checked += size
             _collect(viols, _insert_bit(k, v, 1),
                      lambda m, v=v: {"bag": m & ~(1 << v), "superset": m})
@@ -292,16 +303,19 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
                 s = (s - 1) & bm
         strategy = "all_subset_pairs"
     else:
+        quarter = cond[:size >> 2]
         for v in range(n):
-            r = cut_t.reshape(-1, 2, 1 << v)
-            # dv[A - v] = cut(A - v) - cut(A) for the bags A holding v
-            dv = (r[:, 0, :] - r[:, 1, :]).reshape(-1)
+            without, with_v = halves(cut_t, v)
+            # diff[A - v] = cut(A - v) - cut(A) for the bags A holding v
+            rowwise(np.subtract, without, with_v,
+                    out=diff.reshape(without.shape))
             for u in range(n):
                 if u == v:
                     continue
                 w = u - (u > v)     # u's bit once v's bit is removed
-                d = dv.reshape(-1, 2, 1 << w)
-                k = _first(d[:, 0, :] > d[:, 1, :])
+                d_without, d_with = halves(diff, w)
+                k = _first(rowwise(np.greater, d_without, d_with,
+                                   out=quarter.reshape(d_without.shape)))
                 checked += size >> 2
                 _collect(viols, _insert_bit(_insert_bit(k, w, 0), v, 1),
                          lambda m, u=u, v=v: {"superset": m | (1 << u),
@@ -314,10 +328,11 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     viols = []
     checked = 0
     for v in range(n):
-        gr = gam.reshape(-1, 2, 1 << v)
-        cr = cut_t.reshape(-1, 2, 1 << v)
-        g_in = gr[:, 1, :]
-        k = _first((gr[:, 0, :] < g_in) & (cr[:, 0, :] < g_in))
+        g_without, g_in = halves(gam, v)
+        # gamma(A - v) < gamma(A) and cut(A - v) < gamma(A), as one compare
+        high = rowwise(np.maximum, g_without, halves(cut_t, v)[0],
+                       out=diff.reshape(g_in.shape))
+        k = _first(rowwise(np.less, high, g_in, out=cond.reshape(g_in.shape)))
         checked += size >> 1
         _collect(viols, _insert_bit(k, v, 1), lambda m, v=v: {"node": v})
     checks["cut_at_drop"] = CheckResult(checked, "all_bag_node_pairs", viols)
@@ -329,7 +344,6 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     checks["below_cutwidth"] = CheckResult(size, "all_bags", viols)
 
     # the table is a fixed point of the bottleneck recursion
-    bc = check_bellman(g, table)
     viols = [] if bc.passed else [{"bag": bc.witness_mask, "table": bc.lhs,
                                    "operator": bc.rhs}]
     checks["fixed_point"] = CheckResult(size, "all_bags", viols)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .crusade import Crusade
 from .errors import CapacityError, ErlError
-from .graph import Bag, Graph, cut_table
+from .graph import Bag, Graph, cut_table, halves, rowwise
 
 LATTICE_CAP = 20    # full 2^n tables
 ORACLE_CAP = 10     # literal state-graph search
@@ -50,12 +50,16 @@ def _require_cap(n: int, cap: int, what: str) -> None:
 
 
 def superset_min(values: np.ndarray, n: int) -> np.ndarray:
-    """m[C] = min over D ⊇ C of values[D], via the n-pass lattice sweep."""
+    """m[C] = min over D ⊇ C of values[D], via the n-pass lattice sweep.
+
+    Pass v lowers the entry of each bag without v to that of the bag with
+    v added, in place on the without-v half (``halves``/``rowwise``, column
+    by column where rows are short).
+    """
     m = values.copy()
     for v in range(n):
-        step = 1 << v
-        r = m.reshape(-1, 2, step)
-        np.minimum(r[:, 0, :], r[:, 1, :], out=r[:, 0, :])
+        without, with_v = halves(m, v)
+        rowwise(np.minimum, without, with_v, out=without)
     return m
 
 
@@ -63,16 +67,15 @@ def step_min(values: np.ndarray, n: int) -> np.ndarray:
     """out[A] = min over {B : |A \\ B| <= 1} of values[B].
 
     That is the minimum of m[A] and of m[A - v] over v in A, where m is the
-    superset minimum.  Per node v the bags holding v read the half of the
-    lattice without v through strided views; bags without v are skipped,
-    because for them A - v is A itself.
+    superset minimum.  Per node v the with-v half of the output reads the
+    without-v half of m (``halves``/``rowwise``); bags without v are
+    skipped, because for them A - v is A itself.
     """
     m = superset_min(values, n)
     out = m.copy()
     for v in range(n):
-        src = m.reshape(-1, 2, 1 << v)
-        dst = out.reshape(-1, 2, 1 << v)
-        np.minimum(dst[:, 1, :], src[:, 0, :], out=dst[:, 1, :])
+        with_v = halves(out, v)[1]
+        rowwise(np.minimum, with_v, halves(m, v)[0], out=with_v)
     return out
 
 
@@ -91,7 +94,19 @@ class ResistanceTable:
 
     @property
     def node_count(self) -> int:
-        return int(np.log2(len(self.values)) + 0.5)
+        return len(self.values).bit_length() - 1
+
+    def require_graph(self, g: Graph) -> None:
+        """Raise ErlError unless this table can be read as ``g``'s: it has
+        2^n entries, and it was built for ``g`` or for no graph in
+        particular."""
+        size = 1 << g.node_count
+        if len(self.values) != size:
+            raise ErlError(f"table does not match graph size: {len(self.values)} "
+                           f"entries, a graph on {g.node_count} nodes has "
+                           f"{size} bags")
+        if self.graph is not None and self.graph != g:
+            raise ErlError("table was built for a different graph")
 
     def gamma(self, bag) -> int:
         mask = bag.mask if isinstance(bag, Bag) else int(bag)
@@ -119,7 +134,10 @@ class ResistanceTable:
         if len(body) != 2 << n:
             raise ErlError(f"table dump for n={n} has wrong length {len(body)}")
         values = np.frombuffer(body, dtype="<u2").astype(np.uint16)
-        return cls(graph, values, converged_rounds=0)
+        table = cls(graph, values, converged_rounds=0)
+        if graph is not None:
+            table.require_graph(graph)
+        return table
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -316,7 +334,11 @@ def check_bellman(g: Graph, table: ResistanceTable) -> BellmanCheck:
     zero table is one, since every bag may step to the zero-cut full set).
     A passing check therefore certifies a table from above; equality with
     the crusade definition is what the brute-force oracle tests establish.
+
+    Raises ErlError when the table is not ``g``'s (wrong size, or built
+    for another graph).
     """
+    table.require_graph(g)
     n = g.node_count
     gamma = table.values
     if gamma[0] != 0:
@@ -344,6 +366,7 @@ def witness_crusade(g: Graph, table: ResistanceTable, a: Bag) -> Crusade:
     """
     n = g.node_count
     _require_cap(n, LATTICE_CAP, "witness_crusade")
+    table.require_graph(g)
     g.check_bag(a)
     if a.mask == 0:
         return Crusade((a,))

@@ -1,4 +1,6 @@
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from erl import (GENERATE_CAP, Bag, GenerationError, Graph, GraphParseError,
                  InvalidBagError, cut, cut_after_toggle, generate, parse_graph,
                  serialize_graph)
-from erl.graph import cut_table
+import erl
+from erl.graph import cut_table, halves, rowwise
 
 from conftest import random_bounded_graph, rng_for
 
@@ -251,6 +254,72 @@ class TestCutTable:
                 assert table.dtype == np.uint16
                 assert table.tolist() == [cut(g, Bag.from_mask(m))
                                           for m in range(1 << n)]
+
+
+KERNEL_DTYPES = ["uint8", "uint16", "uint32", "uint64", "int32"]
+
+
+class TestHalves:
+    def test_entries_are_masks(self):
+        masks = np.arange(1 << 6)
+        for v in range(6):
+            without, with_v = halves(masks, v)
+            assert without.shape == with_v.shape == (1 << (5 - v), 1 << v)
+            assert not (without & (1 << v)).any()
+            assert np.array_equal(with_v, without | (1 << v))
+            # flattened index = mask with bit v removed, in mask order
+            low = without.reshape(-1) & ((1 << v) - 1)
+            high = without.reshape(-1) >> (v + 1)
+            assert np.array_equal((high << v) | low, np.arange(1 << 5))
+
+    def test_no_strided_pass_outside_halves(self):
+        """Every per-node lattice pass goes through ``halves``: its body is
+        the only place in the package that views an array by node."""
+        pattern = "reshape(-1, 2,"
+        hits = {p.name: p.read_text().count(pattern)
+                for p in Path(erl.__file__).parent.glob("*.py")}
+        assert {name: c for name, c in hits.items() if c} == {"graph.py": 1}
+        assert inspect.getsource(halves).count(pattern) == 1
+
+
+class TestRowwise:
+    """``rowwise`` against the plain ufunc call for every v <= 12, on both
+    sides of the short-row cutoff."""
+
+    @pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+    def test_matches_plain_ufunc(self, dtype):
+        info = np.iinfo(dtype)
+        rng = rng_for(41)
+        x = rng.integers(info.min, info.max, size=1 << 13, dtype=dtype,
+                         endpoint=True)
+        for v in range(13):
+            without, with_v = halves(x, v)
+            for ufunc in (np.minimum, np.maximum, np.greater, np.less):
+                want = ufunc(without, with_v)
+                got = np.empty(without.shape, dtype=want.dtype)
+                assert rowwise(ufunc, without, with_v, out=got) is got
+                assert np.array_equal(got, want)
+            want = np.add(with_v, 1)
+            got = np.empty_like(want)
+            rowwise(np.add, with_v, 1, out=got)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+    def test_out_aliases_input(self, dtype):
+        info = np.iinfo(dtype)
+        rng = rng_for(42)
+        for v in range(13):
+            x = rng.integers(info.min, info.max, size=1 << 13, dtype=dtype,
+                             endpoint=True)
+            y = x.copy()
+            without, with_v = halves(x, v)
+            rowwise(np.minimum, without, with_v, out=without)
+            y_without, y_with = halves(y, v)
+            np.minimum(y_without, y_with, out=y_without)
+            assert np.array_equal(x, y)
+            rowwise(np.add, with_v, 1, out=with_v)
+            np.add(y_with, 1, out=y_with)
+            assert np.array_equal(x, y)
 
 
 class TestCutInequalities:

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import erl.resistance
-from erl import (Bag, CapacityError, CompleteGraphResistance, ErlError, Graph,
-                 ResistanceTable, brute_force_resistance,
+from erl import (LATTICE_CAP, Bag, CapacityError, CompleteGraphResistance,
+                 ErlError, Graph, ResistanceTable, brute_force_resistance,
                  brute_force_resistance_all, check_bellman, cut, cutwidth,
                  generate, monotone_resistance_table, resistance_table,
                  validate_crusade, width, witness_crusade)
 from erl.graph import cut_table
-from erl.resistance import UNREACHED, _bellman_rhs, step_min
+from erl.resistance import UNREACHED, _bellman_rhs, step_min, superset_min
 
 from conftest import ZOO, random_bounded_graph, rng_for
 
@@ -182,6 +182,32 @@ class TestBellmanCheck:
         assert not np.array_equal(brute_force_resistance_all(g), zeros.values)
 
 
+class TestForeignTable:
+    """A table from another graph is refused with ErlError by every reader."""
+
+    def test_wrong_size(self):
+        g = generate("complete", (5,))
+        other = resistance_table(generate("line", (4,)))
+        with pytest.raises(ErlError, match="graph size"):
+            check_bellman(g, other)
+        with pytest.raises(ErlError, match="graph size"):
+            witness_crusade(g, other, g.all_nodes())
+
+    def test_same_size_other_graph(self):
+        g = generate("complete", (5,))
+        other = resistance_table(generate("line", (5,)))
+        with pytest.raises(ErlError, match="different graph"):
+            check_bellman(g, other)
+        with pytest.raises(ErlError, match="different graph"):
+            witness_crusade(g, other, g.all_nodes())
+
+    def test_graphless_table_accepted(self):
+        g = generate("cycle", (5,))
+        loose = ResistanceTable(None, resistance_table(g).values, 1)
+        assert check_bellman(g, loose).passed
+        assert width(g, witness_crusade(g, loose, g.all_nodes())) == loose.cutwidth
+
+
 class TestWitness:
     def test_valid_and_optimal_on_zoo(self, zoo_graph):
         g = zoo_graph
@@ -260,6 +286,20 @@ class TestDumpFormats:
         with pytest.raises(ErlError):
             ResistanceTable.load_binary(data[:-2])
 
+    def test_graph_size_checked(self):
+        t = resistance_table(generate("line", (4,)))
+        data = t.dump_binary()
+        with pytest.raises(ErlError, match="graph size"):
+            ResistanceTable.load_binary(data, graph=generate("line", (5,)))
+        loaded = ResistanceTable.load_binary(data, graph=generate("line", (4,)))
+        assert loaded.node_count == 4
+        assert loaded.gamma(0b1111) == t.cutwidth
+
+    def test_node_count(self):
+        for n in range(LATTICE_CAP + 1):
+            table = ResistanceTable(None, np.zeros(1 << n, dtype=np.uint16), 0)
+            assert table.node_count == n
+
     def test_bad_header_rejected(self):
         # n near 2^32 must be refused before the length 2 << n is formed
         for data in (b"RGT1\x00", b"RGT1" + (2**32 - 1).to_bytes(4, "little")):
@@ -306,6 +346,26 @@ class TestStepMin:
             for a in range(1 << n):
                 near = np.bitwise_count(a & ~masks) <= 1
                 assert out[a] == values[near].min()
+
+    @pytest.mark.parametrize("dtype", ["uint8", "uint16", "uint32", "uint64",
+                                       "int32"])
+    def test_every_dtype(self, dtype):
+        """Both kernels against the literal minimum, at every n up to 10:
+        the passes for small v run column by column, the others plainly."""
+        info = np.iinfo(dtype)
+        rng = rng_for(32)
+        for n in range(11):
+            values = rng.integers(info.min, info.max, size=1 << n,
+                                  dtype=dtype, endpoint=True)
+            masks = np.arange(1 << n)
+            a, b = masks[:, None], masks[None, :]
+            literal = np.where((b & a) == a, values, info.max).min(axis=1)
+            assert np.array_equal(superset_min(values, n), literal)
+            near = np.bitwise_count(a & ~b) <= 1
+            literal = np.where(near, values, info.max).min(axis=1)
+            out = step_min(values, n)
+            assert out.dtype == values.dtype
+            assert np.array_equal(out, literal)
 
 
 def cold_resistance_table(g: Graph) -> np.ndarray:
