@@ -10,18 +10,21 @@ tolerances.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import and_, gt
 
 import numpy as np
 from jsonschema import Draft202012Validator
 
 from .epidemic import (RECOVERY, EpidemicConfig, EventLog, Policy,
-                       builtin_policy, derive_seed, replay, simulate)
+                       _trajectory, builtin_policy, derive_seed, simulate)
 from .errors import CapacityError, ErlError, LemmaViolationError
-from .graph import (Bag, Graph, cut, cut_table, generate, halves, rowwise,
-                    toggle_delta)
+from .graph import (Graph, cut_sequence, cut_table, generate, halves,
+                    rowwise)
 from .resistance import ResistanceTable, check_bellman, resistance_table
 
 
@@ -354,26 +357,6 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
 # ---------------------------------------------------------------------------
 # Trajectory audits
 
-def _states_of(log: EventLog, g: Graph) -> tuple[list[float], list[int]]:
-    times, masks = [], []
-    for t, bag in replay(log, g):
-        times.append(t)
-        masks.append(bag.mask)
-    return times, masks
-
-
-def _cut_sequence(g: Graph, masks: list[int]) -> list[int]:
-    """Cuts along a mask sequence whose consecutive masks are equal or
-    differ in one node, maintained incrementally."""
-    cuts = [cut(g, Bag.from_mask(masks[0]))]
-    for prev, cur in zip(masks, masks[1:]):
-        delta = 0
-        if cur != prev:
-            delta = toggle_delta(g, prev, (prev ^ cur).bit_length() - 1)
-        cuts.append(cuts[-1] + delta)
-    return cuts
-
-
 @dataclass(frozen=True)
 class RecoveryBoundReport:
     """Successful audit of one trajectory segment."""
@@ -402,26 +385,31 @@ def audit_recovery_bound(g: Graph, table, log: EventLog,
     initial resistance inside the segment, also asserts that the crossing
     cut is at least the pre-crossing resistance.  Violations raise
     LemmaViolationError; they indicate a simulator or table bug.
+
+    The segment needs 0 <= t_from <= t_to (t_to may be infinite; a NaN
+    bound is rejected) and a table that belongs to ``g``; either failing
+    raises ErlError.  The log is checked and replayed once, as masks.
     """
-    if t_from < 0 or t_to < t_from:
+    if not 0 <= t_from <= t_to:
         raise ErlError("need 0 <= t_from <= t_to")
-    times, state_masks = _states_of(log, g)
+    table.require_graph(g)
+    times, masks = _trajectory(log, g)
+    return _recovery_audit(g, table, times, masks, t_from, t_to)
 
-    seg_masks = [state_masks[0]]
-    seg_kinds: list[str] = []
-    for i, ev in enumerate(log.events):
-        if ev.time <= t_from:
-            seg_masks[0] = state_masks[i + 1]
-        elif ev.time <= t_to:
-            seg_masks.append(state_masks[i + 1])
-            seg_kinds.append(ev.kind)
 
-    theta_masks = [seg_masks[0]]
-    for cur in seg_masks[1:]:
-        theta_masks.append(theta_masks[-1] & cur)
-    theta_cuts = _cut_sequence(g, theta_masks)
+def _recovery_audit(g: Graph, table, times: list[float], masks: list[int],
+                    t_from: float, t_to: float) -> RecoveryBoundReport:
+    """:func:`audit_recovery_bound` on a trajectory already checked by
+    ``_trajectory``."""
+    # states after the events at or before each bound; times increase
+    # strictly, so the segment's states are one slice
+    first = bisect_right(times, t_from) - 1
+    last = bisect_right(times, t_to) - 1
+    seg_masks = masks[first:last + 1]
+    theta_masks = list(accumulate(seg_masks, and_))
+    theta_cuts = cut_sequence(g, theta_masks)
 
-    gamma0 = table.gamma(log.initial_infected)
+    gamma0 = table.gamma(masks[0])
     half = gamma0 // 2
     crossing_index = crossing_cut = crossing_gamma_before = None
     prev_gam = table.gamma(theta_masks[0])
@@ -440,8 +428,9 @@ def audit_recovery_bound(g: Graph, table, log: EventLog,
             break
         prev_gam = cur_gam
 
-    recoveries = sum(1 for k in seg_kinds if k == RECOVERY)
-    infections = len(seg_kinds) - recoveries
+    # a unit step is a recovery exactly when it lowers the mask
+    recoveries = sum(map(gt, seg_masks, seg_masks[1:]))
+    infections = len(seg_masks) - 1 - recoveries
     c0 = theta_cuts[0]
     cmax = max(theta_cuts)
     if recoveries * g.degree_bound < cmax - c0:
@@ -493,9 +482,13 @@ def scan_halving_window(g: Graph, table, log: EventLog) -> IntervalWitness:
     CASE1 holds when the cut is above threshold throughout [0, T]; CASE2
     starts the window at the last sub-threshold time T'.  When b < 1 the
     full witness is vacuous and a partial audit of [0, tau] is returned
-    instead.  Any failed property raises LemmaViolationError.
+    instead, run on the same replayed trajectory.  Any failed property
+    raises LemmaViolationError; a table that does not belong to ``g``, or a
+    log that does not end in extinction, raises ErlError.  The log is
+    checked and replayed once, as masks.
     """
-    times, state_masks = _states_of(log, g)
+    table.require_graph(g)
+    times, state_masks = _trajectory(log, g)
     if state_masks[-1] != 0:
         raise ErlError("scan_halving_window needs a log that ends in extinction")
     gamma0 = table.gamma(state_masks[0])
@@ -515,12 +508,11 @@ def scan_halving_window(g: Graph, table, log: EventLog) -> IntervalWitness:
     T = times[t_idx]
 
     if b < 1:
-        t_end = log.events[-1].time if log.events else 0.0
-        partial = audit_recovery_bound(g, table, log, 0.0, t_end)
+        partial = _recovery_audit(g, table, times, state_masks, 0.0, times[-1])
         return IntervalWitness(NOT_APPLICABLE, gamma0, b, cut_thr, T, None,
                                None, None, None, None, None, partial)
 
-    cuts = _cut_sequence(g, state_masks)
+    cuts = cut_sequence(g, state_masks)
     below = [j for j in range(t_idx + 1) if cuts[j] < cut_thr]
     if not below:
         case = CASE1

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ErlError
-from .graph import Bag, Graph, cut
+from .graph import Bag, Graph, cut, cut_sequence
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,12 @@ def width(g: Graph, c: Crusade) -> int:
     return max((cut(g, w) for w in c.bags[1:]), default=0)
 
 
-def _check_unit_step(prev: Bag, cur: Bag, i: int) -> None:
-    if len(prev ^ cur) != 1:
+def _check_unit_step(prev: int, cur: int, i: int) -> None:
+    flipped = (prev ^ cur).bit_count()
+    if flipped != 1:
         raise ErlError(
             f"step {i} is not a unit step (symmetric difference size "
-            f"{len(prev ^ cur)})")
+            f"{flipped})")
 
 
 def iter_bottleneck(seq: Iterable[Bag]) -> Iterator[Bag]:
@@ -103,14 +106,15 @@ def iter_bottleneck(seq: Iterable[Bag]) -> Iterator[Bag]:
     """
     it = iter(seq)
     try:
-        prev = next(it)
+        prev = next(it).mask
     except StopIteration:
         raise ErlError("empty sequence has no bottleneck sequence")
-    theta = prev.mask
+    theta = prev
     yield Bag.from_mask(theta)
     for i, cur in enumerate(it, start=1):
+        cur = cur.mask
         _check_unit_step(prev, cur, i)
-        theta &= cur.mask
+        theta &= cur
         prev = cur
         yield Bag.from_mask(theta)
 
@@ -127,29 +131,49 @@ def audit_bottleneck(g: Graph, seq: Sequence[Bag],
     Checks, index by index: the bottleneck bag stays inside the source bag;
     its cut grows only on removal steps; and it grows by at most the degree
     bound per step.  ``theta`` overrides the computed sequence so that
-    corrupted inputs can be fed in deliberately.
+    corrupted inputs can be fed in deliberately; its bags may jump by any
+    number of nodes per step.
+
+    Both sequences are read as bitmasks once: subsets are tested with
+    integer operations and cuts are updated per toggled node with
+    ``cut_sequence``.  An empty sequence raises ErlError, as does a
+    non-unit step that comes before the first violation; a bag of ``theta``
+    (or, without it, the first source bag) outside ``g`` raises
+    InvalidBagError.
     """
-    thetas = list(theta) if theta is not None else list(iter_bottleneck(seq))
-    if len(thetas) != len(seq):
-        return BottleneckAudit(False, 0, 0, "length mismatch with source sequence")
-    prev_cut = cut(g, thetas[0])
-    if not thetas[0].issubset(seq[0]):
+    if not seq:
+        raise ErlError("empty sequence has no bottleneck sequence")
+    masks = [b.mask for b in seq]
+    if theta is None:
+        g.check_bag(seq[0])     # every computed bag lies inside it
+        thetas = list(accumulate(masks, and_))
+    else:
+        thetas = [b.mask for b in theta]
+        if len(thetas) != len(masks):
+            return BottleneckAudit(False, 0, 0,
+                                   "length mismatch with source sequence")
+        for b in theta:
+            g.check_bag(b)
+    cuts = cut_sequence(g, thetas)
+    if thetas[0] & ~masks[0]:
         return BottleneckAudit(False, 0, 0, "bottleneck bag not inside source bag")
-    for i in range(1, len(seq)):
-        _check_unit_step(seq[i - 1], seq[i], i)
-        cur_cut = cut(g, thetas[i])
-        if not thetas[i].issubset(seq[i]):
+    bound = g.degree_bound
+    for i in range(1, len(masks)):
+        prev, cur = masks[i - 1], masks[i]
+        _check_unit_step(prev, cur, i)
+        if thetas[i] & ~cur:
             return BottleneckAudit(False, i, i, "bottleneck bag not inside source bag")
-        if not thetas[i].issubset(thetas[i - 1]):
+        if thetas[i] & ~thetas[i - 1]:
             return BottleneckAudit(False, i, i, "bottleneck bag grew")
-        if cur_cut > prev_cut and not (seq[i].issubset(seq[i - 1]) and seq[i] != seq[i - 1]):
+        growth = cuts[i] - cuts[i - 1]
+        # after a unit step, the mask drops exactly when a node is removed
+        if growth > 0 and cur > prev:
             return BottleneckAudit(False, i, i, "cut increased on a non-removal step")
-        if cur_cut - prev_cut > g.degree_bound:
+        if growth > bound:
             return BottleneckAudit(
                 False, i, i,
-                f"cut increased by {cur_cut - prev_cut} > degree bound {g.degree_bound}")
-        prev_cut = cur_cut
-    return BottleneckAudit(True, len(seq) - 1, None, None)
+                f"cut increased by {growth} > degree bound {bound}")
+    return BottleneckAudit(True, len(masks) - 1, None, None)
 
 
 def crusade_to_json(c: Crusade | BottleneckSequence) -> str:

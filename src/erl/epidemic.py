@@ -268,13 +268,14 @@ class DegreeProportionalPolicy(Policy):
 
     def allocate(self, graph, infected, budget, rng):
         nodes = members(infected)
-        total = sum(graph.degree(v) for v in nodes)
+        degrees = [graph.degree(v) for v in nodes]
+        total = sum(degrees)
         if total == 0:
             share = budget / len(nodes)
             return {v: share for v in nodes}
         unit = budget / total
-        rate = {d: unit * d for d in {graph.degree(v) for v in nodes}}
-        return {v: rate[graph.degree(v)] for v in nodes}
+        rate = {d: unit * d for d in set(degrees)}
+        return {v: rate[d] for v, d in zip(nodes, degrees)}
 
 
 class UniformPolicy(Policy):
@@ -314,6 +315,10 @@ def builtin_policy(kind: str, **params) -> Policy:
     return _POLICY_KINDS[kind](**params)
 
 
+# Stands for "no rate seen yet" in _curing_table; no allocation holds it.
+_NO_RATE = object()
+
+
 def _curing_table(alloc: dict[int, Fraction], infected: int,
                   budget: Fraction, policy_name: str):
     """Validate an allocation exactly and tabulate it for drawing the cured
@@ -323,9 +328,19 @@ def _curing_table(alloc: dict[int, Fraction], infected: int,
     order and the running float sums of their rates in that order; the node
     cured by a uniform draw u in [0, total) is the first whose sum exceeds u.
     The total is summed over a common denominator, in integers.
+
+    Entries are checked in dict order and the first bad one is reported.
+    Consecutive entries that hold the same rate object form a run, whose
+    rate is checked, rescaled and converted to float once: a uniform split
+    over k nodes costs one rate check, not k.  Each node still gets its own
+    float, converted after the budget check, and the running sums add them
+    in node order, so the floats do not depend on how the entries group.
     """
     den = 1
-    pairs = []
+    runs = []       # (rate, entries) for each run of one rate object
+    count = 0       # entries so far in the run of ``last``
+    last = _NO_RATE
+    nodes = []
     for v, rate in alloc.items():
         try:
             node = index(v)
@@ -334,21 +349,38 @@ def _curing_table(alloc: dict[int, Fraction], infected: int,
         if node < 0 or not (infected >> node) & 1:
             raise PolicyViolationError(policy_name,
                                        f"allocated to non-infected node {v}")
-        if not isinstance(rate, Rational):
-            raise PolicyViolationError(
-                policy_name, f"rate {rate!r} at node {v} is not rational")
-        if rate.numerator < 0:
-            raise PolicyViolationError(policy_name, f"negative rate at node {v}")
-        den = lcm(den, rate.denominator)
-        pairs.append((node, rate))
-    num = sum(rate.numerator * (den // rate.denominator) for _, rate in pairs)
+        if rate is not last:
+            if not isinstance(rate, Rational):
+                raise PolicyViolationError(
+                    policy_name, f"rate {rate!r} at node {v} is not rational")
+            if rate.numerator < 0:
+                raise PolicyViolationError(policy_name,
+                                           f"negative rate at node {v}")
+            if count:
+                runs.append((last, count))
+            den = lcm(den, rate.denominator)
+            last = rate
+            count = 0
+        count += 1
+        nodes.append(node)
+    if count:
+        runs.append((last, count))
+    num = 0
+    for rate, entries in runs:
+        num += rate.numerator * (den // rate.denominator) * entries
     if num * budget.denominator > budget.numerator * den:
         raise PolicyViolationError(
             policy_name,
             f"total rate {Fraction(num, den)} exceeds budget {budget}")
-    pairs.sort()    # node ids are distinct, so rates are never compared
-    return (num / den, [node for node, _ in pairs],
-            list(accumulate(float(rate) for _, rate in pairs)))
+    floats = []
+    for rate, entries in runs:
+        floats += [float(rate)] * entries
+    if nodes != sorted(nodes):
+        # node ids are distinct, so the floats are never compared
+        pairs = sorted(zip(nodes, floats))
+        nodes = [node for node, _ in pairs]
+        floats = [f for _, f in pairs]
+    return num / den, nodes, list(accumulate(floats))
 
 
 def _stream_position(bits: np.random.Philox) -> tuple:
@@ -499,46 +531,64 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
     )
 
 
-def replay(log: EventLog, g: Graph) -> Iterator[tuple[float, Bag]]:
-    """Reconstruct the piecewise-constant trajectory from an event log.
+def _trajectory(log: EventLog, g: Graph) -> tuple[list[float], list[int]]:
+    """Check an event log against ``g`` and reconstruct its trajectory.
 
-    Yields (time, bag) starting with the initial state at time 0; each
-    event flips exactly one node, so the bag sequence is unit-step.  Raises
-    ReplayError with the offending event index on any inconsistency.
+    Returns the state times (0.0, then each event's time) and the infected
+    mask from that time on, so entry i is the state after i events; each
+    event flips exactly one node, so consecutive masks differ in one bit.
+    Raises ReplayError with the offending event index on any inconsistency,
+    and InvalidBagError when the initial bag lies outside ``g``.
     """
     g.check_bag(log.initial_infected)
+    n = g.node_count
+    neighbors = [sum(1 << u for u in adj) for adj in g.adjacency]
     mask = log.initial_infected.mask
-    yield (0.0, Bag.from_mask(mask))
+    times = [0.0]
+    masks = [mask]
     prev_t = 0.0
-    for i, ev in enumerate(log.events):
-        if not prev_t < ev.time < inf:
-            raise ReplayError(f"time {ev.time} is not a finite time after "
-                              f"{prev_t}", i)
-        prev_t = ev.time
-        if not 0 <= ev.node < g.node_count:
-            raise ReplayError(f"node {ev.node} out of range", i)
-        bit = 1 << ev.node
-        if ev.kind == INFECTION:
+    for i, (t, kind, node) in enumerate(log.events):
+        if not prev_t < t < inf:
+            raise ReplayError(f"time {t} is not a finite time after {prev_t}", i)
+        prev_t = t
+        if not 0 <= node < n:
+            raise ReplayError(f"node {node} out of range", i)
+        bit = 1 << node
+        if kind == INFECTION:
             if mask & bit:
-                raise ReplayError(f"infection of already-infected node {ev.node}", i)
-            if not any((mask >> u) & 1 for u in g.adjacency[ev.node]):
+                raise ReplayError(f"infection of already-infected node {node}", i)
+            if not mask & neighbors[node]:
                 raise ReplayError(
-                    f"infection of node {ev.node} with no infected neighbor", i)
-            mask |= bit
-        elif ev.kind == RECOVERY:
+                    f"infection of node {node} with no infected neighbor", i)
+        elif kind == RECOVERY:
             if not mask & bit:
-                raise ReplayError(f"recovery of healthy node {ev.node}", i)
-            mask &= ~bit
+                raise ReplayError(f"recovery of healthy node {node}", i)
         else:
-            raise ReplayError(f"unknown event kind {ev.kind!r}", i)
-        yield (ev.time, Bag.from_mask(mask))
+            raise ReplayError(f"unknown event kind {kind!r}", i)
+        mask ^= bit
+        times.append(t)
+        masks.append(mask)
     if mask != log.final.mask:
         raise ReplayError(
             f"final state {Bag.from_mask(mask)!r} does not match recorded "
             f"{log.final!r}", len(log.events))
+    return times, masks
+
+
+def replay(log: EventLog, g: Graph) -> Iterator[tuple[float, Bag]]:
+    """Reconstruct the piecewise-constant trajectory from an event log.
+
+    Yields (time, bag) starting with the initial state at time 0; each
+    event flips exactly one node, so the bag sequence is unit-step.  The
+    whole log is checked before the first state is yielded: any
+    inconsistency raises ReplayError with the offending event index.
+    """
+    times, masks = _trajectory(log, g)
+    for t, mask in zip(times, masks):
+        yield t, Bag.from_mask(mask)
 
 
 def validate_log(log: EventLog, g: Graph) -> None:
-    """Run every consistency check; raises ReplayError on the first failure."""
-    for _ in replay(log, g):
-        pass
+    """Run every consistency check of :func:`replay`, without building a
+    bag per state; raises ReplayError on the first failure."""
+    _trajectory(log, g)

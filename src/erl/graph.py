@@ -229,6 +229,28 @@ def toggle_delta(g: Graph, mask: int, v: int) -> int:
     return -delta if (mask >> v) & 1 else delta
 
 
+def cut_sequence(g: Graph, masks: Iterable[int]) -> list[int]:
+    """Cuts of the bags along a sequence of bitmasks.
+
+    Each cut is found from the one before by toggling the nodes where the
+    two masks differ, one ``toggle_delta`` per node (the first from the
+    empty bag, whose cut is 0), so a unit-step sequence costs O(deg) per
+    step.  Unchecked like ``toggle_delta``: every mask must be a bag of
+    ``g``.
+    """
+    cuts = []
+    value = prev = 0
+    for mask in masks:
+        flipped = prev ^ mask
+        while flipped:
+            low = flipped & -flipped
+            value += toggle_delta(g, prev, low.bit_length() - 1)
+            prev ^= low
+            flipped ^= low
+        cuts.append(value)
+    return cuts
+
+
 def cut_after_toggle(g: Graph, a: Bag, v: int, current_cut: int) -> int:
     """Cut of ``a`` with node ``v`` toggled, updated in O(deg(v)).
 

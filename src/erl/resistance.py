@@ -448,6 +448,12 @@ class CompleteGraphResistance:
     def node_count(self) -> int:
         return self.graph.node_count
 
+    def require_graph(self, g: Graph) -> None:
+        """Raise ErlError unless ``g`` is the complete graph this lookup was
+        built for."""
+        if g != self.graph:
+            raise ErlError("table was built for a different graph")
+
     def gamma(self, bag) -> int:
         mask = bag.mask if isinstance(bag, Bag) else int(bag)
         return self.by_size[mask.bit_count()]

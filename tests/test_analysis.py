@@ -9,16 +9,18 @@ import pytest
 import erl.analysis
 from erl import (CASE1, CASE2, NOT_APPLICABLE, Bag, CompleteGraphResistance,
                  EpidemicConfig, ErlError, EventLog, LemmaViolationError,
-                 RECOVERY, ResistanceTable, audit_recovery_bound,
-                 builtin_policy, complete_extinction_mean, cut_table,
-                 extinction_sweep, generate, iter_bottleneck,
-                 poisson_ld_exponent, poisson_tail_probability, replay,
-                 resistance_table, scan_halving_window, simulate,
-                 slow_regime_constants, sweep_to_csv, verify_table_invariants)
-from erl.analysis import _cut_sequence
+                 RECOVERY, ResistanceTable, audit_bottleneck,
+                 audit_recovery_bound, bottleneck_sequence, builtin_policy,
+                 complete_extinction_mean, cut_table, extinction_sweep,
+                 generate, iter_bottleneck, poisson_ld_exponent,
+                 poisson_tail_probability, replay, resistance_table,
+                 scan_halving_window, simulate, slow_regime_constants,
+                 sweep_to_csv, verify_table_invariants)
 from erl.epidemic import Event
+from erl.graph import cut_sequence
 
 from conftest import rng_for
+from test_epidemic import GOLDEN_RUNS, golden_config
 
 
 class TestPoissonExponent:
@@ -277,8 +279,9 @@ class TestCutSequence:
         theta = [bag.mask for bag in iter_bottleneck(
             Bag.from_mask(m) for m in states)]
         assert len(set(theta)) < len(theta)    # holds repeated masks
-        for masks in (states, theta):
-            assert _cut_sequence(g, masks) == [int(table[m]) for m in masks]
+        jumps = [int(m) for m in rng_for(78).integers(0, 1 << 10, size=200)]
+        for masks in (states, theta, jumps):
+            assert cut_sequence(g, masks) == [int(table[m]) for m in masks]
 
 
 class TestRecoveryBoundAudit:
@@ -324,7 +327,7 @@ class TestRecoveryBoundAudit:
     def test_lying_table_raises(self):
         g, _, log = k32_monotone_log()
 
-        class InflatedTable:
+        class InflatedTable(CompleteGraphResistance):
             # claims a colossal resistance for every nonempty bag, so the
             # crossing-step cut can never cover the pre-crossing value
             def gamma(self, bag):
@@ -332,12 +335,27 @@ class TestRecoveryBoundAudit:
                 return 0 if mask == 0 else 10**6
 
         with pytest.raises(LemmaViolationError):
-            audit_recovery_bound(g, InflatedTable(), log, 0.0, 32.0)
+            audit_recovery_bound(g, InflatedTable(g), log, 0.0, 32.0)
 
     def test_bad_interval(self):
         g, table, log = k32_monotone_log()
         with pytest.raises(ErlError):
             audit_recovery_bound(g, table, log, 5.0, 1.0)
+
+    @pytest.mark.parametrize("t_from,t_to", [
+        (0.0, math.nan), (math.nan, 10.0), (math.nan, math.nan),
+        (-1.0, 1.0), (math.inf, 1.0)])
+    def test_nan_and_unordered_bounds_rejected(self, t_from, t_to):
+        g, log = simulated_extinct_log("line", (5,), 4, 5)
+        with pytest.raises(ErlError, match="t_from"):
+            audit_recovery_bound(g, resistance_table(g), log, t_from, t_to)
+
+    def test_infinite_end_is_the_whole_log(self):
+        g, log = simulated_extinct_log("line", (5,), 4, 5)
+        table = resistance_table(g)
+        whole = audit_recovery_bound(g, table, log, 0.0, log.events[-1].time)
+        assert audit_recovery_bound(g, table, log, 0.0, math.inf) == whole
+        assert whole.recoveries == log.recovery_count()
 
 
 class TestHalvingWindow:
@@ -409,7 +427,7 @@ class TestHalvingWindow:
     def test_lying_table_raises(self):
         g, _, log = k32_monotone_log()
 
-        class DropNeverTable:
+        class DropNeverTable(CompleteGraphResistance):
             # resistance "never halves" until the empty bag, then the cut
             # at the final step cannot cover it
             def gamma(self, bag):
@@ -417,7 +435,220 @@ class TestHalvingWindow:
                 return 0 if mask == 0 else 256
 
         with pytest.raises(LemmaViolationError):
-            scan_halving_window(g, DropNeverTable(), log)
+            scan_halving_window(g, DropNeverTable(g), log)
+
+
+# Trajectories whose audit reports are pinned: the event-log golden runs,
+# two random_regular:16,3 graphs (budget 8, all extinct) and complete:34,
+# whose resistance (289) is large enough for a full halving witness.
+AUDIT_POLICIES = ("max_cut_drop", "resistance_greedy", "degree_proportional",
+                  "uniform", "random_node")
+
+
+def audit_config(spec: str) -> tuple:
+    if spec in GOLDEN_RUNS:
+        cfg = golden_config(spec)
+        return cfg, resistance_table(cfg.graph)
+    if spec == "complete:34":
+        g = generate("complete", (34,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(320), seed=4040, max_events=10**5)
+        return cfg, CompleteGraphResistance(g)
+    seed = int(spec.split("@")[1])
+    g = generate("random_regular", (16, 3), seed=seed)
+    cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                         budget=Fraction(8), seed=1600 + seed, max_events=10**5)
+    return cfg, resistance_table(g)
+
+
+def _outcome(call):
+    try:
+        out = call()
+    except ErlError as exc:
+        return [type(exc).__name__, str(exc)]
+    return repr(out) if not hasattr(out, "to_json_dict") else out.to_json_dict()
+
+
+def audit_reports(spec: str, kind: str) -> list:
+    """Every audit of replications 0-2 of ``kind`` on ``spec``: the
+    bottleneck audit of the trajectory and of the trajectory read
+    backwards, and three wrong bottleneck sequences for it (the trajectory
+    itself, the true one a step early, and the true one at double speed);
+    the recovery bound on the whole log and on its middle third; and the
+    halving window."""
+    cfg, table = audit_config(spec)
+    g = cfg.graph
+    pol = builtin_policy(kind, table=table) if kind == "resistance_greedy" \
+        else builtin_policy(kind)
+    docs = []
+    for j in range(3):
+        log = simulate(cfg, pol, replication=j).log
+        bags = [bag for _, bag in replay(log, g)]
+        theta = bottleneck_sequence(bags).bags
+        early = theta[1:] + theta[-1:]
+        double = [theta[min(2 * i, len(theta) - 1)] for i in range(len(theta))]
+        end = log.events[-1].time
+        docs.append({
+            "bottleneck": _outcome(lambda: audit_bottleneck(g, bags)),
+            "backwards": _outcome(lambda: audit_bottleneck(g, bags[::-1])),
+            "self_theta": _outcome(
+                lambda: audit_bottleneck(g, bags, theta=bags)),
+            "early_theta": _outcome(
+                lambda: audit_bottleneck(g, bags, theta=early)),
+            "double_theta": _outcome(
+                lambda: audit_bottleneck(g, bags, theta=double)),
+            "recovery": _outcome(
+                lambda: audit_recovery_bound(g, table, log, 0.0, end)),
+            "recovery_mid": _outcome(lambda: audit_recovery_bound(
+                g, table, log, end / 3, 2 * end / 3)),
+            "halving": _outcome(lambda: scan_halving_window(g, table, log)),
+        })
+    return docs
+
+
+# SHA-256 of json.dumps(audit_reports(spec, kind), sort_keys=True), recorded
+# with the Bag-based audits that replayed the log once per audit.
+AUDIT_DIGESTS = {
+    ("complete:6", "max_cut_drop"):
+        "3e7443e6a6e45579afcca76f03e449aec1b6a05ca89c41de4ae1c2bbe5b51f78",
+    ("complete:6", "resistance_greedy"):
+        "3e7443e6a6e45579afcca76f03e449aec1b6a05ca89c41de4ae1c2bbe5b51f78",
+    ("complete:6", "degree_proportional"):
+        "c423d1392bf88320e4060993c54e4cedf516de74dd4b9775db8b0a7cf46c908e",
+    ("complete:6", "uniform"):
+        "c423d1392bf88320e4060993c54e4cedf516de74dd4b9775db8b0a7cf46c908e",
+    ("complete:6", "random_node"):
+        "fb2ff72875b49258e2a031e894fbd36f6fa868e7af9ec5c46d99264a5f6c6b1a",
+    ("random_regular:10,3", "max_cut_drop"):
+        "7315c73c43a7f98bcff159125cd438c6985e1356ee81f403e92ecfad61fc87ea",
+    ("random_regular:10,3", "resistance_greedy"):
+        "7315c73c43a7f98bcff159125cd438c6985e1356ee81f403e92ecfad61fc87ea",
+    ("random_regular:10,3", "degree_proportional"):
+        "c6c22dbf7dc84b4dd1f46f40fef2bce6034046fd7d940df202f27ee5b7a74e53",
+    ("random_regular:10,3", "uniform"):
+        "c6c22dbf7dc84b4dd1f46f40fef2bce6034046fd7d940df202f27ee5b7a74e53",
+    ("random_regular:10,3", "random_node"):
+        "8388a66358caf75fd9439f3d5121818540dba75848aa0d2f0c64d9b7decdb604",
+    ("random_regular:16,3@16", "max_cut_drop"):
+        "9858e1be2dde42a9fdf1f4a76ffee76af8609e3d8114f70c1089985e976d4a9f",
+    ("random_regular:16,3@16", "resistance_greedy"):
+        "9858e1be2dde42a9fdf1f4a76ffee76af8609e3d8114f70c1089985e976d4a9f",
+    ("random_regular:16,3@16", "degree_proportional"):
+        "1f107fa0f6c8ded53396bae004ea398b83670cd42959eb72b820780ed476465b",
+    ("random_regular:16,3@16", "uniform"):
+        "1f107fa0f6c8ded53396bae004ea398b83670cd42959eb72b820780ed476465b",
+    ("random_regular:16,3@16", "random_node"):
+        "ad3518aeba6e73865a1d212276efe99bfbddd849f40bbb05088aff4568bab43e",
+    ("random_regular:16,3@17", "max_cut_drop"):
+        "2dcd90db35c897a372839027eb6c5716c54e4f92d15df8be9922bde9caf3b77a",
+    ("random_regular:16,3@17", "resistance_greedy"):
+        "2dcd90db35c897a372839027eb6c5716c54e4f92d15df8be9922bde9caf3b77a",
+    ("random_regular:16,3@17", "degree_proportional"):
+        "ca07a1b77d8348911d31c6d4b548f5ffca1bdc8bd09a776344e7eb50bf282ed4",
+    ("random_regular:16,3@17", "uniform"):
+        "ca07a1b77d8348911d31c6d4b548f5ffca1bdc8bd09a776344e7eb50bf282ed4",
+    ("random_regular:16,3@17", "random_node"):
+        "24f21479a4524ef5eafae57f45f8e7cc0979e91aea3bf92c78d6de368a55bc36",
+    ("complete:34", "max_cut_drop"):
+        "d5607355e7ed85c62e915a0ddcd3c90a095573ed9aa71d525822257683f0ccbb",
+    ("complete:34", "resistance_greedy"):
+        "d5607355e7ed85c62e915a0ddcd3c90a095573ed9aa71d525822257683f0ccbb",
+    ("complete:34", "degree_proportional"):
+        "8413aec2dbf77ab9b51984d25d3fd50e7903b72d6473b945de177b47d041be57",
+    ("complete:34", "uniform"):
+        "8413aec2dbf77ab9b51984d25d3fd50e7903b72d6473b945de177b47d041be57",
+    ("complete:34", "random_node"):
+        "79ad418de9a489f756fb488b19478deb89b44a6906644b0934b20f1232b201bd",
+}
+
+
+class TestAuditGolden:
+    @pytest.mark.parametrize("spec,kind", sorted(AUDIT_DIGESTS))
+    def test_report_digest(self, spec, kind):
+        doc = json.dumps(audit_reports(spec, kind), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == \
+            AUDIT_DIGESTS[spec, kind]
+
+
+class TestForeignTables:
+    """Both trajectory audits read the table only after checking that it
+    belongs to the log's graph."""
+
+    @pytest.mark.parametrize("audit", ["recovery", "halving"])
+    @pytest.mark.parametrize("table_of", [
+        lambda: resistance_table(generate("line", (4,))),
+        lambda: resistance_table(generate("complete", (5,))),
+        lambda: CompleteGraphResistance(generate("complete", (5,))),
+    ], ids=["line4", "complete5", "complete5_closed_form"])
+    def test_rejected(self, audit, table_of):
+        g, log = simulated_extinct_log("line", (5,), 4, 5)
+        table = table_of()
+        with pytest.raises(ErlError, match="table") as exc:
+            if audit == "recovery":
+                audit_recovery_bound(g, table, log, 0.0, log.events[-1].time)
+            else:
+                scan_halving_window(g, table, log)
+        assert not isinstance(exc.value, LemmaViolationError)
+
+    def test_own_closed_form_accepted(self):
+        g, table, log = k32_monotone_log()
+        table.require_graph(g)
+        table.require_graph(generate("complete", (32,)))
+        with pytest.raises(ErlError):
+            table.require_graph(generate("complete", (31,)))
+
+
+class TestReplayOnce:
+    """Each audit call checks and replays its log once, as masks."""
+
+    def count(self, monkeypatch):
+        """Record every trajectory built and every bag made from a mask."""
+        calls = []
+        bags = []
+        trajectory = erl.epidemic._trajectory
+        from_mask = Bag.from_mask
+
+        def counted(log, g):
+            calls.append(log)
+            return trajectory(log, g)
+
+        def counted_from_mask(cls, mask):
+            bags.append(mask)
+            return from_mask(mask)
+
+        monkeypatch.setattr(erl.epidemic, "_trajectory", counted)
+        monkeypatch.setattr(erl.analysis, "_trajectory", counted)
+        monkeypatch.setattr(Bag, "from_mask", classmethod(counted_from_mask))
+        return calls, bags
+
+    @pytest.mark.parametrize("spec", ["random_regular:16,3@16", "complete:34"])
+    def test_halving_window_replays_once(self, spec, monkeypatch):
+        cfg, table = audit_config(spec)
+        log = simulate(cfg, builtin_policy("uniform")).log
+        calls, bags = self.count(monkeypatch)
+        w = scan_halving_window(cfg.graph, table, log)
+        # b < 1 on the 16-node graph, so its partial audit runs too
+        assert (w.case_tag == NOT_APPLICABLE) == (spec != "complete:34")
+        assert (w.partial_audit is None) == (spec == "complete:34")
+        assert calls == [log]
+        assert bags == []
+
+    def test_recovery_bound_replays_once(self, monkeypatch):
+        cfg, table = audit_config("random_regular:16,3@17")
+        log = simulate(cfg, builtin_policy("degree_proportional")).log
+        calls, bags = self.count(monkeypatch)
+        audit_recovery_bound(cfg.graph, table, log, 0.0, math.inf)
+        assert calls == [log]
+        assert bags == []
+
+    def test_validate_log_replays_once(self, monkeypatch):
+        cfg, _ = audit_config("random_regular:16,3@17")
+        log = simulate(cfg, builtin_policy("uniform")).log
+        assert len(log.events) > 100
+        calls, bags = self.count(monkeypatch)
+        erl.epidemic.validate_log(log, cfg.graph)
+        assert calls == [log]
+        assert bags == []
 
 
 class TestCompleteExtinctionOracle:

@@ -136,6 +136,22 @@ class TestAuditBottleneck:
         assert not audit.passed
         assert audit.violation_index == 2
 
+    @pytest.mark.parametrize("theta", [None, []])
+    def test_empty_sequence_rejected(self, theta):
+        with pytest.raises(ErlError, match="empty sequence"):
+            audit_bottleneck(generate("line", (3,)), [], theta=theta)
+
+    def test_theta_may_jump_several_nodes(self):
+        g = generate("line", (4,))
+        seq = bags([0, 1, 2, 3], [1, 2, 3], [2, 3], [3], [])
+        audit = audit_bottleneck(g, seq, theta=bags([0, 1, 2, 3], [2, 3], [],
+                                                    [], []))
+        assert audit.passed
+        audit = audit_bottleneck(g, seq, theta=bags([0, 1, 2, 3], [1, 3],
+                                                    [3], [3], []))
+        assert (audit.passed, audit.violation_index, audit.reason) == \
+            (False, 1, "cut increased by 3 > degree bound 2")
+
     def test_subset_and_shrinking_properties(self):
         rng = rng_for(31)
         for _ in range(40):

@@ -2,6 +2,10 @@ import hashlib
 import math
 import struct
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
+from numbers import Rational
+from operator import index
 
 import pytest
 
@@ -136,6 +140,132 @@ class TestAllocationContract:
         pol = BadPolicy(lambda inf, b: {v: b / len(inf) for v in inf})
         res = simulate(self.config, pol)
         assert res.extinct
+
+
+def per_entry_curing_table(alloc, infected, budget, policy_name):
+    """Reference for ``epidemic._curing_table``: the same checks and sums,
+    with one rate check, lcm and float conversion per entry."""
+    den = 1
+    pairs = []
+    for v, rate in alloc.items():
+        try:
+            node = index(v)
+        except TypeError:
+            node = -1
+        if node < 0 or not (infected >> node) & 1:
+            raise PolicyViolationError(policy_name,
+                                       f"allocated to non-infected node {v}")
+        if not isinstance(rate, Rational):
+            raise PolicyViolationError(
+                policy_name, f"rate {rate!r} at node {v} is not rational")
+        if rate.numerator < 0:
+            raise PolicyViolationError(policy_name, f"negative rate at node {v}")
+        den = lcm(den, rate.denominator)
+        pairs.append((node, rate))
+    num = sum(rate.numerator * (den // rate.denominator) for _, rate in pairs)
+    if num * budget.denominator > budget.numerator * den:
+        raise PolicyViolationError(
+            policy_name,
+            f"total rate {Fraction(num, den)} exceeds budget {budget}")
+    pairs.sort()
+    return (num / den, [node for node, _ in pairs],
+            list(accumulate(float(rate) for _, rate in pairs)))
+
+
+def curing_outcome(table_fn, alloc, infected, budget):
+    try:
+        return table_fn(alloc, infected, budget, "p")
+    except (PolicyViolationError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def random_allocation(rng, infected: int, n: int) -> dict:
+    """Entries over random nodes in random order, with runs that share one
+    rate object, equal rates held by distinct objects, ints, bools and
+    mixed denominators; now and then one entry is bad."""
+    alloc = {}
+    shared = Fraction(int(rng.integers(0, 7)), int(rng.integers(1, 13)))
+    for v in rng.permutation(n)[:int(rng.integers(0, n + 1))]:
+        v = int(v)
+        pick = rng.random()
+        if pick < 0.5:
+            rate = shared
+        elif pick < 0.6:
+            rate = Fraction(shared.numerator, shared.denominator)
+        elif pick < 0.7:
+            rate = int(rng.integers(0, 3))
+        elif pick < 0.75:
+            rate = bool(rng.integers(2))
+        elif pick < 0.95:
+            shared = Fraction(int(rng.integers(0, 7)), int(rng.integers(1, 13)))
+            rate = shared
+        else:
+            rate = [-shared - 1, 0.5, None, "1"][int(rng.integers(4))]
+        alloc[v] = rate
+    if alloc and rng.random() < 0.05:
+        alloc[[-1, 1.5, "a"][int(rng.integers(3))]] = shared
+    return alloc
+
+
+class TestCuringTable:
+    def test_matches_per_entry_reference(self):
+        rng = rng_for(88)
+        outcomes = set()
+        for _ in range(3000):
+            n = int(rng.integers(1, 13))
+            infected = int(rng.integers(0, 1 << n))
+            alloc = random_allocation(rng, infected, n)
+            exact = sum(r for r in alloc.values() if isinstance(r, Rational))
+            budget = Fraction(exact) + Fraction(int(rng.integers(-1, 2)),
+                                                int(rng.integers(1, 5)))
+            want = curing_outcome(per_entry_curing_table, alloc, infected,
+                                  budget)
+            got = curing_outcome(epidemic._curing_table, alloc, infected,
+                                 budget)
+            assert got == want, (alloc, infected, budget)
+            outcomes.add(want.split("violated: ")[1].split()[0]
+                         if isinstance(want, str) else "ok")
+        assert outcomes == {"ok", "allocated", "rate", "negative", "total"}
+
+    @pytest.mark.parametrize("budget", [Fraction(1), Fraction(10**400)])
+    def test_rate_too_large_for_a_float(self, budget):
+        # over budget, the budget error wins; within it, float() overflows
+        huge = Fraction(10**400, 3)
+        alloc = {0: Fraction(1, 2), 1: huge, 2: huge}
+        want = curing_outcome(per_entry_curing_table, alloc, 0b111, budget)
+        assert ("exceeds budget" in want) == (budget == 1)
+        assert want.startswith("OverflowError") == (budget > 1)
+        assert curing_outcome(epidemic._curing_table, alloc, 0b111,
+                              budget) == want
+
+    def test_empty_allocation(self):
+        assert epidemic._curing_table({}, 0b101, Fraction(1), "p") == \
+            (0.0, [], [])
+
+    @pytest.mark.parametrize("alloc,message", [
+        ({0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 4)},
+         "allocated to non-infected node 2"),
+        ({0: 0.25, 1: Fraction(1, 4)}, "rate 0.25 at node 0 is not rational"),
+        ({0: Fraction(1, 4), 1: Fraction(-1, 4)}, "negative rate at node 1"),
+        ({0: Fraction(1, 2), 1: Fraction(2, 3)}, "total rate 7/6 exceeds budget 1"),
+    ])
+    def test_first_bad_entry_named(self, alloc, message):
+        # node 2 is healthy; the bad entry follows a good one
+        with pytest.raises(PolicyViolationError) as exc:
+            epidemic._curing_table(alloc, 0b011, Fraction(1), "p")
+        assert message in str(exc.value)
+
+    def test_shared_rate_checked_at_its_first_entry(self):
+        bad = Fraction(-1, 3)
+        alloc = {3: Fraction(1, 3), 1: bad, 0: bad, 5: Fraction(0)}
+        with pytest.raises(PolicyViolationError) as exc:
+            epidemic._curing_table(alloc, 0b1011, Fraction(1), "p")
+        assert "negative rate at node 1" in str(exc.value)
+        share = Fraction(1, 3)
+        alloc = {0: share, 1: share, 2: share, 3: share}
+        with pytest.raises(PolicyViolationError) as exc:
+            epidemic._curing_table(alloc, 0b1011, Fraction(1), "p")
+        assert "non-infected node 2" in str(exc.value)
 
 
 class CountingPolicy(Policy):
