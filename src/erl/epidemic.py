@@ -26,13 +26,13 @@ from fractions import Fraction
 from itertools import accumulate
 from math import inf, lcm
 from numbers import Rational
-from operator import index, mul
+from operator import index, itemgetter, mul
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ErlError, PolicyViolationError, ReplayError
-from .graph import Bag, Graph, cut, members, toggle_delta
+from .graph import GENERATE_CAP, Bag, Graph, cut, members, toggle_delta
 
 INFECTION = "INFECTION"
 RECOVERY = "RECOVERY"
@@ -47,6 +47,11 @@ LOG_MAGIC = b"REL1"
 # emptied when it reaches the bound, which changes no output.
 _MEMO_CELLS = 1 << 20
 _EVENT = struct.Struct("<dBI")
+
+
+def _node_id_error(top: int, where: str) -> ErlError:
+    return ErlError(f"node id {top} in {where} is above the largest id "
+                    f"{GENERATE_CAP - 1} a graph can have")
 
 
 class Event(NamedTuple):
@@ -127,8 +132,9 @@ class EventLog:
                 time, node = float(time_s), int(node_s)
             except ValueError:
                 raise ErlError(f"bad number in event line {line!r}")
-            if node < 0:
-                raise ErlError(f"negative node id in event line {line!r}")
+            if not 0 <= node < GENERATE_CAP:
+                raise ErlError(f"node id out of range 0..{GENERATE_CAP - 1} "
+                               f"in event line {line!r}")
             events.append(Event(time, kind, node))
             if kind == INFECTION:
                 mask |= 1 << node
@@ -158,7 +164,11 @@ class EventLog:
             for _ in range(2):
                 (k,) = struct.unpack_from("<I", data, off)
                 off += 4
-                bags.append(Bag(struct.unpack_from(f"<{k}I", data, off)))
+                nodes = struct.unpack_from(f"<{k}I", data, off)
+                # refused before Bag turns an id into a bit of its mask
+                if nodes and max(nodes) >= GENERATE_CAP:
+                    raise _node_id_error(max(nodes), "the log header")
+                bags.append(Bag(nodes))
                 off += 4 * k
             (count,) = struct.unpack_from("<Q", data, off)
             off += 8
@@ -172,6 +182,10 @@ class EventLog:
             if kind > 1:
                 raise ErlError(f"unknown event kind byte {kind}")
             events.append(Event(t, INFECTION if kind == 0 else RECOVERY, node))
+        # one check of the largest id, so that no event pays a branch for it
+        top = max(map(itemgetter(2), events), default=0)
+        if top >= GENERATE_CAP:
+            raise _node_id_error(top, "an event")
         return cls(bags[0], tuple(events), bags[1])
 
     def recovery_count(self) -> int:

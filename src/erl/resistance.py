@@ -351,6 +351,85 @@ def check_bellman(g: Graph, table: ResistanceTable) -> BellmanCheck:
     return BellmanCheck(True)
 
 
+# Bit-packed bag sets: bag m is bit m % 64 of uint64 word m // 64, so one
+# word holds the bags that differ from each other only in nodes 0..5.  Below
+# n = 6 the set is one word whose bits from 2^n up (no bag) stay clear.
+WORD_NODES = 6
+# _WORD_LOW[v]: the bits of a word whose bag lacks node v (v < 6).
+_WORD_LOW = tuple(np.uint64(sum(1 << p for p in range(64) if not p >> v & 1))
+                  for v in range(WORD_NODES))
+
+
+def _pack_bags(flags: np.ndarray) -> np.ndarray:
+    """A bool array indexed by bag mask, packed into uint64 words."""
+    padded = np.zeros(max(len(flags), 64), dtype=bool)
+    padded[:len(flags)] = flags
+    return np.packbits(padded, bitorder="little").view("<u8")
+
+
+def _unpack_bags(words: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` bits of packed bag sets, as uint8 0/1 by bag mask."""
+    return np.unpackbits(words.view(np.uint8), count=size, bitorder="little")
+
+
+def _reach_round(reached: np.ndarray, allowed: np.ndarray, n: int) -> np.ndarray:
+    """The bags one crusade step from an allowed bag of ``reached``.
+
+    Both arguments and the result are packed bag sets.  A step from B may
+    enter any A with |A \\ B| <= 1, so the allowed reached bags are first
+    closed downward (a bag without v gains its with-v partner's bit), then
+    each bag with v gains the bit of its without-v partner in that closure.
+    Nodes below WORD_NODES are shifts within a word under a constant mask,
+    the others whole-word passes over ``halves`` views.
+    """
+    down = reached & allowed
+    for v in range(min(n, WORD_NODES)):
+        down |= (down >> np.uint64(1 << v)) & _WORD_LOW[v]
+    for v in range(WORD_NODES, n):
+        without, with_v = halves(down, v - WORD_NODES)
+        rowwise(np.bitwise_or, without, with_v, out=without)
+    out = down.copy()
+    for v in range(min(n, WORD_NODES)):
+        out |= (down & _WORD_LOW[v]) << np.uint64(1 << v)
+    for v in range(WORD_NODES, n):
+        with_v = halves(out, v - WORD_NODES)[1]
+        rowwise(np.bitwise_or, with_v, halves(down, v - WORD_NODES)[0],
+                out=with_v)
+    return out
+
+
+def _crusade_steps(allowed: np.ndarray, n: int, src: int) -> np.ndarray:
+    """Fewest crusade steps from each bag to the empty bag entering only
+    ``allowed`` bags, as uint8 with NO_STEP for "not reached", found
+    breadth-first outward from the empty bag until ``src`` is reached.
+
+    Round r reaches, in one ``_reach_round`` on packed bag sets, the bags
+    one step from an allowed bag reached before it, and writes r into the
+    steps of the bags new in it; the others keep their count.
+    """
+    allowed = _pack_bags(allowed)
+    reached = np.zeros_like(allowed)
+    reached[0] = 1
+    steps = np.full(1 << n, NO_STEP, dtype=np.uint8)
+    steps[0] = 0
+    rounds = 0
+    while steps[src] == NO_STEP:
+        rounds += 1
+        if rounds == NO_STEP:
+            raise ErlError(f"witness crusade needs more than {NO_STEP - 1} "
+                           "steps, the limit of its uint8 step counts")
+        new = _reach_round(reached, allowed, n) & ~reached
+        if not new.any():
+            raise ErlError("no crusade within the optimal width reached the "
+                           "source (implementation bug)")
+        # new bags hold NO_STEP: subtracting NO_STEP - r there writes r
+        hits = _unpack_bags(new, 1 << n)
+        hits *= np.uint8(NO_STEP - rounds)
+        steps -= hits
+        reached |= new
+    return steps
+
+
 def witness_crusade(g: Graph, table: ResistanceTable, a: Bag) -> Crusade:
     """A concrete optimal crusade from ``a`` to the empty bag.
 
@@ -358,11 +437,21 @@ def witness_crusade(g: Graph, table: ResistanceTable, a: Bag) -> Crusade:
     has cut at most gamma(a).  Ties prefer fewer remaining steps, then
     smaller bags, then smaller bitmask, so output is deterministic.
 
-    Step counts are uint8 with NO_STEP = 255 as "not reached", so a search
-    that would need 255 steps or more raises ErlError.  The (steps,
-    popcount, mask) tie key is uint32 when it fits in 32 bits (at n = 20,
-    whenever the longest step count found is below 128) and uint64
-    otherwise.
+    The step counts come from a breadth-first search on bit-packed bag
+    sets, 64 bags to a uint64 word (``_crusade_steps``).  A round asks
+    only which bags are one step from an allowed bag reached earlier: two
+    boolean lattice sweeps over 2^n / 64 words (about 1 ms at n = 20, a
+    seventh of a uint8 ``step_min``), then one unpack of the new bags to
+    write the round number into their uint8 step counts.  Below n = 6 all
+    2^n bags fit in one word, and its bits from 2^n up must stay clear: a
+    stray bit there would count as a newly reached bag and hide the "no
+    crusade reached the source" error.  Step counts are uint8 with
+    NO_STEP = 255 as "not reached", so a search that would need 255 steps
+    or more raises ErlError.
+
+    The (steps, popcount, mask) tie key is uint32 when it fits in 32 bits
+    (at n = 20, whenever the longest step count found is below 128) and
+    uint64 otherwise.
     """
     n = g.node_count
     _require_cap(n, LATTICE_CAP, "witness_crusade")
@@ -373,24 +462,8 @@ def witness_crusade(g: Graph, table: ResistanceTable, a: Bag) -> Crusade:
     t = table.gamma(a)
     size = 1 << n
     allowed = cut_table(g) <= t
-
-    # Breadth-first: round r reaches the bags r steps from the empty bag,
-    # so finite counts stay below the round count and the +1 cannot wrap.
-    steps = np.full(size, NO_STEP, dtype=np.uint8)
-    steps[0] = 0
     src = a.mask
-    rounds = 0
-    while steps[src] == NO_STEP:
-        rounds += 1
-        if rounds == NO_STEP:
-            raise ErlError(f"witness crusade needs more than {NO_STEP - 1} "
-                           "steps, the limit of its uint8 step counts")
-        near = step_min(np.where(allowed, steps, NO_STEP), n)
-        nxt = np.minimum(steps, np.minimum(near, NO_STEP - 1) + 1)
-        if np.array_equal(nxt, steps):
-            raise ErlError("no crusade within the optimal width reached the "
-                           "source (implementation bug)")
-        steps = nxt
+    steps = _crusade_steps(allowed, n, src)
 
     # Composite key packs (steps, popcount, mask) so one superset-min gives
     # the lexicographic argmin over supersets; popcount <= 20 fits 5 bits.

@@ -9,12 +9,12 @@ from operator import index
 
 import pytest
 
-from erl import (HORIZON, MAX_EVENTS, RECOVERY, STALLED, Bag, EpidemicConfig,
-                 ErlError, EventLog, Graph, Policy, PolicyViolationError,
-                 ReplayError, builtin_policy, cut, generate, replay,
-                 resistance_table, simulate, validate_log)
+from erl import (GENERATE_CAP, HORIZON, MAX_EVENTS, RECOVERY, STALLED, Bag,
+                 EpidemicConfig, ErlError, EventLog, Graph, Policy,
+                 PolicyViolationError, ReplayError, builtin_policy, cut,
+                 generate, replay, resistance_table, simulate, validate_log)
 from erl import epidemic
-from erl.epidemic import Event, INFECTION
+from erl.epidemic import LOG_MAGIC, Event, INFECTION
 
 from conftest import rng_for
 
@@ -642,9 +642,28 @@ class TestLogSerialization:
         with pytest.raises(ErlError):
             EventLog.from_binary(bytes(data))
 
+    @pytest.mark.parametrize("header,events", [
+        ([2**28], []),          # a 24-byte blob naming node 2^28
+        ([GENERATE_CAP], []),
+        ([], [(1.0, 0, 2**28)]),
+        ([0], [(1.0, 1, GENERATE_CAP)])])
+    def test_binary_node_id_above_cap_rejected(self, header, events):
+        data = (LOG_MAGIC
+                + struct.pack(f"<I{len(header)}I", len(header), *header)
+                + struct.pack("<IQ", 0, len(events))
+                + b"".join(struct.pack("<dBI", *ev) for ev in events))
+        with pytest.raises(ErlError, match="above the largest id"):
+            EventLog.from_binary(data)
+
+    def test_binary_largest_node_id_accepted(self):
+        top = GENERATE_CAP - 1
+        log = EventLog(Bag([top]), (Event(1.0, INFECTION, top),), Bag([top]))
+        assert EventLog.from_binary(log.to_binary()) == log
+
     @pytest.mark.parametrize("line", [
         "abc,INFECTION,0", "1.0,INFECTION,x", "1.0,INFECTION,-1",
-        "1.0,INFECTION", "1.0,INFECTION,0,0"])
+        "1.0,INFECTION", "1.0,INFECTION,0,0", "1.0,INFECTION,200000000",
+        f"1.0,RECOVERY,{GENERATE_CAP}"])
     def test_csv_malformed_line_rejected(self, line):
         with pytest.raises(ErlError):
             EventLog.from_csv("time,kind,node\n" + line + "\n", Bag())

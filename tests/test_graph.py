@@ -12,6 +12,7 @@ from erl import (GENERATE_CAP, Bag, GenerationError, Graph, GraphParseError,
                  serialize_graph)
 import erl
 from erl.graph import cut_table, halves, rowwise
+from erl.resistance import _pack_bags, _unpack_bags
 
 from conftest import random_bounded_graph, rng_for
 
@@ -275,11 +276,22 @@ class TestHalves:
     def test_no_strided_pass_outside_halves(self):
         """Every per-node lattice pass goes through ``halves``: its body is
         the only place in the package that views an array by node."""
-        pattern = "reshape(-1, 2,"
-        hits = {p.name: p.read_text().count(pattern)
-                for p in Path(erl.__file__).parent.glob("*.py")}
-        assert {name: c for name, c in hits.items() if c} == {"graph.py": 1}
-        assert inspect.getsource(halves).count(pattern) == 1
+        assert_only_in("reshape(-1, 2,", halves)
+
+    def test_bit_packing_only_in_packing_helpers(self):
+        """Bag sets are packed into words and unpacked again only by the
+        two helpers that fix the bit layout."""
+        assert_only_in("np.packbits", _pack_bags)
+        assert_only_in("np.unpackbits", _unpack_bags)
+
+
+def assert_only_in(pattern: str, func) -> None:
+    """``pattern`` occurs once in the package's sources, inside ``func``."""
+    hits = {p.name: p.read_text().count(pattern)
+            for p in Path(erl.__file__).parent.glob("*.py")}
+    home = Path(inspect.getsourcefile(func)).name
+    assert {name: c for name, c in hits.items() if c} == {home: 1}
+    assert inspect.getsource(func).count(pattern) == 1
 
 
 class TestRowwise:

@@ -11,7 +11,8 @@ from erl import (LATTICE_CAP, Bag, CapacityError, CompleteGraphResistance,
                  generate, monotone_resistance_table, resistance_table,
                  validate_crusade, width, witness_crusade)
 from erl.graph import cut_table
-from erl.resistance import UNREACHED, _bellman_rhs, step_min, superset_min
+from erl.resistance import (NO_STEP, UNREACHED, _bellman_rhs, _crusade_steps,
+                            _reach_round, step_min, superset_min)
 
 from conftest import ZOO, random_bounded_graph, rng_for
 
@@ -237,17 +238,17 @@ class TestWitness:
             witness_crusade(g, ResistanceTable(g, values, 1), g.all_nodes())
 
     def test_step_limit_raises(self, monkeypatch):
-        # an operator that reaches mask r in round r needs 511 rounds to
-        # reach the full set of 9 nodes, past the 254 a uint8 count can hold
-        def path_step_min(vals, n):
-            out = vals.copy()
-            np.minimum(out[1:], vals[:-1], out=out[1:])
-            return out
+        # a round that reaches mask r in round r needs 511 rounds to reach
+        # the full set of 9 nodes, past the 254 a uint8 count can hold
+        def path_round(reached, allowed, n):
+            bits = np.unpackbits(reached.view(np.uint8), bitorder="little")
+            bits[1:] |= bits[:-1]
+            return np.packbits(bits, bitorder="little").view(reached.dtype)
 
         g = generate("line", (9,))
         values = resistance_table(g).values.copy()
         values[-1] = 100
-        monkeypatch.setattr(erl.resistance, "step_min", path_step_min)
+        monkeypatch.setattr(erl.resistance, "_reach_round", path_round)
         with pytest.raises(ErlError, match="more than 254 steps"):
             witness_crusade(g, ResistanceTable(g, values, 1), g.all_nodes())
 
@@ -257,15 +258,86 @@ class TestWitness:
         values[-1] -= 1
         rounds = []
 
-        def counting_step_min(vals, n):
+        def counting_round(reached, allowed, n):
             rounds.append(n)
-            return step_min(vals, n)
+            return _reach_round(reached, allowed, n)
 
-        monkeypatch.setattr(erl.resistance, "step_min", counting_step_min)
+        monkeypatch.setattr(erl.resistance, "_reach_round", counting_round)
         with pytest.raises(ErlError, match="no crusade within the optimal width"):
             witness_crusade(g, ResistanceTable(g, values, 1), g.all_nodes())
         # the search stops at the first round that reaches no new bag
-        assert len(rounds) <= g.node_count
+        assert 1 <= len(rounds) <= g.node_count
+
+
+def step_min_crusade_steps(allowed: np.ndarray, n: int) -> np.ndarray:
+    """Oracle: the witness search's breadth-first rounds as one uint8
+    ``step_min`` each, run until a round reaches no new bag.
+
+    Round r gives a bag the count r when it is one step from an allowed
+    bag counted before.  ``_crusade_steps`` runs the same rounds on
+    bit-packed bag sets and stops once its source is counted, so up to that
+    round the two must agree.
+    """
+    steps = np.full(1 << n, NO_STEP, dtype=np.uint8)
+    steps[0] = 0
+    while True:
+        near = step_min(np.where(allowed, steps, NO_STEP), n)
+        nxt = np.minimum(steps, np.minimum(near, NO_STEP - 1) + 1)
+        if np.array_equal(nxt, steps):
+            return steps
+        steps = nxt
+
+
+class TestPackedSearch:
+    """``_crusade_steps`` against the ``step_min`` oracle from every source
+    bag: the counts up to the source's round, and the error where the
+    oracle never reaches the source."""
+
+    @staticmethod
+    def check_sources(g: Graph, threshold: int, sources) -> None:
+        n = g.node_count
+        allowed = cut_table(g).astype(np.int64) <= threshold
+        oracle = step_min_crusade_steps(allowed, n)
+        for src in sources:
+            if oracle[src] == NO_STEP:
+                with pytest.raises(ErlError, match="no crusade within"):
+                    _crusade_steps(allowed, n, src)
+            else:
+                expected = np.where(oracle <= oracle[src], oracle, NO_STEP)
+                assert np.array_equal(_crusade_steps(allowed, n, src),
+                                      expected)
+
+    def test_every_bag_of_zoo(self, zoo_graph):
+        gamma = resistance_table(zoo_graph).values
+        for t in np.unique(gamma):
+            self.check_sources(zoo_graph, int(t), np.flatnonzero(gamma == t))
+
+    def test_lowered_full_set(self, zoo_graph):
+        g = zoo_graph
+        lowered = resistance_table(g).cutwidth - 1
+        self.check_sources(g, lowered, range(1 << g.node_count))
+
+    def test_small_n_padding_stays_clear(self, monkeypatch):
+        """At n < 6 all bags fit in one word; the bits from 2^n up must
+        stay clear, or a stray one would count as a new bag and hide the
+        error of a round that reaches none."""
+        rounds = []
+
+        def checked_round(reached, allowed, n):
+            out = _reach_round(reached, allowed, n)
+            assert out.shape == (1,) and int(out[0]) >> (1 << n) == 0
+            rounds.append(n)
+            return out
+
+        monkeypatch.setattr(erl.resistance, "_reach_round", checked_round)
+        rng = rng_for(90)
+        for n in range(1, 6):
+            graphs = [generate("line", (n,)), generate("complete", (n,)),
+                      *(random_bounded_graph(n, 3, rng) for _ in range(3))]
+            for g in graphs:
+                for t in range(-1, int(cut_table(g).max()) + 1):
+                    self.check_sources(g, t, range(1 << n))
+        assert set(rounds) == {1, 2, 3, 4, 5}
 
 
 class TestDumpFormats:
