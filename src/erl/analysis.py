@@ -191,26 +191,43 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     built or gathered.  Each step condition is written by ``rowwise`` into
     a reused half-size buffer of the half-view's shape.  Submodularity
     takes dv = cut(A - v) - cut(A) on the half holding v and compares it
-    with itself one node u higher, O(n^2 2^(n-2)) int32 compares in all.
-    Values are widened to int32, and full-size int64 mask arrays exist
-    only in the n <= 8 and n <= 10 exhaustive branches.  Only reported
-    witnesses are mapped back to masks, in mask order, so reports match a
-    literal enumeration of the bags.
+    with itself one node u higher: for a bag S without u and v, the
+    violation dv(S) > dv(S+u) reads cut(S) + cut(S+u+v) > cut(S+u) +
+    cut(S+v).  That is symmetric in u and v, and both orders index it by
+    S with both bits removed, so one quarter-size compare per pair u > v,
+    n(n-1)/2 in all, serves the checks (v, u) and (u, v); each order maps
+    the same indices to its own witnesses.
+
+    Values are compared in the narrowest signed dtype that holds every
+    cut, every table entry, the degree bound and every difference of two
+    of them exactly: int8 for any valid table up to n = 22, wider only for
+    tables with larger entries.  Full-size int64 mask arrays exist only in
+    the n <= 8 and n <= 10 exhaustive branches.  Only reported witnesses
+    are mapped back to masks, in mask order, so reports match a literal
+    enumeration of the bags.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ErlError(f"unknown mode {mode!r}")
+    if samples < 0:
+        raise ErlError(f"samples must be nonnegative, got {samples}")
     table.require_graph(g)
     # computed before the work arrays below exist, so its own arrays do
     # not stack on theirs; reported last
     bc = check_bellman(g, table)
     n = g.node_count
     size = 1 << n
-    # half-size work buffers, viewed in each pass with the half-view's shape
-    diff = np.empty(size >> 1, dtype=np.int32)
-    cond = np.empty(size >> 1, dtype=bool)
-    cut_t = cut_table(g).astype(np.int32)
-    gam = table.values.astype(np.int32)
     delta = g.degree_bound
+    cut_t = cut_table(g)
+    # values in [lo, hi] differ by at most hi - lo, which the signed dtype
+    # holding lo - hi - 1 also holds
+    lo = min(0, int(cut_t.min()), int(table.values.min()))
+    hi = max(delta, int(cut_t.max()), int(table.values.max()))
+    work = np.min_scalar_type(lo - hi - 1)
+    cut_t = cut_t.astype(work)
+    gam = table.values.astype(work)
+    # half-size work buffers, viewed in each pass with the half-view's shape
+    diff = np.empty(size >> 1, dtype=work)
+    cond = np.empty(size >> 1, dtype=bool)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     all_pairs = mode == "exhaustive" and n <= 8
     all_subsets = mode == "exhaustive" and n <= 10
@@ -307,6 +324,7 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
         strategy = "all_subset_pairs"
     else:
         quarter = cond[:size >> 2]
+        first = {}      # pair (v, u), u > v -> first indices of its condition
         for v in range(n):
             without, with_v = halves(cut_t, v)
             # diff[A - v] = cut(A - v) - cut(A) for the bags A holding v
@@ -316,9 +334,12 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
                 if u == v:
                     continue
                 w = u - (u > v)     # u's bit once v's bit is removed
-                d_without, d_with = halves(diff, w)
-                k = _first(rowwise(np.greater, d_without, d_with,
-                                   out=quarter.reshape(d_without.shape)))
+                if u > v:
+                    d_without, d_with = halves(diff, w)
+                    first[v, u] = _first(rowwise(
+                        np.greater, d_without, d_with,
+                        out=quarter.reshape(d_without.shape)))
+                k = first[min(u, v), max(u, v)]
                 checked += size >> 2
                 _collect(viols, _insert_bit(_insert_bit(k, w, 0), v, 1),
                          lambda m, u=u, v=v: {"superset": m | (1 << u),

@@ -133,6 +133,9 @@ def cmd_cutwidth(args, argv) -> int:
 
 def cmd_simulate(args, argv) -> int:
     started = time.time()
+    if args.replications < 0:
+        raise ErlError("--replications must be nonnegative, "
+                       f"got {args.replications}")
     g = _load_graph(args)
     initial = _parse_bag(args.initial, g)
     budget = _parse_budget(args.budget)
@@ -170,6 +173,9 @@ def cmd_simulate(args, argv) -> int:
 
 def cmd_verify(args, argv) -> int:
     started = time.time()
+    if args.trajectories < 0:
+        raise ErlError("--trajectories must be nonnegative, "
+                       f"got {args.trajectories}")
     g = _load_graph(args)
     table = resistance_table(g)
     if args.inject_fault:

@@ -93,9 +93,10 @@ class EpidemicConfig:
         self.graph.check_bag(self.initial_infected)
         if self.budget < 0:
             raise ErlError("budget must be nonnegative")
-        if self.infection_rate <= 0:
-            raise ErlError("infection rate must be positive")
-        if self.horizon is not None and self.horizon <= 0:
+        # written so that NaN fails each test
+        if not 0 < self.infection_rate < inf:
+            raise ErlError("infection rate must be positive and finite")
+        if self.horizon is not None and not self.horizon > 0:
             raise ErlError("horizon must be positive")
 
 

@@ -16,10 +16,11 @@ from erl import (CASE1, CASE2, NOT_APPLICABLE, Bag, CompleteGraphResistance,
                  poisson_tail_probability, replay, resistance_table,
                  scan_halving_window, simulate, slow_regime_constants,
                  sweep_to_csv, verify_table_invariants)
+from erl.analysis import CheckResult
 from erl.epidemic import Event
 from erl.graph import cut_sequence
 
-from conftest import rng_for
+from conftest import random_bounded_graph, rng_for
 from test_epidemic import GOLDEN_RUNS, golden_config
 
 
@@ -149,6 +150,19 @@ class TestInvariantSuite:
         with pytest.raises(ErlError):
             verify_table_invariants(g, resistance_table(g), mode="quick")
 
+    def test_negative_samples_rejected_before_any_work(self, monkeypatch):
+        g = generate("random_regular", (12, 3), seed=17)
+        t = resistance_table(g)
+
+        def no_work(*args):
+            raise AssertionError("the audit started")
+
+        monkeypatch.setattr(erl.analysis, "check_bellman", no_work)
+        monkeypatch.setattr(erl.analysis, "cut_table", no_work)
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(ErlError, match="samples"):
+                verify_table_invariants(g, t, mode=mode, samples=-5)
+
     def test_report_json(self):
         g = generate("line", (4,))
         report = verify_table_invariants(g, resistance_table(g))
@@ -161,7 +175,10 @@ class TestInvariantSuite:
 
 # (case id, n, mode, edited table, edit, edited entries).  Graphs are
 # random_regular:n,4 with graph seed n; edits hit entries picked by
-# rng_for(100 + n).
+# rng_for(100 + n).  An integer edit sets the picked entries to that value:
+# just past the range of a narrower signed dtype, uint16's largest, or a
+# negative one (an int64 table) that widens the differences, so a work
+# dtype that cannot hold every value and difference exactly fails.
 GOLDEN_CASES = [
     ("clean_n12", 12, "sampled", None, None, 0),
     ("clean_n14", 14, "sampled", None, None, 0),
@@ -181,10 +198,19 @@ GOLDEN_CASES = [
     ("cut_raise_n11_smp", 11, "sampled", "cut", "raise", 64),
     ("cut_lower_n12_exh", 12, "exhaustive", "cut", "lower", 64),
     ("cut_raise_n12_smp", 12, "sampled", "cut", "raise", 2),
+    ("gamma_128_n8_exh", 8, "exhaustive", "gamma", 128, 4),
+    ("gamma_128_n10_smp", 10, "sampled", "gamma", 128, 3),
+    ("gamma_32768_n11_smp", 11, "sampled", "gamma", 32768, 3),
+    ("gamma_65535_n12_smp", 12, "sampled", "gamma", 65535, 3),
+    ("cut_128_n9_exh", 9, "exhaustive", "cut", 128, 2),
+    ("cut_128_n10_smp", 10, "sampled", "cut", 128, 3),
+    ("gamma_neg125_n10_smp", 10, "sampled", "gamma", -125, 3),
+    ("cut_neg125_n10_smp", 10, "sampled", "cut", -125, 3),
 ]
 
 # SHA-256 of json.dumps(report.to_json_dict(), sort_keys=True), recorded
-# with the mask-gather implementation of the single-step checks.
+# with the mask-gather implementation of the single-step checks; the
+# integer-edit cases were recorded with int32 work arrays.
 GOLDEN_DIGESTS = {
     "clean_n12": "18dc80312a2d4aef0273fdd733126493cafdbdc38958ac8ef68fc84c8403345b",
     "clean_n14": "51856550c027050b5c0c69b33691667f362bbc787b4e1578ffb5fa708b16c37d",
@@ -204,17 +230,29 @@ GOLDEN_DIGESTS = {
     "cut_raise_n11_smp": "005c4bb1e97da6faf7e747ff85e67c5ed59fdb60d7fe333a7e2ba996ef20b265",
     "cut_lower_n12_exh": "db2dd86a77b7a6aba8d86f52407f22128aef2a08544c8c2011998f231f289456",
     "cut_raise_n12_smp": "b93460eb3f6ff765ba47832bd3356ffdb65da20ecd97e218dca7bb79433c8a41",
+    "gamma_128_n8_exh": "52c1df3a950181879b7a7cf9ccfc7488b8e0b65d0bbf3354ab84f431f4e3e551",
+    "gamma_128_n10_smp": "3f8410227d79153412cc87d1eabcd759f20558e7b5a6651d329e6d0f23039393",
+    "gamma_32768_n11_smp": "e1c30d03b03f7968d5d96e30f5fdf098e895683078e683d6b76b9ea5764466bc",
+    "gamma_65535_n12_smp": "ca3ec2f0cfeb173cd2760aa744a33dd560eb91b84238b78f09a7d78fb5040ace",
+    "cut_128_n9_exh": "f4d20ebbb5e1e82ab7e549b615cc5f0e89e398041749b00bec5c2f11129bf8aa",
+    "cut_128_n10_smp": "d39215d667a26e8c8c0f7fc9bb5550dba9893b707000b5e14b4f3d8432f1331a",
+    "gamma_neg125_n10_smp": "85e3de037dbb0baebf3528baffa8d8489e6e46bc490e6b3be5b6bb411d728f44",
+    "cut_neg125_n10_smp": "65cef13103cba09d54f1a11113335f7b4d8181da7e2b01b8a467e4b8ce18b269",
 }
 
 
-def _edit(values: np.ndarray, n: int, how: str, count: int, step: int) -> np.ndarray:
+def _edit(values: np.ndarray, n: int, how: str | int, count: int,
+          step: int) -> np.ndarray:
     picked = rng_for(100 + n).choice(1 << n, size=count, replace=False)
     out = values.astype(np.int64)
     if how == "raise":
         out[picked] += step
-    else:
+    elif how == "lower":
         out[picked] = 0
-    return out.astype(values.dtype)
+    else:
+        out[picked] = how
+    # a negative entry keeps the int64 copy, as in a hand-built signed table
+    return out.astype(values.dtype) if out.min() >= 0 else out
 
 
 def golden_report(case, monkeypatch):
@@ -254,6 +292,56 @@ class TestInvariantGolden:
         for name in ("cut_lipschitz", "cut_submodular", "cut_at_drop"):
             assert max(failing[name]) == 5, (name, failing[name])
         assert min(min(v) for v in failing.values()) < 5
+
+
+def literal_submodular(cuts, n: int) -> CheckResult:
+    """Oracle: the single-step submodularity check, one ordered pair (v, u)
+    and one bag A holding v but not u at a time, in that order and in mask
+    order: cut(A - v) - cut(A) <= cut(B - v) - cut(B) for B = A + u."""
+    cuts = [int(c) for c in cuts]
+    viols = []
+    checked = 0
+    for v in range(n):
+        for u in range(n):
+            if u == v:
+                continue
+            for a in range(1 << n):
+                if not a >> v & 1 or a >> u & 1:
+                    continue
+                checked += 1
+                b = a | 1 << u
+                drop = 1 << v
+                if (cuts[a & ~drop] - cuts[a] > cuts[b & ~drop] - cuts[b]
+                        and len(viols) < erl.analysis._MAX_WITNESSES):
+                    viols.append({"bag": a, "superset": b, "node": v})
+    return CheckResult(checked, "single_steps", viols)
+
+
+class TestSubmodularOracle:
+    """The pair-once submodularity check against the literal one, on random
+    faulty cut tables: entries overwritten with values up to uint16's
+    largest, so both the condition's symmetry and the work dtype matter."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_literal_check(self, n, monkeypatch):
+        rng = rng_for(300 + n)
+        lengths = []
+        for trial in range(4):
+            g = random_bounded_graph(n, 4, rng)
+            table = resistance_table(g)
+            cuts = cut_table(g)
+            picked = rng.choice(1 << n, size=int(rng.integers(1, n + 1)),
+                                replace=False)
+            top = (2 * g.degree_bound + 1, 127, 300, 65535)[trial]
+            cuts[picked] = rng.integers(0, top, size=len(picked), endpoint=True)
+            monkeypatch.setattr(erl.analysis, "cut_table",
+                                lambda _g: cuts.copy())
+            report = verify_table_invariants(g, table, mode="sampled",
+                                             samples=10, seed=n)
+            want = literal_submodular(cuts, n)
+            assert report.checks["cut_submodular"] == want
+            lengths.append(len(want.violations))
+        assert max(lengths) > 0
 
 
 def k32_monotone_log() -> tuple:

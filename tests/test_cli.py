@@ -146,7 +146,19 @@ class TestUsageErrors:
         ("cutwidth", "--gen", "line:1,2"),
         ("cutwidth", "--gen", "grid:3"),
         ("cutwidth", "--gen", "complete:1000"),
-    ], ids=["budget", "initial", "line_arity", "grid_arity", "size_cap"])
+        ("verify", "--gen", "random_regular:12,3", "--mode", "sampled",
+         "--samples", "-5"),
+        ("verify", "--gen", "line:4", "--trajectories", "-2"),
+        ("simulate", "--gen", "line:6", "--budget", "2", "--infection-rate",
+         "nan"),
+        ("simulate", "--gen", "line:6", "--budget", "2", "--infection-rate",
+         "inf"),
+        ("simulate", "--gen", "line:6", "--budget", "2", "--horizon", "nan"),
+        ("simulate", "--gen", "line:6", "--budget", "2", "--replications",
+         "-1"),
+    ], ids=["budget", "initial", "line_arity", "grid_arity", "size_cap",
+            "negative_samples", "negative_trajectories", "nan_rate",
+            "infinite_rate", "nan_horizon", "negative_replications"])
     def test_bad_argument_exit_2_one_line(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2

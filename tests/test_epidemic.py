@@ -350,6 +350,22 @@ class TestConfigValidation:
             EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
                            budget=1, infection_rate=0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_infection_rate(self, rate):
+        with pytest.raises(ErlError, match="infection rate"):
+            EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
+                           budget=1, infection_rate=rate)
+
+    def test_nan_horizon(self):
+        with pytest.raises(ErlError, match="horizon"):
+            EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
+                           budget=1, horizon=math.nan)
+
+    def test_infinite_horizon_accepted(self):
+        cfg = EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
+                             budget=1, horizon=math.inf)
+        assert cfg.horizon == math.inf
+
     def test_budget_parsed_exactly_from_string(self):
         cfg = EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
                              budget="2.5")

@@ -257,7 +257,8 @@ class TestCutTable:
                                           for m in range(1 << n)]
 
 
-KERNEL_DTYPES = ["uint8", "uint16", "uint32", "uint64", "int32"]
+KERNEL_DTYPES = ["uint8", "uint16", "uint32", "uint64", "int8", "int16",
+                 "int32"]
 
 
 class TestHalves:
@@ -306,7 +307,8 @@ class TestRowwise:
                          endpoint=True)
         for v in range(13):
             without, with_v = halves(x, v)
-            for ufunc in (np.minimum, np.maximum, np.greater, np.less):
+            for ufunc in (np.minimum, np.maximum, np.subtract, np.greater,
+                          np.less):
                 want = ufunc(without, with_v)
                 got = np.empty(without.shape, dtype=want.dtype)
                 assert rowwise(ufunc, without, with_v, out=got) is got

@@ -420,7 +420,7 @@ class TestStepMin:
                 assert out[a] == values[near].min()
 
     @pytest.mark.parametrize("dtype", ["uint8", "uint16", "uint32", "uint64",
-                                       "int32"])
+                                       "int8", "int16", "int32"])
     def test_every_dtype(self, dtype):
         """Both kernels against the literal minimum, at every n up to 10:
         the passes for small v run column by column, the others plainly."""
