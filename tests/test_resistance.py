@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from erl import (LATTICE_CAP, Bag, CapacityError, CompleteGraphResistance,
                  generate, monotone_resistance_table, resistance_table,
                  validate_crusade, width, witness_crusade)
 from erl.graph import cut_table
-from erl.resistance import (NO_STEP, UNREACHED, _bellman_rhs, _crusade_steps,
-                            _reach_round, step_min, superset_min)
+from erl.resistance import (BLOCK_NODES, NO_STEP, UNREACHED, _bellman_rhs,
+                            _crusade_steps, _reach_round, step_min,
+                            superset_min)
 
 from conftest import ZOO, random_bounded_graph, rng_for
 
@@ -386,6 +388,16 @@ class TestDumpFormats:
         assert len(lines) == 9
         assert lines[1] == "0,0"
 
+    def test_csv_matches_per_line_text(self):
+        # the mask field widens at 10, 100 and 1000 bags (n = 4, 7, 10);
+        # edgeless tables are all zeros, complete ones reach two digits
+        for n in range(1, 12):
+            for g in (Graph(n, []), generate("complete", (n,))):
+                t = resistance_table(g)
+                want = "bag_bitmask,gamma\n" + "".join(
+                    f"{m},{v}\n" for m, v in enumerate(t.values.tolist()))
+                assert t.to_csv() == want
+
 
 class TestCompleteGraphClosedForm:
     def test_matches_dense_tables(self):
@@ -458,6 +470,85 @@ def cold_resistance_table(g: Graph) -> np.ndarray:
         gamma = new
 
 
+def layered_monotone_table(g: Graph) -> np.ndarray:
+    """Oracle: the removal-only DP over all 2^n bags one popcount layer at
+    a time, through an index of the bags sorted by popcount.
+
+    Layer by layer, mg(A) is the minimum over v of h(A xor v), where h holds
+    max(cut, mg) on the finished layers and UNREACHED elsewhere: for v in A
+    that is the step to A - v, and for v not in A it reads the next,
+    unfinished layer and changes nothing.  ``monotone_resistance_table``
+    runs the same recurrence on blocks and must match it bit for bit.
+    """
+    n = g.node_count
+    cut_t = cut_table(g)
+    masks = np.arange(1 << n, dtype=np.uint32)
+    pops = np.bitwise_count(masks)
+    order = np.argsort(pops, kind="stable").astype(np.uint32)
+    layers = np.split(order, np.cumsum(np.bincount(pops, minlength=n + 1))[:-1])
+    mg = np.full(1 << n, UNREACHED, dtype=np.uint16)
+    h = mg.copy()
+    mg[0] = h[0] = 0
+    for layer in layers[1:]:
+        best = np.full(layer.shape, UNREACHED, dtype=np.uint16)
+        for v in range(n):
+            np.minimum(best, h[layer ^ np.uint32(1 << v)], out=best)
+        mg[layer] = best
+        h[layer] = np.maximum(cut_t[layer], best)
+    return mg
+
+
+MONOTONE_REGULAR = [(n, 3) for n in range(6, 19, 2)] + \
+    [(n, 4) for n in range(6, 19)]
+
+
+class TestBlockedMonotone:
+    """``monotone_resistance_table`` against the layered oracle."""
+
+    def test_zoo(self, zoo_graph):
+        got = monotone_resistance_table(zoo_graph).values
+        assert got.dtype == np.uint16
+        assert np.array_equal(got, layered_monotone_table(zoo_graph))
+
+    @pytest.mark.parametrize("n,d", MONOTONE_REGULAR,
+                             ids=[f"rr{n}_{d}" for n, d in MONOTONE_REGULAR])
+    def test_random_regular(self, n, d):
+        g = generate("random_regular", (n, d), seed=1)
+        assert np.array_equal(monotone_resistance_table(g).values,
+                              layered_monotone_table(g))
+
+    def test_block_width_boundary(self):
+        """Up to BLOCK_NODES nodes the table is one row; above it the rows
+        split into layers."""
+        for n in range(1, BLOCK_NODES + 3):
+            for g in (Graph(n, []), generate("line", (n,)),
+                      generate("complete", (n,))):
+                assert np.array_equal(monotone_resistance_table(g).values,
+                                      layered_monotone_table(g))
+
+    def test_n22(self, monkeypatch):
+        """The one n = 22 table; its digest was recorded from the layered
+        DP before the blocked one replaced it."""
+        monkeypatch.setattr(erl.resistance, "LATTICE_CAP", 22)
+        g = generate("random_regular", (22, 3), seed=1)
+        got = monotone_resistance_table(g).values
+        assert np.array_equal(got, layered_monotone_table(g))
+        assert _sha(got.astype("<u2").tobytes()) == "1f33e476f6b719db"
+
+    def test_peak_memory(self):
+        """Under 6 bytes per bag at n = 18: the cut table's build peaks at 4
+        and the DP's uint8 arrays and uint16 result add about 1; the layered
+        DP peaked at 9.4 without and 23 with its popcount index build."""
+        g = generate("random_regular", (18, 3), seed=1)
+        tracemalloc.start()
+        try:
+            monotone_resistance_table(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 18
+
+
 RANDOM_REGULAR = [(n, d, seed) for n in (6, 8, 10, 12, 14, 16)
                   for d in (3, 4) for seed in (1, 2)]
 
@@ -515,6 +606,26 @@ def _witness_digest(g: Graph, table: ResistanceTable) -> str:
         h.update(len(bags).to_bytes(4, "little"))
         h.update(np.array([b.mask for b in bags], dtype="<u4").tobytes())
     return h.hexdigest()[:16]
+
+
+# First 16 hex digits of the SHA-256 of the resistance table's ``to_csv()``,
+# recorded from the per-line writer before the vectorised one replaced it.
+CSV_GOLDEN = {
+    "cycle6": "e0ce6f9fbf9b0452", "grid2x3": "867f6776c0315b87",
+    "hypercube3": "7fa9ac79ac85c45c", "k4": "e61943366de328bc",
+    "line5": "e63c6d7512a5fe36", "line9": "37d95bba23d54dba",
+    "rr10_3": "69278991753e4184", "rr16_3s1": "360f287c3659195e",
+    "rr16_3s2": "6b37fd17e8bebb5f", "rr18_3s1": "5ade8b45225d9e7e",
+    "rr18_3s2": "beee90bf565c19dd", "rr8_3": "4ce47d9be74fbd5b",
+    "star3": "c9f80fcb807873cd",
+}
+
+
+class TestCsvGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+    def test_digest(self, name):
+        text = resistance_table(GOLDEN_GRAPHS[name]()).to_csv()
+        assert _sha(text.encode()) == CSV_GOLDEN[name]
 
 
 class TestGolden:
