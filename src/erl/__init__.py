@@ -11,10 +11,11 @@ __version__ = "0.1.0"
 from .analysis import (CASE1, CASE2, NOT_APPLICABLE, IntervalWitness,
                        InvariantReport, RecoveryBoundReport, SlowRegimeConstants,
                        SweepRecord, audit_recovery_bound,
-                       complete_extinction_mean, extinction_sweep,
-                       poisson_ld_exponent, poisson_tail_probability,
-                       scan_halving_window, slow_regime_constants,
-                       sweep_to_csv, verify_table_invariants)
+                       complete_extinction_mean, exact_extinction_times,
+                       extinction_sweep, poisson_ld_exponent,
+                       poisson_tail_probability, scan_halving_window,
+                       slow_regime_constants, sweep_to_csv,
+                       verify_table_invariants)
 from .crusade import (BottleneckSequence, Crusade, audit_bottleneck,
                       bottleneck_sequence, crusade_from_json, crusade_to_json,
                       iter_bottleneck, validate_crusade, width)
@@ -25,8 +26,8 @@ from .epidemic import (HORIZON, INFECTION, MAX_EVENTS, RECOVERY, STALLED,
 from .errors import (CapacityError, ErlError, GenerationError, GraphParseError,
                      InvalidBagError, LemmaViolationError, PolicyViolationError,
                      ReplayError)
-from .graph import (GENERATE_CAP, Bag, Graph, cut, cut_after_toggle,
-                    cut_table, generate, parse_graph, serialize_graph)
+from .graph import (GENERATE_CAP, Bag, Graph, cut, cut_table, generate,
+                    parse_graph, serialize_graph)
 from .resistance import (LATTICE_CAP, ORACLE_CAP, UNREACHED,
                          CompleteGraphResistance, ResistanceTable,
                          brute_force_resistance, brute_force_resistance_all,

@@ -14,14 +14,15 @@ from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from operator import and_, gt
+from itertools import accumulate, repeat
+from operator import and_, gt, index
 
 import numpy as np
 from jsonschema import Draft202012Validator
 
 from .epidemic import (RECOVERY, EpidemicConfig, EventLog, Policy,
-                       _trajectory, builtin_policy, derive_seed, simulate)
+                       _curing_table, _extinction_times, _StreamWatch,
+                       _trajectory, builtin_policy, derive_seed)
 from .errors import CapacityError, ErlError, LemmaViolationError
 from .graph import (Graph, cut_sequence, cut_table, generate, halves,
                     rowwise)
@@ -666,12 +667,6 @@ def _sweep_budget(budget_rule, n: int) -> Fraction:
     return Fraction(budget_rule)
 
 
-def _run_replication(args) -> tuple[int, float | None]:
-    config, policy, j = args
-    res = simulate(config, policy, replication=j)
-    return j, res.extinction_time
-
-
 def make_policy(kind: str, g: Graph) -> Policy:
     """A builtin policy for ``g``, building the resistance table the
     resistance-greedy policy ranks by."""
@@ -699,7 +694,13 @@ def extinction_sweep(spec: dict, threads: int = 1) -> list[SweepRecord]:
     never folded into the mean; a point with more than half its runs
     censored is flagged and its mean is only a lower bound.  Capacity
     errors are surfaced on the affected point and the sweep continues.
-    Deterministic for a given spec regardless of ``threads``.
+
+    Replications run on the τ-only engine ``epidemic._extinction_times``:
+    the same law as ``simulate``, with different draws from the same seed.
+    One allocation memo is shared across all replications of a point; with
+    ``threads`` > 1 the replications are split into ``threads`` contiguous
+    chunks, one per worker, each with its own memo.  Deterministic for a
+    given spec regardless of ``threads``.
     """
     validate_sweep_spec(spec)
     reps = spec["replications"]
@@ -721,15 +722,17 @@ def extinction_sweep(spec: dict, threads: int = 1) -> list[SweepRecord]:
                                        spec["policy"], reps, None, None, 0,
                                        None, point_seed, error=str(exc)))
             continue
-        tasks = [(config, policy, j) for j in range(reps)]
         if threads > 1:
+            parts = min(threads, reps)
+            chunks = [range(reps * k // parts, reps * (k + 1) // parts)
+                      for k in range(parts)]
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(_run_replication, tasks,
-                                         chunksize=max(1, reps // (threads * 4))))
+                outcomes = [o for part in pool.map(
+                    _extinction_times, repeat(config), repeat(policy),
+                    chunks) for o in part]
         else:
-            outcomes = [_run_replication(t) for t in tasks]
-        outcomes.sort(key=lambda o: o[0])
-        taus = [tau for _, tau in outcomes if tau is not None]
+            outcomes = _extinction_times(config, policy, range(reps))
+        taus = [tau for tau, _ in outcomes if tau is not None]
         censored = reps - len(taus)
         mean, stderr = mean_and_stderr(taus)
         records.append(SweepRecord(
@@ -779,3 +782,71 @@ def complete_extinction_mean(n: int, r) -> float:
         total += h_k
         h_next = h_k
     return total
+
+
+# Largest graph the exact chain is solved on: 2^12 bags, a 128 MB dense
+# generator.
+CHAIN_CAP = 12
+
+
+def exact_extinction_times(g: Graph, policy: Policy, budget,
+                           infection_rate: float = 1.0) -> np.ndarray:
+    """Exact expected extinction time from every bag, indexed by mask.
+
+    The SIS chain on all 2^n bags (Van Mieghem, Omic & Kooij, "Virus
+    spread in networks", IEEE/ACM ToN 2009) with curing rates from a
+    deterministic policy: from bag A a healthy node u is infected at rate
+    β·|N(u) ∩ A| and an infected node v is cured at the rate the policy
+    allocates it.  ``allocate`` is called once per nonempty bag and its
+    result validated as in ``simulate``; the rates are read off the
+    allocation itself.  The dense generator Q over the nonempty bags gives
+    h from (−Q)h = 1, solved by ``numpy.linalg.solve``; entry 0 is 0.  An
+    independent oracle for the simulator and the sweep engine: it shares
+    the allocation check with them and nothing else.
+
+    Raises ErlError for a graph of more than ``CHAIN_CAP`` nodes, a policy
+    call that draws from the policy stream, and a bag from which extinction
+    cannot be reached.
+    """
+    n = g.node_count
+    if n > CHAIN_CAP:
+        raise ErlError(f"exact extinction times are capped at n = "
+                       f"{CHAIN_CAP} nodes, got {n}")
+    budget = Fraction(budget)
+    beta = float(infection_rate)
+    if not 0 < beta < math.inf:
+        raise ErlError("infection rate must be positive and finite")
+    size = 1 << n
+    neighbors = [sum(1 << u for u in adj) for adj in g.adjacency]
+    # row and column A - 1 stand for bag A; the empty bag is absorbing
+    minus_q = np.zeros((size - 1, size - 1))
+    into = [[] for _ in range(size)]    # bag -> the bags with a step to it
+    watch = _StreamWatch(0, 0)
+    for a in range(1, size):
+        alloc, drew = watch._call(policy, g, a, budget)
+        if drew:
+            raise ErlError(f"policy {policy.name!r} drew from its stream at "
+                           f"bag {a:#x}; the exact chain needs a "
+                           "deterministic policy")
+        _curing_table(alloc, a, budget, policy.name)
+        steps = [(a & ~(1 << index(v)), float(rate))
+                 for v, rate in alloc.items()]
+        steps += [(a | (1 << u), beta * (neighbors[u] & a).bit_count())
+                  for u in range(n) if not (a >> u) & 1]
+        for b, rate in steps:
+            if rate > 0:
+                minus_q[a - 1, a - 1] += rate
+                if b:
+                    minus_q[a - 1, b - 1] -= rate
+                into[b].append(a)
+    reached = {0}
+    frontier = {0}
+    while frontier:
+        frontier = {a for b in frontier for a in into[b]} - reached
+        reached.update(frontier)
+    if len(reached) < size:
+        first = min(set(range(size)) - reached)
+        raise ErlError(f"extinction cannot be reached from bag {first:#x}")
+    h = np.zeros(size)
+    h[1:] = np.linalg.solve(minus_q, np.ones(size - 1))
+    return h

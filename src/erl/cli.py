@@ -20,7 +20,7 @@ from .analysis import (audit_recovery_bound, extinction_sweep, make_policy,
                        mean_and_stderr, scan_halving_window, sweep_to_csv,
                        verify_table_invariants)
 from .crusade import audit_bottleneck, crusade_to_json, validate_crusade, width
-from .epidemic import EpidemicConfig, replay, simulate
+from .epidemic import EpidemicConfig, _extinction_times, replay, simulate
 from .errors import (CapacityError, ErlError, GenerationError, GraphParseError,
                      LemmaViolationError)
 from .graph import Bag, Graph, generate, parse_graph
@@ -152,16 +152,11 @@ def cmd_simulate(args, argv) -> int:
             _write(args.events_csv, result.log.to_csv())
             outputs.append(args.events_csv)
     else:
-        taus, censored = [], 0
-        for j in range(args.replications):
-            res = simulate(config, policy, replication=j)
-            if res.extinct:
-                taus.append(res.extinction_time)
-            else:
-                censored += 1
+        outcomes = _extinction_times(config, policy, range(args.replications))
+        taus = [tau for tau, _ in outcomes if tau is not None]
         mean, stderr = mean_and_stderr(taus)
         doc = {"replications": args.replications, "mean_tau": mean,
-               "stderr": stderr, "censored": censored,
+               "stderr": stderr, "censored": len(outcomes) - len(taus),
                "policy": policy.name, "budget": str(budget), "seed": args.seed}
     if args.out:
         _write(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")

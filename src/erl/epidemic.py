@@ -5,12 +5,17 @@ allocation is too; the simulator samples the next event from the total
 hazard (direct Gillespie method).  A policy's ``allocate`` must be a
 function of its arguments (graph, infected mask, budget, policy stream):
 each allocation is Fraction-validated when computed and then reused at every
-later visit to the same bag within the run, unless the call that produced
-it drew from the policy stream, in which case the policy is queried again
-at each visit.  Each healthy node's infection hazard is the infection rate
-times its infected-neighbor count, so the total infection hazard equals the
-infection rate times the cut of the infected set, which is maintained
-incrementally and (in debug runs) re-derived from scratch at every event.
+later visit to the same bag within the run (within all replications of a
+sweep point, for sweeps), unless the call that produced it drew from the
+policy stream, in which case the policy is queried again at each visit.
+Each healthy node's infection hazard is the infection rate times its
+infected-neighbor count, so the total infection hazard equals the infection
+rate times the cut of the infected set, which is maintained incrementally
+and (in debug runs) re-derived from scratch at every event.
+
+``simulate`` writes event logs and is the reference.  Sweeps run the
+τ-only engine ``_extinction_times``, which follows the same law with
+different draws from the same seed.
 
 Budget feasibility is checked in exact rational arithmetic; only the event
 sampling itself uses floating point.
@@ -27,7 +32,7 @@ from itertools import accumulate
 from math import inf, lcm
 from numbers import Rational
 from operator import index, itemgetter, mul
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,9 +47,9 @@ MAX_EVENTS = "MAX_EVENTS"
 STALLED = "STALLED"
 
 LOG_MAGIC = b"REL1"
-# Bound on a run's allocation memo in entries times nodes (an entry holds
-# at most two tables of one item per node), a few tens of MB; the memo is
-# emptied when it reaches the bound, which changes no output.
+# Bound on an allocation memo in entries times nodes (an entry holds a few
+# tables of at most 2n + 1 items each); the memo is emptied when it reaches
+# the bound, which changes no output.
 _MEMO_CELLS = 1 << 20
 _EVENT = struct.Struct("<dBI")
 
@@ -60,16 +65,24 @@ class Event(NamedTuple):
     node: int
 
 
+def _stream(seed: int, replication: int, k: int) -> np.random.Generator:
+    """Stream ``k`` of one run: 0 for events, 1 for the policy.
+
+    It is the k-th child of the (seed, replication) seed sequence, built
+    directly from its spawn key rather than by spawning from the parent,
+    which gives the same stream.
+    """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        entropy=seed, spawn_key=(replication, k))))
+
+
 def event_streams(seed: int, replication: int = 0):
     """Two independent Philox streams (events, policy) for one run.
 
     Replication j of a sweep derives its streams from (seed, j), so
     replications are independent and individually reproducible.
     """
-    root = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
-    ev_ss, pol_ss = root.spawn(2)
-    return (np.random.Generator(np.random.Philox(ev_ss)),
-            np.random.Generator(np.random.Philox(pol_ss)))
+    return _stream(seed, replication, 0), _stream(seed, replication, 1)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -234,6 +247,9 @@ class Policy:
     ``allocate`` must be a function of its arguments: ``simulate`` computes
     an allocation once per bag and reuses it at every later visit to that
     bag in the run, unless the call that produced it drew from ``rng``.
+    A sweep shares that memo across all replications of one sweep point
+    (one memo per worker process when pooled), so an allocation that did
+    not draw is reused by every later replication too.
     """
 
     name = "abstract"
@@ -408,27 +424,94 @@ def _stream_position(bits: np.random.Philox) -> tuple:
 
 
 class _StreamWatch:
-    """Stands in for the policy stream during one policy call and forwards
-    every attribute to it, noting whether the policy touched the stream.
+    """The policy stream of one run, built when a policy first touches it.
 
-    ``start`` is the stream position before the call; when the caller does
-    not know it, it is read at the first touch, so a call that never
-    touches the stream costs no read.
+    During a first policy call at a bag it stands in for the stream and
+    forwards every attribute to it, noting whether the call moved it.  The
+    position the stream stood at after the last call is kept when it was
+    read, so a call that follows a touching call costs one read, and a call
+    that never touches the stream costs none.
     """
 
-    __slots__ = ("_rng", "start", "touched")
+    __slots__ = ("_seed", "_replication", "_rng", "_position", "_touched")
 
-    def __init__(self, rng: np.random.Generator, start: tuple | None):
-        self._rng = rng
-        self.start = start
-        self.touched = False
+    def __init__(self, seed: int, replication: int):
+        self._seed = seed
+        self._replication = replication
+        self._rng = None
+        self._position = None
+        self._touched = False
+
+    def _generator(self) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = _stream(self._seed, self._replication, 1)
+        return self._rng
 
     def __getattr__(self, name):
-        if not self.touched:
-            self.touched = True
-            if self.start is None:
-                self.start = _stream_position(self._rng.bit_generator)
-        return getattr(self._rng, name)
+        rng = self._generator()
+        if not self._touched:
+            self._touched = True
+            if self._position is None:
+                self._position = _stream_position(rng.bit_generator)
+        return getattr(rng, name)
+
+    def _call(self, policy: Policy, graph: Graph, mask: int,
+              budget: Fraction) -> tuple[dict, bool]:
+        """The policy's allocation at ``mask`` with this watch standing in
+        for the stream, and whether the call drew from it."""
+        self._touched = False
+        alloc = policy.allocate(graph, mask, budget, self)
+        if not self._touched:
+            return alloc, False
+        start = self._position
+        self._position = _stream_position(self._rng.bit_generator)
+        return alloc, self._position != start
+
+    def _requery(self, policy: Policy, graph: Graph, mask: int,
+                 budget: Fraction) -> dict:
+        """The policy's allocation at a bag whose first call drew: the
+        stream itself is passed, and the position it leaves is not read."""
+        self._position = None
+        return policy.allocate(graph, mask, budget, self._generator())
+
+
+class _Allocations:
+    """The allocation rule of ``simulate`` and of the sweep engine.
+
+    ``memo`` maps a bag's mask to [its curing table, or None when the
+    policy call that produced the table drew from the policy stream; the
+    caller's own table for the bag, or None].  A bag's allocation is
+    computed and validated at its first visit and reused at every later
+    visit by every run that shares the memo; one whose call drew is
+    queried again, and validated again, at each visit.  The memo is
+    emptied when it holds ``_MEMO_CELLS`` // n entries, which changes no
+    output.
+    """
+
+    __slots__ = ("graph", "policy", "budget", "memo", "limit")
+
+    def __init__(self, graph: Graph, policy: Policy, budget: Fraction):
+        self.graph = graph
+        self.policy = policy
+        self.budget = budget
+        self.memo: dict[int, list] = {}
+        self.limit = max(1, _MEMO_CELLS // max(1, graph.node_count))
+
+    def entry(self, mask: int, watch: _StreamWatch) -> tuple[list, tuple]:
+        """The memo entry of ``mask`` and the bag's curing table."""
+        entry = self.memo.get(mask)
+        if entry is not None and entry[0] is not None:
+            return entry, entry[0]
+        g, policy, budget = self.graph, self.policy, self.budget
+        if entry is not None:
+            alloc = watch._requery(policy, g, mask, budget)
+            return entry, _curing_table(alloc, mask, budget, policy.name)
+        if len(self.memo) >= self.limit:
+            self.memo.clear()
+        alloc, drew = watch._call(policy, g, mask, budget)
+        curing = _curing_table(alloc, mask, budget, policy.name)
+        entry = self.memo[mask] = [None if drew else curing, None]
+        return entry, curing
 
 
 def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
@@ -436,19 +519,18 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
     """Run one trajectory to extinction, horizon, or the event cap.
 
     Identical (config, policy, replication) produce a bit-identical event
-    log.  For each bag the run visits it keeps the validated curing table,
-    reused at later visits unless the policy call that produced it drew from
-    the policy stream, and, from the first infection there on, the table of
-    infection targets.  ``debug`` re-derives the cached infection hazard
-    from scratch at every event and asserts agreement (exact integer
-    comparison).
+    log.  Allocations follow ``_Allocations``' rule with a memo of the
+    run's own; next to each bag's curing table the memo keeps, from the
+    first infection there on, the table of infection targets.  ``debug``
+    re-derives the cached infection hazard from scratch at every event and
+    asserts agreement (exact integer comparison).
     """
     g = config.graph
     adjacency = g.adjacency
     degree = [g.degree(v) for v in range(g.node_count)]
-    ev_rng, pol_rng = event_streams(config.seed, replication)
+    ev_rng = _stream(config.seed, replication, 0)
+    watch = _StreamWatch(config.seed, replication)
     beta = float(config.infection_rate)
-    budget = config.budget
 
     mask = config.initial_infected.mask
     healthy = [0 if (mask >> v) & 1 else 1 for v in range(g.node_count)]
@@ -457,13 +539,10 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
         for u in adjacency[v]:
             inf_nbrs[u] += 1
     cut_now = cut(g, config.initial_infected)
-    # mask -> [curing table, None when its allocation drew from the policy
-    #          stream; running sums over nodes of healthy x infected-neighbor
-    #          count, None until the first infection there]
-    memo: dict[int, list] = {}
-    memo_limit = max(1, _MEMO_CELLS // g.node_count)
-    # policy-stream position after the last policy call, if it was read
-    position = None
+    # the caller's table of an entry: running sums over nodes of healthy x
+    # infected-neighbor count
+    allocations = _Allocations(g, policy, config.budget)
+    memo_get = allocations.memo.get
 
     events: list[Event] = []
     t = 0.0
@@ -477,24 +556,9 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
         if len(events) >= config.max_events:
             censored = MAX_EVENTS
             break
-        entry = memo.get(mask)
-        if entry is not None and entry[0] is not None:
-            curing = entry[0]
-        elif entry is not None:
-            curing = _curing_table(policy.allocate(g, mask, budget, pol_rng),
-                                   mask, budget, policy.name)
-            position = None
-        else:
-            if len(memo) >= memo_limit:
-                memo.clear()
-            watch = _StreamWatch(pol_rng, position)
-            curing = _curing_table(policy.allocate(g, mask, budget, watch),
-                                   mask, budget, policy.name)
-            drew = False
-            if watch.touched:
-                position = _stream_position(pol_rng.bit_generator)
-                drew = position != watch.start
-            entry = memo[mask] = [None if drew else curing, None]
+        entry = memo_get(mask)
+        if entry is None or (curing := entry[0]) is None:
+            entry, curing = allocations.entry(mask, watch)
         rho, cured, cured_sums = curing
         infection_hazard = beta * cut_now
         total = infection_hazard + rho
@@ -544,6 +608,105 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
         infection_count=log.infection_count(),
         recovery_count=log.recovery_count(),
     )
+
+
+# Uniforms and exponentials the sweep engine draws at a time: the first
+# block of a run holds _BLOCK_FIRST of each, and each next block twice the
+# last, up to _BLOCK_MAX.
+_BLOCK_FIRST = 64
+_BLOCK_MAX = 4096
+
+
+def _extinction_times(config: EpidemicConfig, policy: Policy,
+                      replications: Iterable[int]
+                      ) -> list[tuple[float | None, str | None]]:
+    """(extinction time or None, censor reason or None) of each replication
+    index in ``replications``: ``simulate``'s process, keeping only τ.
+
+    The law is ``simulate``'s but the draws are not: each event takes one
+    uniform and one standard exponential from the run's event stream,
+    drawn in blocks, so the output is reproducible from (config, policy,
+    replications) but differs from ``simulate``'s τ for the same seed.
+    Runs are censored for the same reasons as in ``simulate``, checked in
+    its order: the event cap, then a bag with no transition, then the
+    horizon.
+
+    All replications share one ``_Allocations`` memo.  Its caller's table
+    is the bag's step table: the total rate, the running rates of the
+    next bags (each infection target u in node order, at β·|N(u) ∩ A| as
+    running integer counts times β, so the infection part ends at exactly
+    β·cut(A); then each cure, from the curing table) and the next bags,
+    with the last one repeated for a uniform that rounds past the end.
+    Transitions of rate 0 are left out.  A bag whose allocation drew from
+    the policy stream gets a fresh step table at every visit.
+    """
+    g = config.graph
+    n = g.node_count
+    beta = float(config.infection_rate)
+    neighbors = [sum(1 << u for u in adj) for adj in g.adjacency]
+    horizon = inf if config.horizon is None else config.horizon
+    allocations = _Allocations(g, policy, config.budget)
+    memo_get = allocations.memo.get
+
+    def step_table(mask: int, watch: _StreamWatch) -> tuple | None:
+        """The step table of ``mask``, None when no transition leaves it."""
+        entry, (rho, cured, sums) = allocations.entry(mask, watch)
+        cum, nexts = [], []
+        count = 0
+        for u in range(n):
+            if not (mask >> u) & 1:
+                c = (neighbors[u] & mask).bit_count()
+                if c:
+                    count += c
+                    cum.append(beta * count)
+                    nexts.append(mask | (1 << u))
+        infection = last = beta * count
+        for v, s in zip(cured, sums):
+            if infection + s > last:
+                last = infection + s
+                cum.append(last)
+                nexts.append(mask & ~(1 << v))
+        if not cum:
+            return None
+        nexts.append(nexts[-1])
+        table = (infection + rho, cum, nexts)
+        if entry[0] is not None:
+            entry[1] = table
+        return table
+
+    def run(replication: int) -> tuple[float | None, str | None]:
+        mask = config.initial_infected.mask
+        if not mask:
+            return 0.0, None
+        ev_rng = _stream(config.seed, replication, 0)
+        watch = _StreamWatch(config.seed, replication)
+        t = 0.0
+        remaining = config.max_events
+        size = _BLOCK_FIRST
+        while remaining > 0:
+            us = ev_rng.random(size).tolist()
+            es = ev_rng.standard_exponential(size).tolist()
+            if remaining < size:
+                del us[remaining:]
+            remaining -= len(us)
+            for u, e in zip(us, es):
+                entry = memo_get(mask)
+                if entry is None or (table := entry[1]) is None:
+                    table = step_table(mask, watch)
+                    if table is None:
+                        return None, STALLED
+                total, cum, nexts = table
+                t_next = t + e / total
+                if t_next > horizon:
+                    return None, HORIZON
+                t = t_next
+                mask = nexts[bisect_right(cum, u * total)]
+                if not mask:
+                    return t, None
+            size = min(2 * size, _BLOCK_MAX)
+        return None, MAX_EVENTS
+
+    return [run(j) for j in replications]
 
 
 def _trajectory(log: EventLog, g: Graph) -> tuple[list[float], list[int]]:

@@ -251,18 +251,6 @@ def cut_sequence(g: Graph, masks: Iterable[int]) -> list[int]:
     return cuts
 
 
-def cut_after_toggle(g: Graph, a: Bag, v: int, current_cut: int) -> int:
-    """Cut of ``a`` with node ``v`` toggled, updated in O(deg(v)).
-
-    ``current_cut`` must equal ``cut(g, a)``; a stale value silently
-    propagates (this is the caller's contract).
-    """
-    if not 0 <= v < g.node_count:
-        raise InvalidBagError(f"node {v} out of range")
-    g.check_bag(a)
-    return current_cut + toggle_delta(g, a.mask, v)
-
-
 # Widest operand row, in bytes, that ``rowwise`` runs one column at a time:
 # timed per pass at n = 20, column slices win on rows of up to 16 bytes for
 # every dtype the lattice passes use, and lose from 32 bytes on for all but

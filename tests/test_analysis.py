@@ -8,19 +8,20 @@ import pytest
 
 import erl.analysis
 from erl import (CASE1, CASE2, NOT_APPLICABLE, Bag, CompleteGraphResistance,
-                 EpidemicConfig, ErlError, EventLog, LemmaViolationError,
-                 RECOVERY, ResistanceTable, audit_bottleneck,
-                 audit_recovery_bound, bottleneck_sequence, builtin_policy,
-                 complete_extinction_mean, cut_table, extinction_sweep,
-                 generate, iter_bottleneck, poisson_ld_exponent,
+                 EpidemicConfig, ErlError, EventLog, Graph, LemmaViolationError,
+                 Policy, PolicyViolationError, RECOVERY, ResistanceTable,
+                 audit_bottleneck, audit_recovery_bound, bottleneck_sequence,
+                 builtin_policy, complete_extinction_mean, cut_table,
+                 exact_extinction_times, extinction_sweep, generate,
+                 iter_bottleneck, poisson_ld_exponent,
                  poisson_tail_probability, replay, resistance_table,
                  scan_halving_window, simulate, slow_regime_constants,
                  sweep_to_csv, verify_table_invariants)
-from erl.analysis import CheckResult
-from erl.epidemic import Event
+from erl.analysis import CheckResult, make_policy, mean_and_stderr
+from erl.epidemic import Event, _extinction_times
 from erl.graph import cut_sequence
 
-from conftest import random_bounded_graph, rng_for
+from conftest import ZOO, random_bounded_graph, rng_for
 from test_epidemic import GOLDEN_RUNS, golden_config
 
 
@@ -764,6 +765,115 @@ class TestCompleteExtinctionOracle:
     def test_rejects_zero_budget(self):
         with pytest.raises(ErlError):
             complete_extinction_mean(4, 0)
+
+
+SMALL_ZOO = [(name, make) for name, make in ZOO if make().node_count <= 8]
+DETERMINISTIC = ["max_cut_drop", "resistance_greedy", "degree_proportional",
+                 "uniform"]
+
+
+def full_start(g, budget, seed):
+    return EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                          budget=budget, seed=seed)
+
+
+def engine_mean(cfg, policy, reps):
+    """Mean and standard error of the sweep engine's extinction times."""
+    outcomes = _extinction_times(cfg, policy, range(reps))
+    assert all(reason is None for _, reason in outcomes)
+    return mean_and_stderr([tau for tau, _ in outcomes])
+
+
+class TestExactChain:
+    def test_two_isolated_nodes_by_hand(self):
+        # one node cured at rate 1 at a time: 1 + 1 from the full bag
+        h = exact_extinction_times(Graph(2, []), builtin_policy("max_cut_drop"),
+                                   1)
+        assert h.tolist() == [0.0, 1.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("per_node", [Fraction(1, 4), Fraction(1), 2])
+    def test_complete_graph_closed_form(self, n, per_node):
+        g = generate("complete", (n,))
+        r = per_node * n
+        h = exact_extinction_times(g, builtin_policy("max_cut_drop"), r)
+        assert math.isclose(h[-1], complete_extinction_mean(n, r),
+                            rel_tol=1e-9)
+
+    def test_rates_scale_time(self):
+        g = generate("grid", (2, 3))
+        pol = builtin_policy("degree_proportional")
+        h = exact_extinction_times(g, pol, 3)
+        scaled = exact_extinction_times(g, pol, Fraction(15, 2), 2.5)
+        np.testing.assert_allclose(scaled * 2.5, h, rtol=1e-12)
+
+    def test_cap_named(self):
+        with pytest.raises(ErlError, match="12"):
+            exact_extinction_times(Graph(13, []), builtin_policy("uniform"), 1)
+
+    def test_drawing_policy_refused(self):
+        with pytest.raises(ErlError, match="drew"):
+            exact_extinction_times(generate("line", (3,)),
+                                   builtin_policy("random_node"), 1)
+
+    def test_unreachable_extinction_refused(self):
+        with pytest.raises(ErlError, match="cannot be reached from bag 0x1"):
+            exact_extinction_times(generate("line", (3,)),
+                                   builtin_policy("uniform"), 0)
+
+    def test_unreachable_from_one_bag_refused(self):
+        class SparesNodeTwo(Policy):
+            name = "spares_node_two"
+
+            def allocate(self, graph, infected, budget, rng):
+                low = infected & 0b011
+                return {low.bit_length() - 1: budget} if low else {}
+
+        with pytest.raises(ErlError, match="cannot be reached from bag 0x4"):
+            exact_extinction_times(Graph(3, []), SparesNodeTwo(), 1)
+
+    def test_allocation_validated(self):
+        class Overspends(Policy):
+            name = "overspends"
+
+            def allocate(self, graph, infected, budget, rng):
+                return {(infected & -infected).bit_length() - 1: 2 * budget}
+
+        with pytest.raises(PolicyViolationError):
+            exact_extinction_times(generate("line", (3,)), Overspends(), 1)
+
+    @pytest.mark.parametrize("kind", DETERMINISTIC)
+    @pytest.mark.parametrize("make", [m for _, m in SMALL_ZOO],
+                             ids=[name for name, _ in SMALL_ZOO])
+    def test_engine_mean_on_exact_value(self, make, kind):
+        g = make()
+        budget = Fraction(2 * g.degree_bound + 2)
+        policy = make_policy(kind, g)
+        exact = exact_extinction_times(g, policy, budget)[-1]
+        mean, se = engine_mean(full_start(g, budget, 1207), policy, 2000)
+        assert abs(mean - exact) <= 4 * se, (mean, exact, se)
+
+    @pytest.mark.parametrize("spec", [("star", (3,)), ("cycle", (6,)),
+                                      ("grid", (2, 3)), ("hypercube", (3,))],
+                             ids=["star3", "cycle6", "grid2x3", "hypercube3"])
+    def test_random_node_has_the_uniform_law(self, spec):
+        g = generate(*spec)
+        budget = Fraction(2 * g.degree_bound + 2)
+        exact = exact_extinction_times(g, builtin_policy("uniform"),
+                                       budget)[-1]
+        mean, se = engine_mean(full_start(g, budget, 1208),
+                               builtin_policy("random_node"), 2000)
+        assert abs(mean - exact) <= 4 * se, (mean, exact, se)
+
+    def test_simulate_mean_on_exact_value(self):
+        g = generate("grid", (2, 3))
+        budget = Fraction(2 * g.degree_bound + 2)
+        policy = builtin_policy("degree_proportional")
+        exact = exact_extinction_times(g, policy, budget)[-1]
+        cfg = full_start(g, budget, 1209)
+        mean, se = mean_and_stderr([simulate(cfg, policy, replication=j)
+                                    .extinction_time for j in range(2000)])
+        assert abs(mean - exact) <= 4 * se, (mean, exact, se)
 
 
 class TestSweep:

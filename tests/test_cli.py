@@ -108,6 +108,15 @@ class TestSimulateCommand:
         assert abs(doc["mean_tau"] - 0.5) <= 3 * doc["stderr"]
         assert doc["censored"] == 0
 
+    def test_replicated_censoring_counted(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--gen", "line:2",
+                           "--initial", "all", "--budget", "0.001",
+                           "--horizon", "0.01", "--replications", "5",
+                           "--seed", "4")
+        assert code == 0
+        doc = json.loads(out.strip())
+        assert (doc["censored"], doc["mean_tau"]) == (5, None)
+
     def test_events_csv(self, tmp_path, capsys):
         out = tmp_path / "ev.csv"
         code, _, _ = run(capsys, "simulate", "--gen", "cycle:5",

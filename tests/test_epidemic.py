@@ -7,12 +7,14 @@ from math import lcm
 from numbers import Rational
 from operator import index
 
+import numpy as np
 import pytest
 
 from erl import (GENERATE_CAP, HORIZON, MAX_EVENTS, RECOVERY, STALLED, Bag,
                  EpidemicConfig, ErlError, EventLog, Graph, Policy,
                  PolicyViolationError, ReplayError, builtin_policy, cut,
-                 generate, replay, resistance_table, simulate, validate_log)
+                 event_streams, generate, replay, resistance_table, simulate,
+                 validate_log)
 from erl import epidemic
 from erl.epidemic import LOG_MAGIC, Event, INFECTION
 
@@ -337,6 +339,171 @@ class TestAllocationMemo:
         with pytest.raises(PolicyViolationError):
             simulate(cfg, pol)
         assert pol.calls == 5
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed,replication", [(0, 0), (4242, 3),
+                                                  (2**63 + 5, 17)])
+    def test_same_streams_as_spawned_children(self, seed, replication):
+        root = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
+        for got, child in zip(event_streams(seed, replication), root.spawn(2)):
+            want = np.random.Generator(np.random.Philox(child))
+            assert got.random(100).tolist() == want.random(100).tolist()
+            assert got.integers(1 << 62, size=100).tolist() == \
+                want.integers(1 << 62, size=100).tolist()
+
+    @pytest.mark.parametrize("kind,built", [("uniform", 0), ("max_cut_drop", 0),
+                                            ("random_node", 1)])
+    def test_policy_stream_built_only_when_touched(self, kind, built,
+                                                   monkeypatch):
+        made = []
+        real = epidemic._stream
+
+        def counting(seed, replication, k):
+            made.append(k)
+            return real(seed, replication, k)
+
+        monkeypatch.setattr(epidemic, "_stream", counting)
+        cfg = golden_config("random_regular:10,3")
+        simulate(cfg, builtin_policy(kind), replication=3)
+        assert made == [0] + [1] * built
+        made.clear()
+        epidemic._extinction_times(cfg, builtin_policy(kind), range(4))
+        assert made == [0, *[1] * built] * 4
+
+
+def extinction_times(cfg, policy, replications=range(1)):
+    return epidemic._extinction_times(cfg, policy, replications)
+
+
+class AlwaysDraws(Policy):
+    """All budget on the smallest infected node, after one draw from the
+    policy stream at every call."""
+
+    name = "always_draws"
+
+    def __init__(self):
+        self.bags = []
+
+    def allocate(self, graph, infected, budget, rng):
+        self.bags.append(infected)
+        rng.random()
+        return {(infected & -infected).bit_length() - 1: budget}
+
+
+class TestSweepEngine:
+    """The tau-only engine behind sweeps: same law as ``simulate``, checked
+    against exact means in test_analysis; its contract is checked here."""
+
+    @pytest.mark.parametrize("kind", ["max_cut_drop", "random_node"])
+    def test_reproducible_and_chunkable(self, kind):
+        g = generate("cycle", (6,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(4), seed=5)
+        whole = extinction_times(cfg, builtin_policy(kind), range(12))
+        assert whole == extinction_times(cfg, builtin_policy(kind), range(12))
+        parts = (extinction_times(cfg, builtin_policy(kind), range(5))
+                 + extinction_times(cfg, builtin_policy(kind), range(5, 12)))
+        assert parts == whole
+        assert len({tau for tau, _ in whole}) == 12
+
+    def test_empty_start_is_extinct_at_zero(self):
+        g = generate("line", (3,))
+        cfg = EpidemicConfig(graph=g, initial_infected=Bag(), budget=1)
+        assert simulate(cfg, builtin_policy("uniform")).extinction_time == 0.0
+        assert extinction_times(cfg, builtin_policy("uniform")) == [(0.0, None)]
+
+    def test_stalled_as_simulate(self):
+        g = generate("line", (2,))
+        cfg = EpidemicConfig(graph=g, initial_infected=Bag([0]), budget=0,
+                             seed=1)
+        assert simulate(cfg, builtin_policy("uniform")).censored == STALLED
+        assert extinction_times(cfg, builtin_policy("uniform"), range(3)) == \
+            [(None, STALLED)] * 3
+
+    def test_horizon_as_simulate(self):
+        cfg = EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
+                             budget=Fraction(1, 1000), horizon=0.01, seed=2)
+        assert simulate(cfg, builtin_policy("uniform")).censored == HORIZON
+        assert extinction_times(cfg, builtin_policy("uniform"), range(3)) == \
+            [(None, HORIZON)] * 3
+
+    def test_max_events_as_simulate(self):
+        g = generate("complete", (5,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(1, 4), seed=3, max_events=10)
+        assert simulate(cfg, builtin_policy("uniform")).censored == MAX_EVENTS
+        assert extinction_times(cfg, builtin_policy("uniform"), range(3)) == \
+            [(None, MAX_EVENTS)] * 3
+
+    # isolated nodes are only ever cured, so extinction takes exactly n
+    # events; 150 nodes span the first three blocks of draws (64, 128)
+    @pytest.mark.parametrize("n,cap", [(3, 2), (3, 3), (150, 63), (150, 64),
+                                       (150, 65), (150, 149), (150, 150)])
+    def test_event_cap_at_extinction_as_simulate(self, n, cap):
+        cfg = EpidemicConfig(graph=isolated(n), initial_infected=Bag(range(n)),
+                             budget=1, seed=4, max_events=cap)
+        res = simulate(cfg, builtin_policy("max_cut_drop"))
+        (tau, reason), = extinction_times(cfg, builtin_policy("max_cut_drop"))
+        assert reason == res.censored == (None if cap >= n else MAX_EVENTS)
+        assert (tau is None) == (res.extinction_time is None)
+
+    def test_event_cap_does_not_change_uncensored_times(self):
+        # about 300 events a run: E[tau] = 74 at total rates of about 4
+        g = generate("complete", (4,))
+        runs = [extinction_times(
+            EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                           budget=Fraction(1), seed=5, max_events=cap),
+            builtin_policy("max_cut_drop"), range(20)) for cap in (10**8, 300)]
+        kept = [(a, b) for a, b in zip(*runs) if b[1] is None]
+        assert kept and all(a == b for a, b in kept)
+        assert any(b[1] == MAX_EVENTS for b in runs[1])
+
+    def test_deterministic_policy_called_once_per_bag_across_replications(self):
+        cfg = EpidemicConfig(graph=isolated(3), initial_infected=Bag(range(3)),
+                             budget=1, seed=6)
+        pol = CountingPolicy(builtin_policy("uniform"))
+        extinction_times(cfg, pol, range(20))
+        assert sorted(pol.bags) == list(range(1, 8))
+
+    def test_drawing_policy_requeried_at_every_visit(self):
+        # every run visits one bag of each size 3, 2 and 1
+        cfg = EpidemicConfig(graph=isolated(3), initial_infected=Bag(range(3)),
+                             budget=1, seed=6)
+        pol = AlwaysDraws()
+        extinction_times(cfg, pol, range(20))
+        assert len(pol.bags) == 3 * 20
+        pol = CountingPolicy(builtin_policy("random_node"))
+        extinction_times(cfg, pol, range(20))
+        # integers(1) draws nothing, so one-node bags are memoized once
+        singles = [m for m in pol.bags if m.bit_count() == 1]
+        assert len(pol.bags) - len(singles) == 2 * 20
+        assert len(singles) == len(set(singles)) <= 3
+
+    @pytest.mark.parametrize("kind", ["uniform", "random_node"])
+    def test_full_memo_is_emptied_without_changing_times(self, kind,
+                                                         monkeypatch):
+        cfg = golden_config("complete:6")
+        want = extinction_times(cfg, builtin_policy(kind), range(6))
+        monkeypatch.setattr(epidemic, "_MEMO_CELLS", 3 * cfg.graph.node_count)
+        pol = CountingPolicy(builtin_policy(kind))
+        assert extinction_times(cfg, pol, range(6)) == want
+        assert len(pol.bags) > 10 * len(set(pol.bags))
+
+    def test_requeried_allocation_is_validated(self):
+        class Overspends(AlwaysDraws):
+            def allocate(self, graph, infected, budget, rng):
+                alloc = super().allocate(graph, infected, budget, rng)
+                return alloc if len(self.bags) < 5 else {
+                    v: 2 * budget for v in alloc}
+
+        g = generate("line", (2,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(1, 10), seed=3)
+        pol = Overspends()
+        with pytest.raises(PolicyViolationError):
+            extinction_times(cfg, pol, range(10))
+        assert len(pol.bags) == 5
 
 
 class TestConfigValidation:

@@ -8,10 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from erl import (GENERATE_CAP, Bag, GenerationError, Graph, GraphParseError,
-                 InvalidBagError, cut, cut_after_toggle, generate, parse_graph,
-                 serialize_graph)
+                 InvalidBagError, cut, generate, parse_graph, serialize_graph)
 import erl
-from erl.graph import cut_table, halves, rowwise
+from erl.graph import cut_table, halves, rowwise, toggle_delta
 from erl.resistance import _pack_bags, _unpack_bags
 
 from conftest import random_bounded_graph, rng_for
@@ -206,20 +205,22 @@ class TestCut:
 
 
 class TestCutAfterToggle:
+    """The cut after toggling one node, as ``cut + toggle_delta``."""
+
     def test_path_examples(self):
         g = generate("line", (4,))
         a = Bag([0, 1])
-        assert cut_after_toggle(g, a, 2, cut(g, a)) == cut(g, Bag([0, 1, 2]))
+        assert cut(g, a) + toggle_delta(g, a.mask, 2) == cut(g, Bag([0, 1, 2]))
 
     def test_from_empty_gives_degree(self, zoo_graph):
         g = zoo_graph
         for v in range(g.node_count):
-            assert cut_after_toggle(g, Bag(), v, 0) == g.degree(v)
+            assert toggle_delta(g, 0, v) == g.degree(v)
 
     def test_star_center_plus_leaf(self):
         g = generate("star", (3,))
         a = Bag([0])
-        assert cut_after_toggle(g, a, 1, cut(g, a)) == 2
+        assert cut(g, a) + toggle_delta(g, a.mask, 1) == 2
 
     def test_agrees_with_scratch_on_100k_pairs(self):
         g = random_bounded_graph(12, 5, rng_for(99))
@@ -228,7 +229,7 @@ class TestCutAfterToggle:
         masks = rng.integers(0, 1 << 12, size=100_000)
         nodes = rng.integers(0, 12, size=100_000)
         for mask, v in zip(masks.tolist(), nodes.tolist()):
-            got = cut_after_toggle(g, Bag.from_mask(mask), v, int(table[mask]))
+            got = int(table[mask]) + toggle_delta(g, mask, v)
             assert got == int(table[mask ^ (1 << v)])
 
 
