@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from itertools import accumulate, repeat
 from operator import and_, gt, index
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .epidemic import (RECOVERY, EpidemicConfig, EventLog, Policy,
-                       _curing_table, _extinction_times, _StreamWatch,
-                       _trajectory, builtin_policy, derive_seed)
+                       _curing_table, _extinction_times, _stream,
+                       _StreamWatch, _trajectory, builtin_policy, derive_seed)
 from .errors import CapacityError, ErlError, LemmaViolationError
 from .graph import (Graph, cut_sequence, cut_table, generate, halves,
                     rowwise)
@@ -643,9 +642,17 @@ class SweepRecord:
     error: str | None = None
 
 
+@cache
+def _sweep_validator():
+    """The validator of ``SWEEP_SCHEMA``, built at the first call; only
+    sweeps import jsonschema, so ``import erl`` does not."""
+    from jsonschema import Draft202012Validator
+    return Draft202012Validator(SWEEP_SCHEMA)
+
+
 def validate_sweep_spec(spec: dict) -> None:
-    validator = Draft202012Validator(SWEEP_SCHEMA)
-    errors = sorted(validator.iter_errors(spec), key=lambda e: list(e.path))
+    errors = sorted(_sweep_validator().iter_errors(spec),
+                    key=lambda e: list(e.path))
     if errors:
         e = errors[0]
         where = "/".join(str(p) for p in e.path) or "(top level)"
@@ -697,48 +704,59 @@ def extinction_sweep(spec: dict, threads: int = 1) -> list[SweepRecord]:
 
     Replications run on the τ-only engine ``epidemic._extinction_times``:
     the same law as ``simulate``, with different draws from the same seed.
-    One allocation memo is shared across all replications of a point; with
-    ``threads`` > 1 the replications are split into ``threads`` contiguous
-    chunks, one per worker, each with its own memo.  Deterministic for a
-    given spec regardless of ``threads``.
+    Each point derives one Philox key from its seed, and replication j
+    draws from its own counter range under that key, so its τ does not
+    depend on which other replications run beside it.  One allocation
+    memo is shared across all replications of a point.  With ``threads``
+    > 1 one process pool serves the whole sweep, opened at the first point
+    that runs: each point's replications are split into ``threads``
+    contiguous chunks, one per worker, each with its own memo.  The output
+    is the same for a given spec whatever ``threads`` is.
     """
     validate_sweep_spec(spec)
     reps = spec["replications"]
     if reps == 0:
         return []
+    parts = min(threads, reps)
+    chunks = [range(reps * k // parts, reps * (k + 1) // parts)
+              for k in range(parts)]
+    pool = None
     records: list[SweepRecord] = []
-    for idx, size in enumerate(spec["sizes"]):
-        point_seed = derive_seed(spec["seed"], idx)
-        try:
-            g = _sweep_graph(spec["family"], size, spec)
-            r = _sweep_budget(spec["budget"], g.node_count)
-            policy = make_policy(spec["policy"], g)
-            config = EpidemicConfig(
-                graph=g, initial_infected=g.all_nodes(), budget=r,
-                horizon=spec.get("horizon"), seed=point_seed,
-                max_events=spec.get("max_events", 10**8))
-        except (CapacityError, ErlError) as exc:
-            records.append(SweepRecord(spec["family"], size, float("nan"),
-                                       spec["policy"], reps, None, None, 0,
-                                       None, point_seed, error=str(exc)))
-            continue
-        if threads > 1:
-            parts = min(threads, reps)
-            chunks = [range(reps * k // parts, reps * (k + 1) // parts)
-                      for k in range(parts)]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+    try:
+        for idx, size in enumerate(spec["sizes"]):
+            point_seed = derive_seed(spec["seed"], idx)
+            try:
+                g = _sweep_graph(spec["family"], size, spec)
+                r = _sweep_budget(spec["budget"], g.node_count)
+                policy = make_policy(spec["policy"], g)
+                config = EpidemicConfig(
+                    graph=g, initial_infected=g.all_nodes(), budget=r,
+                    horizon=spec.get("horizon"), seed=point_seed,
+                    max_events=spec.get("max_events", 10**8))
+            except (CapacityError, ErlError) as exc:
+                records.append(SweepRecord(
+                    spec["family"], size, float("nan"), spec["policy"], reps,
+                    None, None, 0, None, point_seed, error=str(exc)))
+                continue
+            if parts > 1:
+                if pool is None:
+                    from concurrent.futures import ProcessPoolExecutor
+                    pool = ProcessPoolExecutor(max_workers=parts)
                 outcomes = [o for part in pool.map(
                     _extinction_times, repeat(config), repeat(policy),
                     chunks) for o in part]
-        else:
-            outcomes = _extinction_times(config, policy, range(reps))
-        taus = [tau for tau, _ in outcomes if tau is not None]
-        censored = reps - len(taus)
-        mean, stderr = mean_and_stderr(taus)
-        records.append(SweepRecord(
-            spec["family"], g.node_count, float(r), spec["policy"], reps,
-            mean, stderr, censored, None, point_seed,
-            lower_bound=censored * 2 > reps))
+            else:
+                outcomes = _extinction_times(config, policy, range(reps))
+            taus = [tau for tau, _ in outcomes if tau is not None]
+            censored = reps - len(taus)
+            mean, stderr = mean_and_stderr(taus)
+            records.append(SweepRecord(
+                spec["family"], g.node_count, float(r), spec["policy"], reps,
+                mean, stderr, censored, None, point_seed,
+                lower_bound=censored * 2 > reps))
+    finally:
+        if pool is not None:
+            pool.shutdown()
     prev_mean = None
     for rec in records:
         if rec.mean_tau is not None and prev_mean:
@@ -817,11 +835,11 @@ def exact_extinction_times(g: Graph, policy: Policy, budget,
     if not 0 < beta < math.inf:
         raise ErlError("infection rate must be positive and finite")
     size = 1 << n
-    neighbors = [sum(1 << u for u in adj) for adj in g.adjacency]
+    neighbors = g.neighbor_masks
     # row and column A - 1 stand for bag A; the empty bag is absorbing
     minus_q = np.zeros((size - 1, size - 1))
     into = [[] for _ in range(size)]    # bag -> the bags with a step to it
-    watch = _StreamWatch(0, 0)
+    watch = _StreamWatch(partial(_stream, 0, 0, 1))
     for a in range(1, size):
         alloc, drew = watch._call(policy, g, a, budget)
         if drew:

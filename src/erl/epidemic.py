@@ -15,7 +15,9 @@ and (in debug runs) re-derived from scratch at every event.
 
 ``simulate`` writes event logs and is the reference.  Sweeps run the
 τ-only engine ``_extinction_times``, which follows the same law with
-different draws from the same seed.
+different draws from the same seed: one Philox key per sweep point and one
+counter range per replication, where ``simulate`` seeds two streams per
+replication (``event_streams``).
 
 Budget feasibility is checked in exact rational arithmetic; only the event
 sampling itself uses floating point.
@@ -28,16 +30,17 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import inf, lcm
 from numbers import Rational
 from operator import index, itemgetter, mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ErlError, PolicyViolationError, ReplayError
-from .graph import GENERATE_CAP, Bag, Graph, cut, members, toggle_delta
+from .graph import GENERATE_CAP, Bag, Graph, cut, members
 
 INFECTION = "INFECTION"
 RECOVERY = "RECOVERY"
@@ -77,12 +80,51 @@ def _stream(seed: int, replication: int, k: int) -> np.random.Generator:
 
 
 def event_streams(seed: int, replication: int = 0):
-    """Two independent Philox streams (events, policy) for one run.
+    """Two independent Philox streams (events, policy) for one ``simulate``
+    run.
 
-    Replication j of a sweep derives its streams from (seed, j), so
-    replications are independent and individually reproducible.
+    Replication j derives its streams from (seed, j), so replications are
+    independent and individually reproducible.  Sweeps do not use these:
+    the sweep engine derives one Philox key from a point's seed and gives
+    replication j the counter ranges that start at word 2 = j (see
+    ``_CounterRange``).
     """
     return _stream(seed, replication, 0), _stream(seed, replication, 1)
+
+
+class _CounterRange:
+    """Philox streams under one key, one per replication, on one reused
+    bit generator.
+
+    Philox4x64 is a counter-based generator (Salmon et al., "Parallel
+    Random Numbers: As Easy as 1, 2, 3", SC 2011): under one key, blocks
+    at distinct counters are independent.  The key is the one ``seq``
+    gives a Philox; the stream of replication j starts at the counter
+    (0, 0, j, ``word3``), so streams sit 2^128 blocks apart, and ranges
+    of different ``word3`` on one key hold further streams per
+    replication.  ``at(j)`` moves the bit generator, built at the first
+    call, to the start of j's stream by setting its state: a fraction of
+    the cost of a seed sequence and a bit generator per replication.
+    """
+
+    __slots__ = ("_seq", "_word3", "_bits", "_state", "_counter", "_rng")
+
+    def __init__(self, seq: np.random.SeedSequence, word3: int):
+        self._seq = seq
+        self._word3 = word3
+        self._bits = None
+
+    def at(self, replication: int) -> np.random.Generator:
+        """The generator, at the start of ``replication``'s stream."""
+        if self._bits is None:
+            self._bits = np.random.Philox(self._seq)
+            self._state = self._bits.state
+            self._counter = self._state["state"]["counter"]
+            self._counter[3] = self._word3
+            self._rng = np.random.Generator(self._bits)
+        self._counter[2] = replication
+        self._bits.state = self._state
+        return self._rng
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -259,6 +301,17 @@ class Policy:
         raise NotImplementedError
 
 
+def _removal_deltas(graph: Graph,
+                    infected: int) -> tuple[list[int], list[int]]:
+    """The members v of A = ``infected`` in ascending order, and for each
+    cut(A - v) - cut(A): v's edges into A - v join the cut and its edges
+    out of A leave it."""
+    masks, adjacency = graph.neighbor_masks, graph.adjacency
+    nodes = members(infected)
+    return nodes, [2 * (masks[v] & infected).bit_count() - len(adjacency[v])
+                   for v in nodes]
+
+
 class MaxCutDropPolicy(Policy):
     """All budget on the infected node whose removal leaves the smallest cut;
     ties go to the smaller node id."""
@@ -266,9 +319,9 @@ class MaxCutDropPolicy(Policy):
     name = "max_cut_drop"
 
     def allocate(self, graph, infected, budget, rng):
-        best = min(members(infected),
-                   key=lambda v: (toggle_delta(graph, infected, v), v))
-        return {best: budget}
+        nodes, deltas = _removal_deltas(graph, infected)
+        # index finds the first of equal minima, the smallest id
+        return {nodes[deltas.index(min(deltas))]: budget}
 
 
 class ResistanceGreedyPolicy(Policy):
@@ -284,11 +337,11 @@ class ResistanceGreedyPolicy(Policy):
         self.table = table
 
     def allocate(self, graph, infected, budget, rng):
-        def key(v):
-            return (self.table.gamma(infected & ~(1 << v)),
-                    toggle_delta(graph, infected, v), v)
-
-        return {min(members(infected), key=key): budget}
+        gamma = self.table.gamma
+        nodes, deltas = _removal_deltas(graph, infected)
+        keys = [(gamma(infected & ~(1 << v)), d) for v, d in zip(nodes, deltas)]
+        # index finds the first of equal minima, the smallest id
+        return {nodes[keys.index(min(keys))]: budget}
 
 
 class DegreeProportionalPolicy(Policy):
@@ -424,7 +477,8 @@ def _stream_position(bits: np.random.Philox) -> tuple:
 
 
 class _StreamWatch:
-    """The policy stream of one run, built when a policy first touches it.
+    """The policy stream of one run, made by ``make()`` when a policy first
+    touches it.
 
     During a first policy call at a bag it stands in for the stream and
     forwards every attribute to it, noting whether the call moved it.  The
@@ -433,18 +487,17 @@ class _StreamWatch:
     that never touches the stream costs none.
     """
 
-    __slots__ = ("_seed", "_replication", "_rng", "_position", "_touched")
+    __slots__ = ("_make", "_rng", "_position", "_touched")
 
-    def __init__(self, seed: int, replication: int):
-        self._seed = seed
-        self._replication = replication
+    def __init__(self, make: Callable[[], np.random.Generator]):
+        self._make = make
         self._rng = None
         self._position = None
         self._touched = False
 
     def _generator(self) -> np.random.Generator:
         if self._rng is None:
-            self._rng = _stream(self._seed, self._replication, 1)
+            self._rng = self._make()
         return self._rng
 
     def __getattr__(self, name):
@@ -529,7 +582,7 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
     adjacency = g.adjacency
     degree = [g.degree(v) for v in range(g.node_count)]
     ev_rng = _stream(config.seed, replication, 0)
-    watch = _StreamWatch(config.seed, replication)
+    watch = _StreamWatch(partial(_stream, config.seed, replication, 1))
     beta = float(config.infection_rate)
 
     mask = config.initial_infected.mask
@@ -623,17 +676,21 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
     """(extinction time or None, censor reason or None) of each replication
     index in ``replications``: ``simulate``'s process, keeping only τ.
 
-    The law is ``simulate``'s but the draws are not: each event takes one
-    uniform and one standard exponential from the run's event stream,
-    drawn in blocks, so the output is reproducible from (config, policy,
-    replications) but differs from ``simulate``'s τ for the same seed.
-    Runs are censored for the same reasons as in ``simulate``, checked in
-    its order: the event cap, then a bag with no transition, then the
-    horizon.
+    The law is ``simulate``'s but the draws are not.  One Philox key is
+    derived from ``config.seed`` per call, by one seed sequence;
+    replication j draws its events from the counter range that starts at
+    (0, 0, j, 0) and a drawing policy's stream from the one at
+    (0, 0, j, 1) (``_CounterRange``).  Each event takes one uniform and
+    one standard exponential, drawn in blocks.  So replication j's τ
+    depends on (config, policy, j) only, not on the other replications,
+    their order or how a sweep splits them into chunks, and it differs
+    from ``simulate``'s τ for the same seed.  Runs are censored for the
+    same reasons as in ``simulate``, checked in its order: the event cap,
+    then a bag with no transition, then the horizon.
 
     All replications share one ``_Allocations`` memo.  Its caller's table
     is the bag's step table: the total rate, the running rates of the
-    next bags (each infection target u in node order, at β·|N(u) ∩ A| as
+    next bags (each healthy node u in node order, at β·|N(u) ∩ A| as
     running integer counts times β, so the infection part ends at exactly
     β·cut(A); then each cure, from the curing table) and the next bags,
     with the last one repeated for a uniform that rounds past the end.
@@ -641,25 +698,25 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
     the policy stream gets a fresh step table at every visit.
     """
     g = config.graph
-    n = g.node_count
     beta = float(config.infection_rate)
-    neighbors = [sum(1 << u for u in adj) for adj in g.adjacency]
+    neighbors = g.neighbor_masks
     horizon = inf if config.horizon is None else config.horizon
     allocations = _Allocations(g, policy, config.budget)
     memo_get = allocations.memo.get
+    seq = np.random.SeedSequence(config.seed)
+    events, draws = _CounterRange(seq, 0), _CounterRange(seq, 1)
 
     def step_table(mask: int, watch: _StreamWatch) -> tuple | None:
         """The step table of ``mask``, None when no transition leaves it."""
         entry, (rho, cured, sums) = allocations.entry(mask, watch)
         cum, nexts = [], []
         count = 0
-        for u in range(n):
-            if not (mask >> u) & 1:
-                c = (neighbors[u] & mask).bit_count()
-                if c:
-                    count += c
-                    cum.append(beta * count)
-                    nexts.append(mask | (1 << u))
+        for u in members(g.full_mask & ~mask):
+            c = (neighbors[u] & mask).bit_count()
+            if c:
+                count += c
+                cum.append(beta * count)
+                nexts.append(mask | (1 << u))
         infection = last = beta * count
         for v, s in zip(cured, sums):
             if infection + s > last:
@@ -678,8 +735,8 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
         mask = config.initial_infected.mask
         if not mask:
             return 0.0, None
-        ev_rng = _stream(config.seed, replication, 0)
-        watch = _StreamWatch(config.seed, replication)
+        ev_rng = events.at(replication)
+        watch = _StreamWatch(partial(draws.at, replication))
         t = 0.0
         remaining = config.max_events
         size = _BLOCK_FIRST
@@ -720,7 +777,7 @@ def _trajectory(log: EventLog, g: Graph) -> tuple[list[float], list[int]]:
     """
     g.check_bag(log.initial_infected)
     n = g.node_count
-    neighbors = [sum(1 << u for u in adj) for adj in g.adjacency]
+    neighbors = g.neighbor_masks
     mask = log.initial_infected.mask
     times = [0.0]
     masks = [mask]

@@ -134,7 +134,8 @@ class Graph:
     stated in terms of the declared bound.
     """
 
-    __slots__ = ("node_count", "edges", "adjacency", "degree_bound", "full_mask")
+    __slots__ = ("node_count", "edges", "adjacency", "degree_bound", "full_mask",
+                 "_neighbor_masks")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]],
                  degree_bound: int | None = None):
@@ -176,6 +177,19 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
+
+    @property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Each node's neighbors as a bag bitmask, built on first use: the
+        masks of a long sparse graph hold about n^2 / 16 bytes (61 MB for
+        a 30,000-node cycle), which a graph that never needs them should
+        not pay."""
+        try:
+            return self._neighbor_masks
+        except AttributeError:
+            masks = tuple(sum(1 << u for u in adj) for adj in self.adjacency)
+            object.__setattr__(self, "_neighbor_masks", masks)
+            return masks
 
     def all_nodes(self) -> Bag:
         return Bag.from_mask(self.full_mask)

@@ -176,14 +176,15 @@ def _ascending_decimal(count: int) -> np.ndarray:
     return text
 
 
-def _value_iteration(g: Graph, start: np.ndarray) -> ResistanceTable:
+def _value_iteration(g: Graph, start: np.ndarray,
+                     cut_t: np.ndarray) -> ResistanceTable:
     """Apply the fixed-point operator from ``start`` until nothing changes.
 
     ``start`` must bound gamma from above with ``start[0] == 0``; it is not
-    modified, and the returned table never shares its array.
+    modified, and the returned table never shares its array.  ``cut_t`` is
+    ``cut_table(g)``.
     """
     n = g.node_count
-    cut_t = cut_table(g)
     gamma = start
     rounds = 0
     while True:
@@ -194,11 +195,19 @@ def _value_iteration(g: Graph, start: np.ndarray) -> ResistanceTable:
         gamma = new
 
 
+def _tables(g: Graph) -> tuple[ResistanceTable, ResistanceTable]:
+    """The monotone table and the resistance table that value iteration
+    reaches from it, both from one cut table."""
+    _require_cap(g.node_count, LATTICE_CAP, "resistance_table")
+    cut_t = cut_table(g)
+    mono = _monotone_table(g, cut_t)
+    return mono, _value_iteration(g, mono.values, cut_t)
+
+
 def resistance_table(g: Graph) -> ResistanceTable:
     """gamma(A) for all 2^n bags by value iteration from the monotone
     table (n <= 20)."""
-    _require_cap(g.node_count, LATTICE_CAP, "resistance_table")
-    return _value_iteration(g, monotone_resistance_table(g).values)
+    return _tables(g)[1]
 
 
 # Nodes below BLOCK_NODES index the columns of the monotone DP's blocks
@@ -264,11 +273,17 @@ def monotone_resistance_table(g: Graph) -> ResistanceTable:
     n = 20; besides the table and its cut table, the only index lists are
     the popcount layers of the 2^(n-w) rows and of the 2^w columns.
     """
+    _require_cap(g.node_count, LATTICE_CAP, "monotone_resistance_table")
+    return _monotone_table(g, cut_table(g))
+
+
+def _monotone_table(g: Graph, cut_t: np.ndarray) -> ResistanceTable:
+    """``monotone_resistance_table`` on ``cut_t`` = ``cut_table(g)``, which
+    is not modified."""
     n = g.node_count
-    _require_cap(n, LATTICE_CAP, "monotone_resistance_table")
     w = min(BLOCK_NODES, n)
     shape = (1 << (n - w), 1 << w)
-    cut_t = cut_table(g).astype(np.uint8).reshape(shape)
+    cut_t = cut_t.astype(np.uint8).reshape(shape)
     mg = np.empty(shape, dtype=np.uint8)
     h = np.empty_like(mg)
     columns = _popcount_steps(w)
@@ -298,13 +313,12 @@ def cutwidth(g: Graph) -> int:
     removal-only DP, which computes the same number by a theorem of the
     underlying theory.
 
-    The monotone table is built once: value iteration starts from it, and
-    the two full-set entries are compared, so a returned width is also the
-    monotone DP's.
+    The cut table and the monotone table are built once: value iteration
+    starts from the monotone table, and the two full-set entries are
+    compared, so a returned width is also the monotone DP's.
     """
-    _require_cap(g.node_count, LATTICE_CAP, "resistance_table")
-    mono = monotone_resistance_table(g)
-    w = _value_iteration(g, mono.values).cutwidth
+    mono, table = _tables(g)
+    w = table.cutwidth
     if w != mono.cutwidth:
         raise ErlError(
             f"cutwidth mismatch: nonmonotone {w} vs monotone {mono.cutwidth} "

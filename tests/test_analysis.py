@@ -1,7 +1,12 @@
+import concurrent.futures
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -897,10 +902,42 @@ class TestSweep:
                             recs[1].mean_tau / recs[0].mean_tau)
 
     def test_threads_do_not_change_results(self):
-        serial = extinction_sweep(self.BASE, threads=1)
-        parallel = extinction_sweep(self.BASE, threads=2)
-        assert [(r.mean_tau, r.stderr, r.censored) for r in serial] == \
-            [(r.mean_tau, r.stderr, r.censored) for r in parallel]
+        # random_node also draws from each replication's policy range
+        for policy in ("max_cut_drop", "random_node"):
+            spec = dict(self.BASE, sizes=[4, 6, 8, 5], replications=25,
+                        policy=policy)
+            assert sweep_to_csv(extinction_sweep(spec, threads=1)) == \
+                sweep_to_csv(extinction_sweep(spec, threads=2))
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        opened = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
+        extinction_sweep(dict(self.BASE, sizes=[4, 6, 8], replications=6),
+                         threads=2)
+        assert opened == [2]
+        # one replication a point, and no point that runs: no pool
+        extinction_sweep(dict(self.BASE, replications=1), threads=2)
+        extinction_sweep(dict(self.BASE, sizes=[25], replications=4,
+                              policy="resistance_greedy"), threads=2)
+        assert opened == [2]
+
+    def test_import_loads_no_sweep_only_module(self):
+        code = ("import sys, erl; print(sorted(m for m in sys.modules if "
+                "m.split('.')[0] == 'jsonschema' "
+                "or m == 'concurrent.futures.process'))")
+        src = str(Path(erl.analysis.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_budget_per_node(self):
         spec = dict(self.BASE, budget={"per_node": 0.5}, sizes=[4])

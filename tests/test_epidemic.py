@@ -368,8 +368,19 @@ class TestStreams:
         simulate(cfg, builtin_policy(kind), replication=3)
         assert made == [0] + [1] * built
         made.clear()
+        # the engine seeds no stream per replication: it moves its events
+        # range to each replication, and its policy range only when touched
+        moved = []
+        real_at = epidemic._CounterRange.at
+
+        def counting_at(self, replication):
+            moved.append(self._word3)
+            return real_at(self, replication)
+
+        monkeypatch.setattr(epidemic._CounterRange, "at", counting_at)
         epidemic._extinction_times(cfg, builtin_policy(kind), range(4))
-        assert made == [0, *[1] * built] * 4
+        assert made == []
+        assert moved == [0, *[1] * built] * 4
 
 
 def extinction_times(cfg, policy, replications=range(1)):
@@ -406,6 +417,45 @@ class TestSweepEngine:
                  + extinction_times(cfg, builtin_policy(kind), range(5, 12)))
         assert parts == whole
         assert len({tau for tau, _ in whole}) == 12
+
+    @pytest.mark.parametrize("kind", ["max_cut_drop", "random_node"])
+    def test_replication_does_not_depend_on_its_company(self, kind):
+        g = generate("cycle", (6,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(4), seed=5)
+        whole = extinction_times(cfg, builtin_policy(kind), range(12))
+        for j in range(12):
+            assert extinction_times(cfg, builtin_policy(kind), [j]) == \
+                [whole[j]]
+        # each replication after ones of other lengths, longest or shortest
+        # first, and in a chunk of its own
+        for order in (sorted(range(12), key=lambda j: whole[j][0]),
+                      sorted(range(12), key=lambda j: -whole[j][0]),
+                      [7, 2, 11, 0]):
+            assert extinction_times(cfg, builtin_policy(kind), order) == \
+                [whole[j] for j in order]
+
+    def test_no_seed_sequence_or_philox_per_replication(self, monkeypatch):
+        built = []
+
+        def counted(name):
+            real = getattr(np.random, name)
+
+            def make(*args, **kwargs):
+                built.append(name)
+                return real(*args, **kwargs)
+            return make
+
+        g = generate("cycle", (6,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(4), seed=5)
+        # random_node draws from the policy stream in every replication
+        pol = CountingPolicy(builtin_policy("random_node"))
+        for name in ("SeedSequence", "Philox"):
+            monkeypatch.setattr(np.random, name, counted(name))
+        times = extinction_times(cfg, pol, range(50))
+        assert len(times) == 50 and len(pol.bags) > 50
+        assert sorted(built) == ["Philox", "Philox", "SeedSequence"]
 
     def test_empty_start_is_extinct_at_zero(self):
         g = generate("line", (3,))

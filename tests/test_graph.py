@@ -1,4 +1,5 @@
 import inspect
+import pickle
 import json
 from pathlib import Path
 
@@ -165,6 +166,16 @@ class TestGraphConstruction:
         g = generate("line", (3,))
         with pytest.raises(AttributeError):
             g.node_count = 7
+
+    def test_neighbor_masks_built_on_first_use(self, zoo_graph):
+        g = pickle.loads(pickle.dumps(zoo_graph))
+        with pytest.raises(AttributeError):
+            g._neighbor_masks
+        want = tuple(Bag(g.neighbors(v)).mask for v in range(g.node_count))
+        assert g.neighbor_masks == want
+        assert g.neighbor_masks is g.neighbor_masks
+        with pytest.raises(AttributeError):
+            g.neighbor_masks = want
 
 
 class TestCut:

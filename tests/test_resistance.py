@@ -139,9 +139,24 @@ class TestTableShape:
         # is already the fixed point
         mono = monotone_resistance_table(zoo_graph)
         before = mono.values.copy()
-        table = erl.resistance._value_iteration(zoo_graph, mono.values)
+        table = erl.resistance._value_iteration(zoo_graph, mono.values,
+                                                cut_table(zoo_graph))
         assert not np.shares_memory(table.values, mono.values)
         assert np.array_equal(mono.values, before)
+
+    def test_one_cut_table_per_call(self, monkeypatch):
+        g = generate("random_regular", (12, 3), seed=1)
+        values, width = resistance_table(g).values, cutwidth(g)
+        built = []
+
+        def counting(graph):
+            built.append(graph)
+            return cut_table(graph)
+
+        monkeypatch.setattr(erl.resistance, "cut_table", counting)
+        assert np.array_equal(resistance_table(g).values, values)
+        assert cutwidth(g) == width
+        assert built == [g, g]
 
     def test_capacity_errors(self):
         with pytest.raises(CapacityError):
