@@ -136,6 +136,9 @@ def cmd_simulate(args, argv) -> int:
     if args.replications < 0:
         raise ErlError("--replications must be nonnegative, "
                        f"got {args.replications}")
+    if args.events_csv and args.replications != 1:
+        raise ErlError("--events-csv needs --replications 1, "
+                       f"got {args.replications}")
     g = _load_graph(args)
     initial = _parse_bag(args.initial, g)
     budget = _parse_budget(args.budget)
@@ -300,8 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="extinction-time sweep from a spec file")
     p.add_argument("--spec", required=True, help="sweep spec JSON")
     p.add_argument("--out", help="records CSV path")
+    # a string default is converted by ``type`` only when ``sweep`` parses,
+    # so a malformed ERL_THREADS is a usage error of ``sweep`` alone
     p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("ERL_THREADS", "1")))
+                   default=os.environ.get("ERL_THREADS", "1"))
     p.set_defaults(func=cmd_sweep)
     return parser
 

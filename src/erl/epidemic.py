@@ -10,8 +10,11 @@ sweep point, for sweeps), unless the call that produced it drew from the
 policy stream, in which case the policy is queried again at each visit.
 Each healthy node's infection hazard is the infection rate times its
 infected-neighbor count, so the total infection hazard equals the infection
-rate times the cut of the infected set, which is maintained incrementally
-and (in debug runs) re-derived from scratch at every event.
+rate times the cut of the infected set.  Every neighbour count in the
+package is a popcount of ``Graph.neighbor_masks`` against the infected
+mask; ``simulate`` keeps only that mask and its cut, updates the cut by one
+``toggle_delta`` per event and (in debug runs) re-derives it from scratch
+at every event.
 
 ``simulate`` writes event logs and is the reference.  Sweeps run the
 τ-only engine ``_extinction_times``, which follows the same law with
@@ -34,13 +37,13 @@ from functools import partial
 from itertools import accumulate
 from math import inf, lcm
 from numbers import Rational
-from operator import index, itemgetter, mul
+from operator import index, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ErlError, PolicyViolationError, ReplayError
-from .graph import GENERATE_CAP, Bag, Graph, cut, members
+from .graph import GENERATE_CAP, Bag, Graph, cut, members, toggle_delta
 
 INFECTION = "INFECTION"
 RECOVERY = "RECOVERY"
@@ -533,7 +536,7 @@ class _Allocations:
 
     ``memo`` maps a bag's mask to [its curing table, or None when the
     policy call that produced the table drew from the policy stream; the
-    caller's own table for the bag, or None].  A bag's allocation is
+    sweep engine's step table for the bag, or None].  A bag's allocation is
     computed and validated at its first visit and reused at every later
     visit by every run that shares the memo; one whose call drew is
     queried again, and validated again, at each visit.  The memo is
@@ -573,27 +576,22 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
 
     Identical (config, policy, replication) produce a bit-identical event
     log.  Allocations follow ``_Allocations``' rule with a memo of the
-    run's own; next to each bag's curing table the memo keeps, from the
-    first infection there on, the table of infection targets.  ``debug``
-    re-derives the cached infection hazard from scratch at every event and
-    asserts agreement (exact integer comparison).
+    run's own.  The state is the infected mask and its cut: an infection
+    takes the healthy end of the k-th cut edge, k uniform below the cut,
+    by scanning the healthy nodes in node order and counting their
+    infected neighbours from ``Graph.neighbor_masks``, and every event
+    updates the cut by one ``toggle_delta``.  ``debug`` re-derives the cut
+    from scratch at every event and asserts agreement (exact integer
+    comparison).
     """
     g = config.graph
-    adjacency = g.adjacency
-    degree = [g.degree(v) for v in range(g.node_count)]
+    neighbors = g.neighbor_masks
     ev_rng = _stream(config.seed, replication, 0)
     watch = _StreamWatch(partial(_stream, config.seed, replication, 1))
     beta = float(config.infection_rate)
 
     mask = config.initial_infected.mask
-    healthy = [0 if (mask >> v) & 1 else 1 for v in range(g.node_count)]
-    inf_nbrs = [0] * g.node_count
-    for v in config.initial_infected:
-        for u in adjacency[v]:
-            inf_nbrs[u] += 1
     cut_now = cut(g, config.initial_infected)
-    # the caller's table of an entry: running sums over nodes of healthy x
-    # infected-neighbor count
     allocations = _Allocations(g, policy, config.budget)
     memo_get = allocations.memo.get
 
@@ -611,7 +609,7 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
             break
         entry = memo_get(mask)
         if entry is None or (curing := entry[0]) is None:
-            entry, curing = allocations.entry(mask, watch)
+            curing = allocations.entry(mask, watch)[1]
         rho, cured, cured_sums = curing
         infection_hazard = beta * cut_now
         total = infection_hazard + rho
@@ -624,28 +622,27 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
             break
         t += dt
         if ev_rng.random() * total < infection_hazard:
+            # the healthy end of the k-th cut edge, in node order
             k = int(ev_rng.integers(cut_now))
-            if entry[1] is None:
-                entry[1] = list(accumulate(map(mul, healthy, inf_nbrs)))
-            node = bisect_right(entry[1], k)
-            if node == len(healthy):
+            rest = g.full_mask & ~mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                node = low.bit_length() - 1
+                k -= (neighbors[node] & mask).bit_count()
+                if k < 0:
+                    break
+            else:
                 raise ErlError("hazard bookkeeping drifted: cached cut "
                                f"{cut_now} exceeds boundary weight")
-            mask |= 1 << node
-            healthy[node] = 0
-            for w in adjacency[node]:
-                inf_nbrs[w] += 1
-            cut_now += degree[node] - 2 * inf_nbrs[node]
-            events.append(Event(t, INFECTION, node))
+            kind = INFECTION
         else:
             i = bisect_right(cured_sums, ev_rng.random() * rho)
             node = cured[i] if i < len(cured) else cured[-1]
-            mask &= ~(1 << node)
-            healthy[node] = 1
-            for w in adjacency[node]:
-                inf_nbrs[w] -= 1
-            cut_now += 2 * inf_nbrs[node] - degree[node]
-            events.append(Event(t, RECOVERY, node))
+            kind = RECOVERY
+        cut_now += toggle_delta(g, mask, node)
+        mask ^= 1 << node
+        events.append(Event(t, kind, node))
         if debug:
             fresh = cut(g, Bag.from_mask(mask))
             if fresh != cut_now:

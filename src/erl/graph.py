@@ -123,9 +123,6 @@ class Bag:
         return self.mask & ~other.mask == 0
 
 
-EMPTY_BAG = Bag.from_mask(0)
-
-
 class Graph:
     """Immutable undirected graph on nodes 0..n-1 with a declared degree bound.
 
@@ -216,16 +213,8 @@ class Graph:
 def cut(g: Graph, a: Bag) -> int:
     """Number of edges with exactly one endpoint in ``a``."""
     g.check_bag(a)
-    mask = a.mask
-    total = 0
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        for u in g.adjacency[low.bit_length() - 1]:
-            if not (mask >> u) & 1:
-                total += 1
-    return total
+    masks, outside = g.neighbor_masks, ~a.mask
+    return sum((masks[v] & outside).bit_count() for v in members(a.mask))
 
 
 def toggle_delta(g: Graph, mask: int, v: int) -> int:
@@ -235,11 +224,7 @@ def toggle_delta(g: Graph, mask: int, v: int) -> int:
     inside counts the neighbours of ``v`` in ``mask``.  Unchecked; callers
     pass a node of ``g`` and a bag inside it.
     """
-    adj = g.adjacency[v]
-    inside = 0
-    for u in adj:
-        inside += (mask >> u) & 1
-    delta = len(adj) - 2 * inside
+    delta = len(g.adjacency[v]) - 2 * (g.neighbor_masks[v] & mask).bit_count()
     return -delta if (mask >> v) & 1 else delta
 
 
@@ -248,8 +233,8 @@ def cut_sequence(g: Graph, masks: Iterable[int]) -> list[int]:
 
     Each cut is found from the one before by toggling the nodes where the
     two masks differ, one ``toggle_delta`` per node (the first from the
-    empty bag, whose cut is 0), so a unit-step sequence costs O(deg) per
-    step.  Unchecked like ``toggle_delta``: every mask must be a bag of
+    empty bag, whose cut is 0), so a unit-step sequence costs one popcount
+    per step.  Unchecked like ``toggle_delta``: every mask must be a bag of
     ``g``.
     """
     cuts = []
@@ -313,18 +298,21 @@ def cut_table(g: Graph) -> np.ndarray:
     A of nodes 0..v-1 counting only edges among those nodes, node v's edges
     to them add |N(v) ∩ A| to A and |N(v) - A| to A + v.  The counts
     |N(v) ∩ A| take one ``+= 1`` on the with-u half (``halves``) per
-    neighbour u below v; no mask array is built.
+    neighbour u below v, in a uint8 array (fewer than 256 neighbours below
+    v on any table that fits in memory); no mask array is built, and the
+    upper half is written in place.
     """
     table = np.zeros(1 << g.node_count, dtype=np.uint16)
     for v, adj in enumerate(g.adjacency):
         half = 1 << v
         lower = [u for u in adj if u < v]
-        inside = np.zeros(half, dtype=np.uint16)
+        inside = np.zeros(half, dtype=np.uint8)
         for u in lower:
             with_u = halves(inside, u)[1]
             rowwise(np.add, with_u, 1, out=with_u)
-        prefix = table[:half]
-        np.subtract(prefix + len(lower), inside, out=table[half:2 * half])
+        prefix, upper = table[:half], table[half:2 * half]
+        np.add(prefix, len(lower), out=upper)
+        upper -= inside
         prefix += inside
     return table
 

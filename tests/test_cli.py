@@ -125,6 +125,18 @@ class TestSimulateCommand:
         assert code == 0
         assert out.read_text().startswith("time,kind,node")
 
+    def test_events_csv_refused_with_replications(self, tmp_path, capsys):
+        """Only a single run has one event log: asked for one alongside
+        several replications, the command writes nothing and exits 2."""
+        out, csv = tmp_path / "res.json", tmp_path / "ev.csv"
+        code, stdout, err = run(capsys, "simulate", "--gen", "cycle:5",
+                                "--budget", "6", "--replications", "3",
+                                "--events-csv", str(csv), "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: ") and "--events-csv" in err
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_initial_forms(self, capsys):
         for spec in ("0x1", "0"):
             code, out, _ = run(capsys, "simulate", "--gen", "line:3",
@@ -246,6 +258,32 @@ class TestSweepCommand:
     def test_missing_spec_file_exit_3(self, capsys):
         code, _, _ = run(capsys, "sweep", "--spec", "/nonexistent.json")
         assert code == 3
+
+    def test_malformed_erl_threads_refused_by_sweep(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setenv("ERL_THREADS", "two")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.SPEC))
+        code, stdout, err = run(capsys, "sweep", "--spec", str(spec_path))
+        assert code == 2
+        assert "--threads" in err and "'two'" in err
+        assert stdout == ""
+
+    def test_malformed_erl_threads_ignored_elsewhere(self, capsys,
+                                                      monkeypatch):
+        monkeypatch.setenv("ERL_THREADS", "two")
+        code, stdout, _ = run(capsys, "cutwidth", "--gen", "line:4")
+        assert (code, stdout) == (0, "1\n")
+
+    def test_erl_threads_sets_default(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ERL_THREADS", "2")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.SPEC))
+        out = tmp_path / "a.csv"
+        assert run(capsys, "sweep", "--spec", str(spec_path),
+                   "--out", str(out))[0] == 0
+        manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+        assert manifest["threads"] == 2
 
 
 class TestEntryPoint:

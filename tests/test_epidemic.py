@@ -665,11 +665,16 @@ class TestSimulate:
             assert res.extinct == (res.log.final == Bag())
 
     def test_debug_bookkeeping_holds(self, zoo_graph):
+        """One ``toggle_delta`` updates the cut at infections and at the
+        recoveries each builtin chooses; debug re-derives it every event."""
         g = zoo_graph
         cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
                              budget=Fraction(2 * g.degree_bound + 2), seed=8)
-        res = simulate(cfg, builtin_policy("max_cut_drop"), debug=True)
-        assert res.extinct
+        for kind in sorted(epidemic._POLICY_KINDS):
+            pol = (builtin_policy(kind, table=resistance_table(g))
+                   if kind == "resistance_greedy" else builtin_policy(kind))
+            res = simulate(cfg, pol, debug=True)
+            assert res.extinct, kind
 
     def test_counts_match_log(self):
         g = generate("cycle", (5,))
@@ -742,6 +747,45 @@ def test_event_logs_bit_identical(spec, kind):
     pol = (builtin_policy(kind, table=resistance_table(cfg.graph))
            if kind == "resistance_greedy" else builtin_policy(kind))
     assert sha256(simulate(cfg, pol, replication=3).log) == GOLDEN_LOGS[spec, kind]
+
+
+# SHA-256 of log.to_binary() for replication 2 of the partial-start runs
+# below, recorded from the simulator that kept per-node infected-neighbour
+# counts and a cached table of infection targets per bag, before it kept
+# only the infected mask and its cut.  Healthy nodes with no infected
+# neighbour sit between the targets, and the infection rate is not 1.
+PARTIAL_GOLDEN_LOGS = {
+    ("grid:3,4", "max_cut_drop"):
+        "14e2023a662c586e31e1f6b5bd49c6d063e1b634378257c38b887064da934098",
+    ("grid:3,4", "uniform"):
+        "e504714490a78e7d90b54c0faae95abac594bbf8b99489f5d8dfa7e79571f15f",
+    ("grid:3,4", "random_node"):
+        "4d1941754765415a29057025f1962ec22b258c3ed2b83d9f1be34a57b54b3da1",
+    ("star:5", "max_cut_drop"):
+        "05ba7970ab461383678ec888ad5c5d5bf1e720a633cdf5b5290fe65cc29edfaf",
+    ("star:5", "uniform"):
+        "6493f5618ed0ba833d6d5ecfc77280bda07722373085a8441511daee0974d80d",
+    ("star:5", "random_node"):
+        "4ab066610482009a7b0087b71f145a160568e9081862d7fc4e70439e4876973d",
+}
+# graph spec -> (family, params, initial bag, budget, max_events); the grid
+# runs to the event cap, the star goes extinct after 72-424 events
+PARTIAL_GOLDEN_RUNS = {
+    "grid:3,4": ("grid", (3, 4), (0, 5), Fraction(1, 2), 3000),
+    "star:5": ("star", (5,), (1, 2), Fraction(1), 10**8),
+}
+
+
+@pytest.mark.parametrize("spec,kind", sorted(PARTIAL_GOLDEN_LOGS))
+def test_partial_start_logs_bit_identical(spec, kind):
+    family, params, initial, budget, cap = PARTIAL_GOLDEN_RUNS[spec]
+    g = generate(family, params)
+    cfg = EpidemicConfig(graph=g, initial_infected=Bag(initial),
+                         budget=budget, infection_rate=0.7, seed=4243,
+                         max_events=cap)
+    res = simulate(cfg, builtin_policy(kind), replication=2)
+    assert sha256(res.log) == PARTIAL_GOLDEN_LOGS[spec, kind]
+    assert res.extinct == (spec == "star:5")
 
 
 class TestReplay:

@@ -1,6 +1,7 @@
 import inspect
 import pickle
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,20 @@ class TestCutTable:
                 assert table.dtype == np.uint16
                 assert table.tolist() == [cut(g, Bag.from_mask(m))
                                           for m in range(1 << n)]
+
+
+    def test_peak_memory(self):
+        """Under 3 bytes per bag at n = 18 for a 2-byte-per-bag table: the
+        neighbour counts are uint8 and the upper half is written in place
+        (4 bytes per bag with uint16 counts and a temporary sum)."""
+        g = generate("random_regular", (18, 3), seed=1)
+        tracemalloc.start()
+        try:
+            cut_table(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 18
 
 
 KERNEL_DTYPES = ["uint8", "uint16", "uint32", "uint64", "int8", "int16",
