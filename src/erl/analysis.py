@@ -19,8 +19,8 @@ from operator import and_, gt, index
 
 import numpy as np
 
-from .epidemic import (RECOVERY, EpidemicConfig, EventLog, Policy,
-                       _curing_table, _extinction_times, _stream,
+from .epidemic import (_POLICY_KINDS, RECOVERY, EpidemicConfig, EventLog,
+                       Policy, _curing_table, _extinction_times, _stream,
                        _StreamWatch, _trajectory, builtin_policy, derive_seed)
 from .errors import CapacityError, ErlError, LemmaViolationError
 from .graph import (Graph, cut_sequence, cut_table, generate, halves,
@@ -614,8 +614,7 @@ SWEEP_SCHEMA = {
              "additionalProperties": False,
              "properties": {"per_node": {"type": "number", "minimum": 0}}},
         ]},
-        "policy": {"enum": ["max_cut_drop", "resistance_greedy",
-                            "degree_proportional", "uniform", "random_node"]},
+        "policy": {"enum": list(_POLICY_KINDS)},
         "replications": {"type": "integer", "minimum": 0},
         "seed": {"type": "integer"},
         "horizon": {"type": ["number", "null"]},
@@ -711,8 +710,11 @@ def extinction_sweep(spec: dict, threads: int = 1) -> list[SweepRecord]:
     > 1 one process pool serves the whole sweep, opened at the first point
     that runs: each point's replications are split into ``threads``
     contiguous chunks, one per worker, each with its own memo.  The output
-    is the same for a given spec whatever ``threads`` is.
+    is the same for a given spec whatever ``threads`` is; it must be at
+    least 1.
     """
+    if threads < 1:
+        raise ErlError(f"threads must be at least 1, got {threads}")
     validate_sweep_spec(spec)
     reps = spec["replications"]
     if reps == 0:
@@ -823,8 +825,8 @@ def exact_extinction_times(g: Graph, policy: Policy, budget,
     the allocation check with them and nothing else.
 
     Raises ErlError for a graph of more than ``CHAIN_CAP`` nodes, a policy
-    call that draws from the policy stream, and a bag from which extinction
-    cannot be reached.
+    call that touches the policy stream (reads any attribute of it, even
+    without drawing), and a bag from which extinction cannot be reached.
     """
     n = g.node_count
     if n > CHAIN_CAP:
@@ -841,9 +843,9 @@ def exact_extinction_times(g: Graph, policy: Policy, budget,
     into = [[] for _ in range(size)]    # bag -> the bags with a step to it
     watch = _StreamWatch(partial(_stream, 0, 0, 1))
     for a in range(1, size):
-        alloc, drew = watch._call(policy, g, a, budget)
-        if drew:
-            raise ErlError(f"policy {policy.name!r} drew from its stream at "
+        alloc, touched = watch._call(policy, g, a, budget)
+        if touched:
+            raise ErlError(f"policy {policy.name!r} touched its stream at "
                            f"bag {a:#x}; the exact chain needs a "
                            "deterministic policy")
         _curing_table(alloc, a, budget, policy.name)

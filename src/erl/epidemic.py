@@ -6,7 +6,7 @@ hazard (direct Gillespie method).  A policy's ``allocate`` must be a
 function of its arguments (graph, infected mask, budget, policy stream):
 each allocation is Fraction-validated when computed and then reused at every
 later visit to the same bag within the run (within all replications of a
-sweep point, for sweeps), unless the call that produced it drew from the
+sweep point, for sweeps), unless the call that produced it touched the
 policy stream, in which case the policy is queried again at each visit.
 Each healthy node's infection hazard is the infection rate times its
 infected-neighbor count, so the total infection hazard equals the infection
@@ -156,6 +156,9 @@ class EpidemicConfig:
             raise ErlError("infection rate must be positive and finite")
         if self.horizon is not None and not self.horizon > 0:
             raise ErlError("horizon must be positive")
+        if self.max_events < 1:
+            raise ErlError("max_events must be at least 1, "
+                           f"got {self.max_events}")
 
 
 @dataclass(frozen=True)
@@ -286,15 +289,16 @@ class Policy:
     Fraction) whose sum must not exceed the budget and whose support must
     lie inside the infected set.  ``rng`` is a dedicated stream owned by the
     run, separate from the event stream, so randomized policies stay
-    reproducible; at the first visit to a bag it is a stand-in that forwards
-    every attribute to that stream.
+    reproducible; it is a stand-in that forwards every attribute to that
+    stream.
 
     ``allocate`` must be a function of its arguments: ``simulate`` computes
     an allocation once per bag and reuses it at every later visit to that
-    bag in the run, unless the call that produced it drew from ``rng``.
-    A sweep shares that memo across all replications of one sweep point
-    (one memo per worker process when pooled), so an allocation that did
-    not draw is reused by every later replication too.
+    bag in the run, unless the call that produced it touched ``rng`` (read
+    any attribute of it, whether or not that drew).  A sweep shares that
+    memo across all replications of one sweep point (one memo per worker
+    process when pooled), so an allocation that did not touch ``rng`` is
+    reused by every later replication too.
     """
 
     name = "abstract"
@@ -470,78 +474,46 @@ def _curing_table(alloc: dict[int, Fraction], infected: int,
     return num / den, nodes, list(accumulate(floats))
 
 
-def _stream_position(bits: np.random.Philox) -> tuple:
-    """Where a Philox stream stands: its block counter, the next word of its
-    output buffer and whether half a word is held back.  Every draw moves
-    at least one of them."""
-    state = bits.state
-    return (state["state"]["counter"].tobytes(), state["buffer_pos"],
-            state["has_uint32"])
-
-
 class _StreamWatch:
     """The policy stream of one run, made by ``make()`` when a policy first
     touches it.
 
-    During a first policy call at a bag it stands in for the stream and
-    forwards every attribute to it, noting whether the call moved it.  The
-    position the stream stood at after the last call is kept when it was
-    read, so a call that follows a touching call costs one read, and a call
-    that never touches the stream costs none.
+    It stands in for the stream at every policy call and forwards every
+    attribute to it, noting whether the call touched it, that is, read any
+    of its attributes, whether or not that drew.
     """
 
-    __slots__ = ("_make", "_rng", "_position", "_touched")
+    __slots__ = ("_make", "_rng", "_touched")
 
     def __init__(self, make: Callable[[], np.random.Generator]):
         self._make = make
         self._rng = None
-        self._position = None
         self._touched = False
 
-    def _generator(self) -> np.random.Generator:
+    def __getattr__(self, name):
         if self._rng is None:
             self._rng = self._make()
-        return self._rng
-
-    def __getattr__(self, name):
-        rng = self._generator()
-        if not self._touched:
-            self._touched = True
-            if self._position is None:
-                self._position = _stream_position(rng.bit_generator)
-        return getattr(rng, name)
+        self._touched = True
+        return getattr(self._rng, name)
 
     def _call(self, policy: Policy, graph: Graph, mask: int,
               budget: Fraction) -> tuple[dict, bool]:
         """The policy's allocation at ``mask`` with this watch standing in
-        for the stream, and whether the call drew from it."""
+        for the stream, and whether the call touched it."""
         self._touched = False
-        alloc = policy.allocate(graph, mask, budget, self)
-        if not self._touched:
-            return alloc, False
-        start = self._position
-        self._position = _stream_position(self._rng.bit_generator)
-        return alloc, self._position != start
-
-    def _requery(self, policy: Policy, graph: Graph, mask: int,
-                 budget: Fraction) -> dict:
-        """The policy's allocation at a bag whose first call drew: the
-        stream itself is passed, and the position it leaves is not read."""
-        self._position = None
-        return policy.allocate(graph, mask, budget, self._generator())
+        return policy.allocate(graph, mask, budget, self), self._touched
 
 
 class _Allocations:
     """The allocation rule of ``simulate`` and of the sweep engine.
 
-    ``memo`` maps a bag's mask to [its curing table, or None when the
-    policy call that produced the table drew from the policy stream; the
-    sweep engine's step table for the bag, or None].  A bag's allocation is
-    computed and validated at its first visit and reused at every later
-    visit by every run that shares the memo; one whose call drew is
-    queried again, and validated again, at each visit.  The memo is
-    emptied when it holds ``_MEMO_CELLS`` // n entries, which changes no
-    output.
+    ``memo`` maps a bag's mask to [its curing table, the sweep engine's
+    step table for the bag or None].  A bag's allocation is computed and
+    validated at a visit and, unless the policy call touched the policy
+    stream, kept and reused at every later visit by every run that shares
+    the memo; one whose call touched the stream is queried, and validated,
+    again at the next visit.  The memo is emptied when an entry is to be
+    kept while it holds ``_MEMO_CELLS`` // n, which changes no output.
     """
 
     __slots__ = ("graph", "policy", "budget", "memo", "limit")
@@ -553,21 +525,21 @@ class _Allocations:
         self.memo: dict[int, list] = {}
         self.limit = max(1, _MEMO_CELLS // max(1, graph.node_count))
 
-    def entry(self, mask: int, watch: _StreamWatch) -> tuple[list, tuple]:
-        """The memo entry of ``mask`` and the bag's curing table."""
+    def entry(self, mask: int, watch: _StreamWatch) -> list:
+        """The memo entry of ``mask``, made from a policy call when the memo
+        has none and kept in it when the call did not touch the stream."""
         entry = self.memo.get(mask)
-        if entry is not None and entry[0] is not None:
-            return entry, entry[0]
-        g, policy, budget = self.graph, self.policy, self.budget
         if entry is not None:
-            alloc = watch._requery(policy, g, mask, budget)
-            return entry, _curing_table(alloc, mask, budget, policy.name)
-        if len(self.memo) >= self.limit:
-            self.memo.clear()
-        alloc, drew = watch._call(policy, g, mask, budget)
-        curing = _curing_table(alloc, mask, budget, policy.name)
-        entry = self.memo[mask] = [None if drew else curing, None]
-        return entry, curing
+            return entry
+        alloc, touched = watch._call(self.policy, self.graph, mask,
+                                     self.budget)
+        entry = [_curing_table(alloc, mask, self.budget, self.policy.name),
+                 None]
+        if not touched:
+            if len(self.memo) >= self.limit:
+                self.memo.clear()
+            self.memo[mask] = entry
+        return entry
 
 
 def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
@@ -608,9 +580,9 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
             censored = MAX_EVENTS
             break
         entry = memo_get(mask)
-        if entry is None or (curing := entry[0]) is None:
-            curing = allocations.entry(mask, watch)[1]
-        rho, cured, cured_sums = curing
+        if entry is None:
+            entry = allocations.entry(mask, watch)
+        rho, cured, cured_sums = entry[0]
         infection_hazard = beta * cut_now
         total = infection_hazard + rho
         if total == 0.0:
@@ -676,7 +648,7 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
     The law is ``simulate``'s but the draws are not.  One Philox key is
     derived from ``config.seed`` per call, by one seed sequence;
     replication j draws its events from the counter range that starts at
-    (0, 0, j, 0) and a drawing policy's stream from the one at
+    (0, 0, j, 0) and a policy's stream, when touched, from the one at
     (0, 0, j, 1) (``_CounterRange``).  Each event takes one uniform and
     one standard exponential, drawn in blocks.  So replication j's τ
     depends on (config, policy, j) only, not on the other replications,
@@ -691,7 +663,7 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
     running integer counts times β, so the infection part ends at exactly
     β·cut(A); then each cure, from the curing table) and the next bags,
     with the last one repeated for a uniform that rounds past the end.
-    Transitions of rate 0 are left out.  A bag whose allocation drew from
+    Transitions of rate 0 are left out.  A bag whose policy call touched
     the policy stream gets a fresh step table at every visit.
     """
     g = config.graph
@@ -705,7 +677,8 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
 
     def step_table(mask: int, watch: _StreamWatch) -> tuple | None:
         """The step table of ``mask``, None when no transition leaves it."""
-        entry, (rho, cured, sums) = allocations.entry(mask, watch)
+        entry = allocations.entry(mask, watch)
+        rho, cured, sums = entry[0]
         cum, nexts = [], []
         count = 0
         for u in members(g.full_mask & ~mask):
@@ -723,10 +696,8 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
         if not cum:
             return None
         nexts.append(nexts[-1])
-        table = (infection + rho, cum, nexts)
-        if entry[0] is not None:
-            entry[1] = table
-        return table
+        entry[1] = (infection + rho, cum, nexts)
+        return entry[1]
 
     def run(replication: int) -> tuple[float | None, str | None]:
         mask = config.initial_infected.mask

@@ -817,7 +817,9 @@ class TestExactChain:
             exact_extinction_times(Graph(13, []), builtin_policy("uniform"), 1)
 
     def test_drawing_policy_refused(self):
-        with pytest.raises(ErlError, match="drew"):
+        # the first bag, 0x1, only touches the stream: integers(1) draws
+        # nothing there
+        with pytest.raises(ErlError, match="touched its stream at bag 0x1;"):
             exact_extinction_times(generate("line", (3,)),
                                    builtin_policy("random_node"), 1)
 
@@ -900,6 +902,20 @@ class TestSweep:
         assert recs[0].growth_ratio is None
         assert math.isclose(recs[1].growth_ratio,
                             recs[1].mean_tau / recs[0].mean_tau)
+
+    def test_unknown_policy_named(self):
+        with pytest.raises(ErlError, match="invalid at policy: 'bogus'"):
+            extinction_sweep(dict(self.BASE, policy="bogus"))
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_refused_before_any_point(self, threads,
+                                                        monkeypatch):
+        ran = []
+        monkeypatch.setattr(erl.analysis, "_sweep_graph",
+                            lambda *args: ran.append(args))
+        with pytest.raises(ErlError, match="threads must be at least 1"):
+            extinction_sweep(self.BASE, threads=threads)
+        assert ran == []
 
     def test_threads_do_not_change_results(self):
         # random_node also draws from each replication's policy range

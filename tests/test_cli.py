@@ -137,6 +137,20 @@ class TestSimulateCommand:
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("replications", ["1", "4"])
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_event_cap_below_one_refused(self, tmp_path, capsys, cap,
+                                         replications):
+        out = tmp_path / "res.json"
+        code, stdout, err = run(capsys, "simulate", "--gen", "line:3",
+                                "--budget", "1", "--max-events", cap,
+                                "--replications", replications,
+                                "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: ") and "max_events" in err
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_initial_forms(self, capsys):
         for spec in ("0x1", "0"):
             code, out, _ = run(capsys, "simulate", "--gen", "line:3",
@@ -268,6 +282,22 @@ class TestSweepCommand:
         assert code == 2
         assert "--threads" in err and "'two'" in err
         assert stdout == ""
+
+    @pytest.mark.parametrize("argv,env", [(["--threads", "-4"], None),
+                                          ([], "0")])
+    def test_threads_below_one_refused(self, tmp_path, capsys, monkeypatch,
+                                       argv, env):
+        if env is not None:
+            monkeypatch.setenv("ERL_THREADS", env)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.SPEC))
+        out = tmp_path / "a.csv"
+        code, stdout, err = run(capsys, "sweep", "--spec", str(spec_path),
+                                "--out", str(out), *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "threads" in err
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
     def test_malformed_erl_threads_ignored_elsewhere(self, capsys,
                                                       monkeypatch):

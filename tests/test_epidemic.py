@@ -304,13 +304,26 @@ class TestAllocationMemo:
         assert len(before) > 4 * len(set(before))
         assert sorted(calls) == sorted(set(before))
 
-    def test_random_node_called_whenever_it_draws(self):
+    def test_random_node_called_whenever_it_touches(self):
         calls, before = self.run("random_node")
         singles = {m for m in before if m.bit_count() == 1}
-        # one-node bags are revisited, and integers(1) draws nothing there
+        # one-node bags are revisited; integers(1) draws nothing there, but
+        # it touches the stream, so the policy is called again
         assert sum(m.bit_count() == 1 for m in before) > len(singles)
-        drawing = [m for m in before if m.bit_count() >= 2]
-        assert sorted(calls) == sorted(drawing + list(singles))
+        assert sorted(calls) == sorted(before)
+
+    @pytest.mark.parametrize("touch", ["integers", "bit_generator"])
+    def test_touching_without_drawing_called_at_every_visit(self, touch):
+        g = generate("complete", (6,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(2), seed=17)
+        pol = TouchesOnly(touch)
+        res = simulate(cfg, pol, replication=1)
+        want = simulate(cfg, builtin_policy("max_cut_drop"), replication=1)
+        assert res.log.to_binary() == want.log.to_binary()
+        before = [bag.mask for _, bag in replay(res.log, g)][:-1]
+        assert len(before) > 4 * len(set(before))
+        assert sorted(pol.bags) == sorted(before)
 
     def test_full_memo_is_emptied_without_changing_the_log(self, monkeypatch):
         cfg = golden_config("complete:6")
@@ -400,6 +413,27 @@ class AlwaysDraws(Policy):
         self.bags.append(infected)
         rng.random()
         return {(infected & -infected).bit_length() - 1: budget}
+
+
+class TouchesOnly(Policy):
+    """Allocates as max_cut_drop after touching the policy stream without
+    drawing from it: ``integers(1)`` is always 0 and takes no draw, and
+    reading ``bit_generator`` moves nothing."""
+
+    name = "touches_only"
+
+    def __init__(self, touch):
+        self.touch = touch
+        self.bags = []
+
+    def allocate(self, graph, infected, budget, rng):
+        self.bags.append(infected)
+        if self.touch == "integers":
+            assert rng.integers(1) == 0
+        else:
+            rng.bit_generator
+        return builtin_policy("max_cut_drop").allocate(graph, infected,
+                                                       budget, rng)
 
 
 class TestSweepEngine:
@@ -516,19 +550,32 @@ class TestSweepEngine:
         extinction_times(cfg, pol, range(20))
         assert sorted(pol.bags) == list(range(1, 8))
 
-    def test_drawing_policy_requeried_at_every_visit(self):
+    def test_touching_policy_requeried_at_every_visit(self):
         # every run visits one bag of each size 3, 2 and 1
         cfg = EpidemicConfig(graph=isolated(3), initial_infected=Bag(range(3)),
                              budget=1, seed=6)
         pol = AlwaysDraws()
         extinction_times(cfg, pol, range(20))
         assert len(pol.bags) == 3 * 20
+        # integers(1) draws nothing at one-node bags, but it touches the
+        # stream, so they are not memoized either
         pol = CountingPolicy(builtin_policy("random_node"))
         extinction_times(cfg, pol, range(20))
-        # integers(1) draws nothing, so one-node bags are memoized once
-        singles = [m for m in pol.bags if m.bit_count() == 1]
-        assert len(pol.bags) - len(singles) == 2 * 20
-        assert len(singles) == len(set(singles)) <= 3
+        assert len(pol.bags) == 3 * 20
+
+    @pytest.mark.parametrize("touch", ["integers", "bit_generator"])
+    def test_touching_without_drawing_same_times(self, touch):
+        cfg = EpidemicConfig(graph=isolated(3), initial_infected=Bag(range(3)),
+                             budget=1, seed=6)
+        pol = TouchesOnly(touch)
+        assert extinction_times(cfg, pol, range(20)) == \
+            extinction_times(cfg, builtin_policy("max_cut_drop"), range(20))
+        assert len(pol.bags) == 3 * 20
+        g = generate("cycle", (6,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(4), seed=5)
+        assert extinction_times(cfg, TouchesOnly(touch), range(12)) == \
+            extinction_times(cfg, builtin_policy("max_cut_drop"), range(12))
 
     @pytest.mark.parametrize("kind", ["uniform", "random_node"])
     def test_full_memo_is_emptied_without_changing_times(self, kind,
@@ -582,6 +629,12 @@ class TestConfigValidation:
         cfg = EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
                              budget=1, horizon=math.inf)
         assert cfg.horizon == math.inf
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_event_cap_below_one(self, cap):
+        with pytest.raises(ErlError, match="max_events must be at least 1"):
+            EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
+                           budget=1, max_events=cap)
 
     def test_budget_parsed_exactly_from_string(self):
         cfg = EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
