@@ -10,8 +10,9 @@ tolerances.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, repeat
@@ -19,7 +20,7 @@ from operator import and_, gt, index
 
 import numpy as np
 
-from .epidemic import (_POLICY_KINDS, RECOVERY, EpidemicConfig, EventLog,
+from .epidemic import (_POLICY_KINDS, EpidemicConfig, EventLog,
                        Policy, _curing_table, _extinction_times, _stream,
                        _StreamWatch, _trajectory, builtin_policy, derive_seed)
 from .errors import CapacityError, ErlError, LemmaViolationError
@@ -392,7 +393,7 @@ class RecoveryBoundReport:
     crossing_gamma_before: int | None
 
     def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 def audit_recovery_bound(g: Graph, table, log: EventLog,
@@ -487,10 +488,7 @@ class IntervalWitness:
     partial_audit: RecoveryBoundReport | None = None
 
     def to_json_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "partial_audit"}
-        d["partial_audit"] = (self.partial_audit.to_json_dict()
-                              if self.partial_audit else None)
-        return d
+        return asdict(self)
 
 
 def scan_halving_window(g: Graph, table, log: EventLog) -> IntervalWitness:
@@ -509,7 +507,14 @@ def scan_halving_window(g: Graph, table, log: EventLog) -> IntervalWitness:
     checked and replayed once, as masks.
     """
     table.require_graph(g)
-    times, state_masks = _trajectory(log, g)
+    times, masks = _trajectory(log, g)
+    return _halving_scan(g, table, times, masks)
+
+
+def _halving_scan(g: Graph, table, times: list[float],
+                  state_masks: list[int]) -> IntervalWitness:
+    """:func:`scan_halving_window` on a trajectory already checked by
+    ``_trajectory``; event e is a recovery exactly when it lowers the mask."""
     if state_masks[-1] != 0:
         raise ErlError("scan_halving_window needs a log that ends in extinction")
     gamma0 = table.gamma(state_masks[0])
@@ -518,12 +523,10 @@ def scan_halving_window(g: Graph, table, log: EventLog) -> IntervalWitness:
     cut_thr = -(-gamma0 // 4)
     half = gamma0 // 2
 
-    t_idx = None
-    for j, m in enumerate(state_masks):
+    for t_idx, m in enumerate(state_masks):
         if table.gamma(m) <= half:
-            t_idx = j
             break
-    if t_idx is None:
+    else:
         raise LemmaViolationError("resistance never halved on an extinct path",
                                   witness={"gamma_initial": gamma0})
     T = times[t_idx]
@@ -567,22 +570,21 @@ def scan_halving_window(g: Graph, table, log: EventLog) -> IntervalWitness:
         first_event = jlast + 1
 
     rec_events = [e for e in range(first_event, t_idx)
-                  if log.events[e].kind == RECOVERY]
+                  if state_masks[e + 1] < state_masks[e]]
     if len(rec_events) < b:
         raise LemmaViolationError(
             f"only {len(rec_events)} recoveries before the halving, "
             f"needed {b}", witness={"case": case})
     e_b = rec_events[b - 1]
     t_double = times[e_b + 1]
-    window_states = range(first_event, e_b + 2)
-    min_cut = min(cuts[j] for j in window_states)
+    min_cut = min(cuts[first_event:e_b + 2])
     if min_cut < cut_thr:
         raise LemmaViolationError(
             f"cut fell to {min_cut} inside the witness window "
             f"(threshold {cut_thr})", witness={"case": case})
-    window_events = range(first_event, e_b + 1)
-    recoveries = sum(1 for e in window_events if log.events[e].kind == RECOVERY)
-    infections = len(window_events) - recoveries
+    window = state_masks[first_event:e_b + 2]
+    recoveries = sum(map(gt, window, window[1:]))
+    infections = len(window) - 1 - recoveries
     if recoveries != b:
         raise LemmaViolationError(
             f"window holds {recoveries} recoveries, expected exactly {b}",
@@ -708,10 +710,10 @@ def extinction_sweep(spec: dict, threads: int = 1) -> list[SweepRecord]:
     depend on which other replications run beside it.  One allocation
     memo is shared across all replications of a point.  With ``threads``
     > 1 one process pool serves the whole sweep, opened at the first point
-    that runs: each point's replications are split into ``threads``
-    contiguous chunks, one per worker, each with its own memo.  The output
-    is the same for a given spec whatever ``threads`` is; it must be at
-    least 1.
+    that runs: each point's replications are split into contiguous chunks,
+    one per worker, each with its own memo, as many as the least of
+    ``threads``, the replications and the cores.  The output is the same
+    for a given spec whatever ``threads`` is; it must be at least 1.
     """
     if threads < 1:
         raise ErlError(f"threads must be at least 1, got {threads}")
@@ -719,7 +721,7 @@ def extinction_sweep(spec: dict, threads: int = 1) -> list[SweepRecord]:
     reps = spec["replications"]
     if reps == 0:
         return []
-    parts = min(threads, reps)
+    parts = min(threads, reps, os.cpu_count() or 1)
     chunks = [range(reps * k // parts, reps * (k + 1) // parts)
               for k in range(parts)]
     pool = None

@@ -143,17 +143,21 @@ def audit_bottleneck(g: Graph, seq: Sequence[Bag],
     """
     if not seq:
         raise ErlError("empty sequence has no bottleneck sequence")
-    masks = [b.mask for b in seq]
-    if theta is None:
-        g.check_bag(seq[0])     # every computed bag lies inside it
+    if theta is not None and len(theta) != len(seq):
+        return BottleneckAudit(False, 0, 0,
+                               "length mismatch with source sequence")
+    # without theta, every computed bag lies inside the first source bag
+    for b in seq[:1] if theta is None else theta:
+        g.check_bag(b)
+    return _bottleneck_audit(g, [b.mask for b in seq],
+                             theta and [b.mask for b in theta])
+
+
+def _bottleneck_audit(g: Graph, masks: list[int],
+                      thetas: list[int] | None = None) -> BottleneckAudit:
+    """:func:`audit_bottleneck` on masks already checked against ``g``."""
+    if thetas is None:
         thetas = list(accumulate(masks, and_))
-    else:
-        thetas = [b.mask for b in theta]
-        if len(thetas) != len(masks):
-            return BottleneckAudit(False, 0, 0,
-                                   "length mismatch with source sequence")
-        for b in theta:
-            g.check_bag(b)
     cuts = cut_sequence(g, thetas)
     if thetas[0] & ~masks[0]:
         return BottleneckAudit(False, 0, 0, "bottleneck bag not inside source bag")

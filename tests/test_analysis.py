@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import erl.analysis
+import erl.cli
 from erl import (CASE1, CASE2, NOT_APPLICABLE, Bag, CompleteGraphResistance,
                  EpidemicConfig, ErlError, EventLog, Graph, LemmaViolationError,
                  Policy, PolicyViolationError, RECOVERY, ResistanceTable,
@@ -744,6 +745,20 @@ class TestReplayOnce:
         assert calls == [log]
         assert bags == []
 
+    def test_verify_replays_each_log_once(self, monkeypatch, capsys):
+        calls, bags = self.count(monkeypatch)
+        # the command's own module binds the counted function too
+        monkeypatch.setattr(erl.cli, "_trajectory", erl.epidemic._trajectory)
+        assert erl.cli.main(["verify", "--gen", "line:9", "--trajectories",
+                             "25", "--seed", "6"]) == 0
+        assert "0 violations" in capsys.readouterr().out
+        assert len(calls) == 25
+        assert len({id(log) for log in calls}) == 25
+        # the start bag and each run's final state, never a bag per state
+        states = sum(len(log.events) + 1 for log in calls)
+        assert states > 10 * 25
+        assert len(bags) <= 1 + 25
+
 
 class TestCompleteExtinctionOracle:
     def test_closed_form_recurrence(self):
@@ -942,6 +957,30 @@ class TestSweep:
         extinction_sweep(dict(self.BASE, replications=1), threads=2)
         extinction_sweep(dict(self.BASE, sizes=[25], replications=4,
                               policy="resistance_greedy"), threads=2)
+        assert opened == [2]
+
+    def test_pool_capped_at_core_count(self, monkeypatch):
+        opened = []
+
+        class SerialPool:
+            """Records the pool asked for; maps in this process and never
+            starts a worker."""
+
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = dict(self.BASE, replications=500)
+        assert sweep_to_csv(extinction_sweep(spec, threads=500)) == \
+            sweep_to_csv(extinction_sweep(spec, threads=1))
         assert opened == [2]
 
     def test_import_loads_no_sweep_only_module(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -242,6 +243,37 @@ class TestVerifyCommand:
         assert code == 1
         assert "violation" in err
         assert "FAIL" in stdout
+
+
+# SHA-256 of the --out report (not its manifest) of each ``erl verify`` run,
+# with its exit code, recorded while the command replayed every simulated
+# log once per audit.
+VERIFY_DIGESTS = {
+    "--gen random_regular:12,3 --seed 4 --mode sampled --samples 500 "
+    "--trajectories 12": (
+        0, "a9c585ea1fbc5f67753ca1d90d3b363fc5315f59c0f6b278ea8447e9c588e27d"),
+    "--gen random_regular:12,3 --seed 4 --mode sampled --samples 500 "
+    "--trajectories 12 --inject-fault": (
+        1, "db7f0c7de5d95da471472305bb4267b878d4f2b574be2c3b014eef6f0e9d3c17"),
+    "--gen line:9 --trajectories 25 --seed 6": (
+        0, "635a46aa8cab8c09df2781e27789ac8a9748c11c578247bb3bfcf3a40ac66852"),
+    "--gen complete:10 --trajectories 6 --seed 2 --budget 5 --inject-fault": (
+        1, "62d3635ec7810483da23e7dc9895f55fc5dc17a1625dbb0b5368c9ff81a7e1f7"),
+    "--gen hypercube:4 --trajectories 8 --seed 1 --policy uniform --budget 3": (
+        0, "609ef1649484595db3fff15890e5d24dcec461d7f9040cadaefaf8c816fa56d7"),
+    # every trajectory audit fails against the faulty table
+    "--gen line:6 --trajectories 10 --seed 3 --inject-fault": (
+        1, "bb1450508b929847845e4374e6b3661b45e713528216db6d7247983a0f27157c"),
+}
+
+
+class TestVerifyGolden:
+    @pytest.mark.parametrize("args", sorted(VERIFY_DIGESTS))
+    def test_report_digest(self, args, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, "verify", *args.split(), "--out", str(out))
+        assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == \
+            VERIFY_DIGESTS[args]
 
 
 class TestSweepCommand:
