@@ -24,8 +24,8 @@ from .epidemic import (_POLICY_KINDS, EpidemicConfig, EventLog,
                        Policy, _curing_table, _extinction_times, _stream,
                        _StreamWatch, _trajectory, builtin_policy, derive_seed)
 from .errors import CapacityError, ErlError, LemmaViolationError
-from .graph import (Graph, cut_sequence, cut_table, generate, halves,
-                    rowwise)
+from .graph import (Graph, _is_int, cut_sequence, cut_table, generate,
+                    halves, rowwise)
 from .resistance import ResistanceTable, check_bellman, resistance_table
 
 
@@ -519,7 +519,8 @@ def _halving_scan(g: Graph, table, times: list[float],
         raise ErlError("scan_halving_window needs a log that ends in extinction")
     gamma0 = table.gamma(state_masks[0])
     delta = g.degree_bound
-    b = gamma0 // (4 * delta) - 1
+    # with no edge every cut and every gamma is 0: the vacuous case
+    b = gamma0 // (4 * delta) - 1 if delta else -1
     cut_thr = -(-gamma0 // 4)
     half = gamma0 // 2
 
@@ -536,8 +537,9 @@ def _halving_scan(g: Graph, table, times: list[float],
         return IntervalWitness(NOT_APPLICABLE, gamma0, b, cut_thr, T, None,
                                None, None, None, None, None, partial)
 
-    cuts = cut_sequence(g, state_masks)
-    below = [j for j in range(t_idx + 1) if cuts[j] < cut_thr]
+    # every read below is at an index <= t_idx
+    cuts = cut_sequence(g, state_masks[:t_idx + 1])
+    below = [j for j, c in enumerate(cuts) if c < cut_thr]
     if not below:
         case = CASE1
         t_prime_time = 0.0
@@ -618,11 +620,11 @@ SWEEP_SCHEMA = {
         ]},
         "policy": {"enum": list(_POLICY_KINDS)},
         "replications": {"type": "integer", "minimum": 0},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "horizon": {"type": ["number", "null"]},
         "max_events": {"type": "integer", "minimum": 1},
         "degree": {"type": "integer", "minimum": 0},
-        "graph_seed": {"type": "integer"},
+        "graph_seed": {"type": "integer", "minimum": 0},
     },
 }
 
@@ -646,9 +648,13 @@ class SweepRecord:
 @cache
 def _sweep_validator():
     """The validator of ``SWEEP_SCHEMA``, built at the first call; only
-    sweeps import jsonschema, so ``import erl`` does not."""
-    from jsonschema import Draft202012Validator
-    return Draft202012Validator(SWEEP_SCHEMA)
+    sweeps import jsonschema, so ``import erl`` does not.  Its integers are
+    ``graph._is_int``'s: jsonschema would also take 4.0."""
+    from jsonschema import Draft202012Validator, validators
+    checker = Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: _is_int(x))
+    return validators.extend(Draft202012Validator,
+                             type_checker=checker)(SWEEP_SCHEMA)
 
 
 def validate_sweep_spec(spec: dict) -> None:
@@ -660,6 +666,12 @@ def validate_sweep_spec(spec: dict) -> None:
         raise ErlError(f"sweep spec invalid at {where}: {e.message}")
     if spec["family"] == "random_regular" and "degree" not in spec:
         raise ErlError("sweep spec invalid at degree: required for random_regular")
+    budget = spec["budget"]
+    where, rate = (("budget/per_node", budget["per_node"])
+                   if isinstance(budget, dict) else ("budget", budget))
+    # json reads NaN and Infinity, which pass "minimum"
+    if not rate < math.inf:
+        raise ErlError(f"sweep spec invalid at {where}: {rate!r} is not finite")
 
 
 def _sweep_graph(family: str, size: int, spec: dict) -> Graph:

@@ -8,6 +8,7 @@ each allocation is Fraction-validated when computed and then reused at every
 later visit to the same bag within the run (within all replications of a
 sweep point, for sweeps), unless the call that produced it touched the
 policy stream, in which case the policy is queried again at each visit.
+The memo holds one value per bag, the table its simulator draws from.
 Each healthy node's infection hazard is the infection rate times its
 infected-neighbor count, so the total infection hazard equals the infection
 rate times the cut of the infected set.  Every neighbour count in the
@@ -298,7 +299,8 @@ class Policy:
     any attribute of it, whether or not that drew).  A sweep shares that
     memo across all replications of one sweep point (one memo per worker
     process when pooled), so an allocation that did not touch ``rng`` is
-    reused by every later replication too.
+    reused by every later replication too; only at a bag with no
+    transition, which ends the run, is it asked again by each replication.
     """
 
     name = "abstract"
@@ -507,39 +509,41 @@ class _StreamWatch:
 class _Allocations:
     """The allocation rule of ``simulate`` and of the sweep engine.
 
-    ``memo`` maps a bag's mask to [its curing table, the sweep engine's
-    step table for the bag or None].  A bag's allocation is computed and
-    validated at a visit and, unless the policy call touched the policy
-    stream, kept and reused at every later visit by every run that shares
-    the memo; one whose call touched the stream is queried, and validated,
-    again at the next visit.  The memo is emptied when an entry is to be
-    kept while it holds ``_MEMO_CELLS`` // n, which changes no output.
+    ``memo`` maps a bag's mask to ``build(mask, curing table)``: the
+    curing table itself for ``simulate``, the step table for the sweep
+    engine.  A bag's allocation is computed and validated at a visit and,
+    unless the policy call touched the policy stream, its built value is
+    reused at every later visit by every run that shares the memo; one
+    whose call touched the stream is queried, and validated, again at the
+    next visit.  So is a bag that built to None (the engine's bag with no
+    transition), at most once per replication since it ends the run.  The
+    memo is emptied when a value is to be kept while it holds
+    ``_MEMO_CELLS`` // n, which changes no output.
     """
 
-    __slots__ = ("graph", "policy", "budget", "memo", "limit")
+    __slots__ = ("graph", "policy", "budget", "build", "memo", "limit")
 
-    def __init__(self, graph: Graph, policy: Policy, budget: Fraction):
+    def __init__(self, graph: Graph, policy: Policy, budget: Fraction,
+                 build: Callable):
         self.graph = graph
         self.policy = policy
         self.budget = budget
-        self.memo: dict[int, list] = {}
+        self.build = build
+        self.memo: dict = {}
         self.limit = max(1, _MEMO_CELLS // max(1, graph.node_count))
 
-    def entry(self, mask: int, watch: _StreamWatch) -> list:
-        """The memo entry of ``mask``, made from a policy call when the memo
-        has none and kept in it when the call did not touch the stream."""
-        entry = self.memo.get(mask)
-        if entry is not None:
-            return entry
+    def entry(self, mask: int, watch: _StreamWatch):
+        """``mask``'s value built from a policy call, kept in the memo when
+        the call did not touch the stream; callers look the memo up first."""
         alloc, touched = watch._call(self.policy, self.graph, mask,
                                      self.budget)
-        entry = [_curing_table(alloc, mask, self.budget, self.policy.name),
-                 None]
+        value = self.build(mask, _curing_table(alloc, mask, self.budget,
+                                               self.policy.name))
         if not touched:
             if len(self.memo) >= self.limit:
                 self.memo.clear()
-            self.memo[mask] = entry
-        return entry
+            self.memo[mask] = value
+        return value
 
 
 def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
@@ -564,7 +568,8 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
 
     mask = config.initial_infected.mask
     cut_now = cut(g, config.initial_infected)
-    allocations = _Allocations(g, policy, config.budget)
+    allocations = _Allocations(g, policy, config.budget,
+                               lambda mask, curing: curing)
     memo_get = allocations.memo.get
 
     events: list[Event] = []
@@ -579,10 +584,10 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
         if len(events) >= config.max_events:
             censored = MAX_EVENTS
             break
-        entry = memo_get(mask)
-        if entry is None:
-            entry = allocations.entry(mask, watch)
-        rho, cured, cured_sums = entry[0]
+        table = memo_get(mask)
+        if table is None:
+            table = allocations.entry(mask, watch)
+        rho, cured, cured_sums = table
         infection_hazard = beta * cut_now
         total = infection_hazard + rho
         if total == 0.0:
@@ -657,28 +662,26 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
     same reasons as in ``simulate``, checked in its order: the event cap,
     then a bag with no transition, then the horizon.
 
-    All replications share one ``_Allocations`` memo.  Its caller's table
-    is the bag's step table: the total rate, the running rates of the
+    All replications share one ``_Allocations`` memo of step tables, built
+    from the curing tables: the total rate, the running rates of the
     next bags (each healthy node u in node order, at β·|N(u) ∩ A| as
     running integer counts times β, so the infection part ends at exactly
     β·cut(A); then each cure, from the curing table) and the next bags,
     with the last one repeated for a uniform that rounds past the end.
     Transitions of rate 0 are left out.  A bag whose policy call touched
-    the policy stream gets a fresh step table at every visit.
+    the policy stream gets a fresh step table at every visit, and a bag
+    with none (no transition) a fresh policy call.
     """
     g = config.graph
     beta = float(config.infection_rate)
     neighbors = g.neighbor_masks
     horizon = inf if config.horizon is None else config.horizon
-    allocations = _Allocations(g, policy, config.budget)
-    memo_get = allocations.memo.get
     seq = np.random.SeedSequence(config.seed)
     events, draws = _CounterRange(seq, 0), _CounterRange(seq, 1)
 
-    def step_table(mask: int, watch: _StreamWatch) -> tuple | None:
+    def step_table(mask: int, curing: tuple) -> tuple | None:
         """The step table of ``mask``, None when no transition leaves it."""
-        entry = allocations.entry(mask, watch)
-        rho, cured, sums = entry[0]
+        rho, cured, sums = curing
         cum, nexts = [], []
         count = 0
         for u in members(g.full_mask & ~mask):
@@ -696,8 +699,10 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
         if not cum:
             return None
         nexts.append(nexts[-1])
-        entry[1] = (infection + rho, cum, nexts)
-        return entry[1]
+        return infection + rho, cum, nexts
+
+    allocations = _Allocations(g, policy, config.budget, step_table)
+    memo_get = allocations.memo.get
 
     def run(replication: int) -> tuple[float | None, str | None]:
         mask = config.initial_infected.mask
@@ -715,9 +720,9 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
                 del us[remaining:]
             remaining -= len(us)
             for u, e in zip(us, es):
-                entry = memo_get(mask)
-                if entry is None or (table := entry[1]) is None:
-                    table = step_table(mask, watch)
+                table = memo_get(mask)
+                if table is None:
+                    table = allocations.entry(mask, watch)
                     if table is None:
                         return None, STALLED
                 total, cum, nexts = table

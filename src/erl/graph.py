@@ -123,6 +123,19 @@ class Bag:
         return self.mask & ~other.mask == 0
 
 
+def _add_edge(seen: set, u: int, v: int, n: int, line: int | None = None) -> None:
+    """Add the edge {u, v} to ``seen`` as (low, high), refusing a self-loop,
+    an end outside 0..n-1 and an edge already in ``seen``."""
+    if u == v:
+        raise GraphParseError(f"self-loop at node {u}", line=line)
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphParseError(f"edge ({u}, {v}) out of range 0..{n - 1}", line=line)
+    e = (u, v) if u < v else (v, u)
+    if e in seen:
+        raise GraphParseError(f"duplicate edge ({e[0]}, {e[1]})", line=line)
+    seen.add(e)
+
+
 class Graph:
     """Immutable undirected graph on nodes 0..n-1 with a declared degree bound.
 
@@ -141,14 +154,7 @@ class Graph:
         adj: list[list[int]] = [[] for _ in range(node_count)]
         edge_set: set[tuple[int, int]] = set()
         for u, v in edges:
-            if u == v:
-                raise GraphParseError(f"self-loop at node {u}")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise GraphParseError(f"edge ({u}, {v}) out of range 0..{node_count - 1}")
-            e = (u, v) if u < v else (v, u)
-            if e in edge_set:
-                raise GraphParseError(f"duplicate edge ({e[0]}, {e[1]})")
-            edge_set.add(e)
+            _add_edge(edge_set, u, v, node_count)
             adj[u].append(v)
             adj[v].append(u)
         max_degree = max((len(a) for a in adj), default=0)
@@ -412,8 +418,7 @@ def parse_graph(text: str) -> Graph:
     if text.lstrip().startswith("{"):
         return _parse_graph_json(text)
     n = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -436,15 +441,7 @@ def parse_graph(text: str) -> Graph:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise GraphParseError(f"non-integer node id in {line!r}", line=lineno)
-        if u == v:
-            raise GraphParseError(f"self-loop at node {u}", line=lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"edge ({u}, {v}) out of range 0..{n - 1}", line=lineno)
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise GraphParseError(f"duplicate edge ({e[0]}, {e[1]})", line=lineno)
-        seen.add(e)
-        edges.append(e)
+        _add_edge(edges, u, v, n, lineno)
     if n is None:
         raise GraphParseError("empty input")
     return Graph(n, edges)

@@ -47,34 +47,35 @@ def _require_cap(n: int, cap: int, what: str) -> None:
             "use brute_force_resistance for single-source queries on small graphs")
 
 
-def superset_min(values: np.ndarray, n: int) -> np.ndarray:
-    """m[C] = min over D ⊇ C of values[D], via the n-pass lattice sweep.
+def _superset(x: np.ndarray, nodes: range, ufunc) -> np.ndarray:
+    """In place, x[C] = ``ufunc`` over x[D] for the D ⊇ C that add only
+    ``nodes``: pass v folds the with-v half into the without-v half
+    (``halves``/``rowwise``, column by column where rows are short)."""
+    for v in nodes:
+        without, with_v = halves(x, v)
+        rowwise(ufunc, without, with_v, out=without)
+    return x
 
-    Pass v lowers the entry of each bag without v to that of the bag with
-    v added, in place on the without-v half (``halves``/``rowwise``, column
-    by column where rows are short).
-    """
-    m = values.copy()
-    for v in range(n):
-        without, with_v = halves(m, v)
-        rowwise(np.minimum, without, with_v, out=without)
-    return m
+
+def _step(m: np.ndarray, nodes: range, ufunc) -> np.ndarray:
+    """out[A] = ``ufunc`` over m[A] and m[A - v] for v in A ∩ ``nodes``:
+    pass v folds m's without-v half into out's with-v half."""
+    out = m.copy()
+    for v in nodes:
+        with_v = halves(out, v)[1]
+        rowwise(ufunc, with_v, halves(m, v)[0], out=with_v)
+    return out
+
+
+def superset_min(values: np.ndarray, n: int) -> np.ndarray:
+    """m[C] = min over D ⊇ C of values[D], via the n-pass lattice sweep."""
+    return _superset(values.copy(), range(n), np.minimum)
 
 
 def step_min(values: np.ndarray, n: int) -> np.ndarray:
-    """out[A] = min over {B : |A \\ B| <= 1} of values[B].
-
-    That is the minimum of m[A] and of m[A - v] over v in A, where m is the
-    superset minimum.  Per node v the with-v half of the output reads the
-    without-v half of m (``halves``/``rowwise``); bags without v are
-    skipped, because for them A - v is A itself.
-    """
-    m = superset_min(values, n)
-    out = m.copy()
-    for v in range(n):
-        with_v = halves(out, v)[1]
-        rowwise(np.minimum, with_v, halves(m, v)[0], out=with_v)
-    return out
+    """out[A] = min over {B : |A \\ B| <= 1} of values[B]: the minimum of
+    m[A] and of m[A - v] over v in A, where m is the superset minimum."""
+    return _step(superset_min(values, n), range(n), np.minimum)
 
 
 def _bellman_rhs(values: np.ndarray, cut_t: np.ndarray, n: int) -> np.ndarray:
@@ -474,22 +475,17 @@ def _reach_round(reached: np.ndarray, allowed: np.ndarray, n: int) -> np.ndarray
     enter any A with |A \\ B| <= 1, so the allowed reached bags are first
     closed downward (a bag without v gains its with-v partner's bit), then
     each bag with v gains the bit of its without-v partner in that closure.
-    Nodes below WORD_NODES are shifts within a word under a constant mask,
-    the others whole-word passes over ``halves`` views.
+    Nodes below WORD_NODES are shifts within a word under a constant mask;
+    the others are whole words, closed by the ``_superset`` and ``_step``
+    of ``step_min`` with OR for min.
     """
     down = reached & allowed
     for v in range(min(n, WORD_NODES)):
         down |= (down >> np.uint64(1 << v)) & _WORD_LOW[v]
-    for v in range(WORD_NODES, n):
-        without, with_v = halves(down, v - WORD_NODES)
-        rowwise(np.bitwise_or, without, with_v, out=without)
-    out = down.copy()
+    words = range(n - WORD_NODES)
+    out = _step(_superset(down, words, np.bitwise_or), words, np.bitwise_or)
     for v in range(min(n, WORD_NODES)):
         out |= (down & _WORD_LOW[v]) << np.uint64(1 << v)
-    for v in range(WORD_NODES, n):
-        with_v = halves(out, v - WORD_NODES)[1]
-        rowwise(np.bitwise_or, with_v, halves(down, v - WORD_NODES)[0],
-                out=with_v)
     return out
 
 

@@ -477,6 +477,35 @@ class TestHalvingWindow:
             assert w.partial_audit is not None
             assert w.partial_audit.recoveries >= g.node_count  # cured everyone
 
+    @pytest.mark.parametrize("g", [generate("line", (1,)),
+                                   generate("star", (0,)), Graph(2, [])])
+    def test_degree_zero_not_applicable(self, g):
+        # no edge: every cut and gamma is 0, so the window is vacuous
+        log = EventLog(g.all_nodes(), tuple(
+            Event(float(v + 1), RECOVERY, v) for v in range(g.node_count)),
+            Bag())
+        w = scan_halving_window(g, resistance_table(g), log)
+        assert (w.case_tag, w.gamma_initial, w.b, w.T) == \
+            (NOT_APPLICABLE, 0, -1, 0.0)
+        assert w.partial_audit.recoveries == g.node_count
+        assert w.partial_audit.degree_bound == 0
+
+    def test_cuts_end_at_the_halving_state(self, monkeypatch):
+        g, table, log = k32_monotone_log()
+        seen = []
+
+        def recorded(g, masks):
+            seen.append(len(masks))
+            return cut_sequence(g, masks)
+
+        want = scan_halving_window(g, table, log)
+        monkeypatch.setattr(erl.analysis, "cut_sequence", recorded)
+        assert scan_halving_window(g, table, log) == want
+        masks = [bag.mask for _, bag in replay(log, g)]
+        t_idx = next(i for i, m in enumerate(masks)
+                     if table.gamma(m) <= want.gamma_initial // 2)
+        assert seen == [t_idx + 1] and t_idx + 1 < len(masks)
+
     def test_requires_extinct_log(self):
         g = generate("line", (4,))
         log = EventLog(Bag([0]), (), Bag([0]))
@@ -921,6 +950,24 @@ class TestSweep:
     def test_unknown_policy_named(self):
         with pytest.raises(ErlError, match="invalid at policy: 'bogus'"):
             extinction_sweep(dict(self.BASE, policy="bogus"))
+
+    @pytest.mark.parametrize("field,value,where", [
+        ("sizes", [4, 6.0], "sizes/1"), ("replications", 40.0, "replications"),
+        ("seed", 5.0, "seed"), ("seed", -5, "seed"),
+        ("max_events", 10.0, "max_events"), ("graph_seed", 0.0, "graph_seed"),
+        ("degree", 3.0, "degree"), ("budget", math.nan, "budget"),
+        ("budget", math.inf, "budget"),
+        ("budget", {"per_node": math.nan}, "budget/per_node"),
+        ("budget", {"per_node": math.inf}, "budget/per_node")])
+    def test_malformed_number_refused_before_any_point(self, field, value,
+                                                       where, monkeypatch):
+        ran = []
+        monkeypatch.setattr(erl.analysis, "_sweep_graph",
+                            lambda *args: ran.append(args))
+        spec = dict(self.BASE, family="random_regular", degree=2)
+        with pytest.raises(ErlError, match=f"^sweep spec invalid at {where}: "):
+            extinction_sweep(dict(spec, **{field: value}))
+        assert ran == []
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_threads_below_one_refused_before_any_point(self, threads,

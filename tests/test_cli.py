@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -244,6 +245,19 @@ class TestVerifyCommand:
         assert "violation" in err
         assert "FAIL" in stdout
 
+    @pytest.mark.parametrize("source", [["--gen", "line:1"],
+                                        ["--gen", "star:0"], ["--graph"]])
+    def test_degree_zero_graph_audited(self, source, capsys, tmp_path):
+        # degree bound 0: every cut and gamma is 0, and the halving window
+        # is vacuous
+        if source == ["--graph"]:
+            path = tmp_path / "g.json"
+            path.write_text('{"n": 1, "edges": []}')
+            source = ["--graph", str(path)]
+        code, stdout, err = run(capsys, "verify", *source,
+                                "--trajectories", "2")
+        assert (code, stdout, err) == (0, "ok: 0 violations\n", "")
+
 
 # SHA-256 of the --out report (not its manifest) of each ``erl verify`` run,
 # with its exit code, recorded while the command replayed every simulated
@@ -300,6 +314,30 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--spec", str(spec_path))
         assert code == 2
         assert "budget" in err
+
+    # json writes and reads NaN and Infinity; a float of integral value is
+    # an integer to jsonschema unless told otherwise
+    @pytest.mark.parametrize("field,value,where", [
+        ("sizes", [4.0], "sizes/0"), ("replications", 3.0, "replications"),
+        ("seed", 1.0, "seed"), ("seed", -1, "seed"),
+        ("max_events", 5.0, "max_events"), ("graph_seed", 2.0, "graph_seed"),
+        ("degree", 2.0, "degree"), ("budget", math.nan, "budget"),
+        ("budget", math.inf, "budget"),
+        ("budget", {"per_node": math.nan}, "budget/per_node"),
+        ("budget", {"per_node": math.inf}, "budget/per_node")])
+    def test_malformed_number_refused_before_any_point(self, field, value,
+                                                       where, tmp_path,
+                                                       capsys):
+        spec = dict(self.SPEC, family="random_regular", degree=2)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(spec, **{field: value})))
+        out = tmp_path / "a.csv"
+        code, stdout, err = run(capsys, "sweep", "--spec", str(spec_path),
+                                "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: sweep spec invalid at {where}: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [spec_path]
 
     def test_missing_spec_file_exit_3(self, capsys):
         code, _, _ = run(capsys, "sweep", "--spec", "/nonexistent.json")

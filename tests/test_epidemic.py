@@ -505,6 +505,16 @@ class TestSweepEngine:
         assert extinction_times(cfg, builtin_policy("uniform"), range(3)) == \
             [(None, STALLED)] * 3
 
+    def test_stalled_bag_asked_again_by_each_replication(self):
+        # every run infects node 1 and stalls at the full bag, which has no
+        # transition and so no step table to keep; its first bag is kept
+        g = generate("line", (2,))
+        cfg = EpidemicConfig(graph=g, initial_infected=Bag([0]), budget=0,
+                             seed=1)
+        pol = CountingPolicy(builtin_policy("uniform"))
+        assert extinction_times(cfg, pol, range(4)) == [(None, STALLED)] * 4
+        assert pol.bags == [0b01] + [0b11] * 4
+
     def test_horizon_as_simulate(self):
         cfg = EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
                              budget=Fraction(1, 1000), horizon=0.01, seed=2)
