@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, repeat
 from operator import and_, gt, index
+from sys import float_info
 
 import numpy as np
 
@@ -154,6 +155,7 @@ class InvariantReport:
 
 
 _MAX_WITNESSES = 5
+_NO_HITS = np.empty(0, dtype=np.intp)
 
 
 def _collect(viols: list, bad_masks, detail) -> None:
@@ -173,7 +175,10 @@ def _insert_bit(k, v: int, bit: int):
 
 
 def _first(cond: np.ndarray) -> np.ndarray:
-    """Indices of the first reportable witnesses in a flattened condition."""
+    """Indices of the first reportable witnesses in a flattened condition;
+    one with no hit, the usual case, costs one ``any``."""
+    if not cond.any():
+        return _NO_HITS
     return np.flatnonzero(cond)[:_MAX_WITNESSES]
 
 
@@ -197,7 +202,10 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     cut(S+v).  That is symmetric in u and v, and both orders index it by
     S with both bits removed, so one quarter-size compare per pair u > v,
     n(n-1)/2 in all, serves the checks (v, u) and (u, v); each order maps
-    the same indices to its own witnesses.
+    the same indices to its own witnesses.  Cut-at-drop takes max(gamma,
+    cut) once, over the cuts, which no later check reads, and then makes
+    one half-size compare per node.  A condition with no hit costs one
+    ``any``: no index list is built and no witness mapped back.
 
     Values are compared in the narrowest signed dtype that holds every
     cut, every table entry, the degree bound and every difference of two
@@ -211,6 +219,8 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
         raise ErlError(f"unknown mode {mode!r}")
     if samples < 0:
         raise ErlError(f"samples must be nonnegative, got {samples}")
+    if seed < 0:
+        raise ErlError(f"seed must be nonnegative, got {seed}")
     table.require_graph(g)
     # computed before the work arrays below exist, so its own arrays do
     # not stack on theirs; reported last
@@ -342,22 +352,24 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
                         out=quarter.reshape(d_without.shape)))
                 k = first[min(u, v), max(u, v)]
                 checked += size >> 2
-                _collect(viols, _insert_bit(_insert_bit(k, w, 0), v, 1),
-                         lambda m, u=u, v=v: {"superset": m | (1 << u),
-                                              "node": v})
+                if k.size:
+                    _collect(viols, _insert_bit(_insert_bit(k, w, 0), v, 1),
+                             lambda m, u=u, v=v: {"superset": m | (1 << u),
+                                                  "node": v})
         strategy = "single_steps"
     checks["cut_submodular"] = CheckResult(checked, strategy, viols)
 
     # whenever removing a node lowers the resistance, the cut it leaves
-    # behind is at least the resistance it left
+    # behind is at least the resistance it left: gamma(A - v) < gamma(A)
+    # and cut(A - v) < gamma(A), as one compare of max(gamma, cut), which
+    # overwrites the cuts (no later check reads them)
     viols = []
     checked = 0
+    high = np.maximum(gam, cut_t, out=cut_t)
     for v in range(n):
-        g_without, g_in = halves(gam, v)
-        # gamma(A - v) < gamma(A) and cut(A - v) < gamma(A), as one compare
-        high = rowwise(np.maximum, g_without, halves(cut_t, v)[0],
-                       out=diff.reshape(g_in.shape))
-        k = _first(rowwise(np.less, high, g_in, out=cond.reshape(g_in.shape)))
+        g_in = halves(gam, v)[1]
+        k = _first(rowwise(np.less, halves(high, v)[0], g_in,
+                           out=cond.reshape(g_in.shape)))
         checked += size >> 1
         _collect(viols, _insert_bit(k, v, 1), lambda m, v=v: {"node": v})
     checks["cut_at_drop"] = CheckResult(checked, "all_bag_node_pairs", viols)
@@ -669,9 +681,11 @@ def validate_sweep_spec(spec: dict) -> None:
     budget = spec["budget"]
     where, rate = (("budget/per_node", budget["per_node"])
                    if isinstance(budget, dict) else ("budget", budget))
-    # json reads NaN and Infinity, which pass "minimum"
-    if not rate < math.inf:
-        raise ErlError(f"sweep spec invalid at {where}: {rate!r} is not finite")
+    # json reads NaN and Infinity, which pass "minimum", and integers of any
+    # length, which the simulators' float rates cannot hold
+    if not rate <= float_info.max:
+        raise ErlError(f"sweep spec invalid at {where}: {rate!r} is not a "
+                       "finite float")
 
 
 def _sweep_graph(family: str, size: int, spec: dict) -> Graph:

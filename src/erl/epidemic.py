@@ -39,6 +39,7 @@ from itertools import accumulate
 from math import inf, lcm
 from numbers import Rational
 from operator import index, itemgetter
+from sys import float_info
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -152,6 +153,13 @@ class EpidemicConfig:
         self.graph.check_bag(self.initial_infected)
         if self.budget < 0:
             raise ErlError("budget must be nonnegative")
+        # rates are drawn as floats, which a larger budget overflows
+        if self.budget > float_info.max:
+            raise ErlError(f"budget must be at most {float_info.max!r}, "
+                           "the largest float")
+        # the event and policy streams are seeded from it
+        if self.seed < 0:
+            raise ErlError(f"seed must be nonnegative, got {self.seed}")
         # written so that NaN fails each test
         if not 0 < self.infection_rate < inf:
             raise ErlError("infection rate must be positive and finite")

@@ -259,7 +259,9 @@ def cut_sequence(g: Graph, masks: Iterable[int]) -> list[int]:
 # Widest operand row, in bytes, that ``rowwise`` runs one column at a time:
 # timed per pass at n = 20, column slices win on rows of up to 16 bytes for
 # every dtype the lattice passes use, and lose from 32 bytes on for all but
-# uint64.
+# uint64.  With value iteration on uint8, a cut at 8 bytes (16-column uint8
+# rows run plainly) made the whole tables pipeline slower at n = 20 and 18
+# in 6 of 8 interleaved benchmark pairs, so 16 stays.
 SHORT_ROW_BYTES = 16
 
 
@@ -398,6 +400,8 @@ def generate(kind: str, params: tuple[int, ...] = (), seed: int = 0) -> Graph:
         if d < 0 or d > n - 1 or (n * d) % 2 != 0:
             raise GenerationError(
                 f"random_regular needs 0 <= d <= n-1 and even n*d, got n={n}, d={d}")
+        if seed < 0:
+            raise GenerationError(f"random_regular needs a nonnegative seed, got {seed}")
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         for _ in range(10000):
             edges = _pairing_attempt(n, d, rng)

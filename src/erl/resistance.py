@@ -79,8 +79,24 @@ def step_min(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def _bellman_rhs(values: np.ndarray, cut_t: np.ndarray, n: int) -> np.ndarray:
-    """One application of the fixed-point operator to ``values``."""
-    return step_min(np.maximum(cut_t, values), n)
+    """One application of the fixed-point operator to ``values``, in the
+    dtype of ``np.maximum(cut_t, values)``.  The superset fold runs in
+    place on that fresh maximum, so a call holds two arrays of its size:
+    the fold and the one-removal output."""
+    h = _superset(np.maximum(cut_t, values), range(n), np.minimum)
+    return _step(h, range(n), np.minimum)
+
+
+def _narrowed(cut_t: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New copies of ``cut_t`` and ``values`` in the narrowest integer dtype
+    that holds every entry of both, their minimum and their maximum: uint8
+    for every table value iteration builds, since a cut and a resistance
+    are at most floor(n^2 / 4), 100 at n = 20."""
+    lo = min(int(cut_t.min()), int(values.min()))
+    hi = max(int(cut_t.max()), int(values.max()))
+    # the signed dtype holding -1 - hi also holds hi
+    work = np.min_scalar_type(hi if lo >= 0 else min(lo, -1 - hi))
+    return cut_t.astype(work), values.astype(work)
 
 
 class ResistanceTable:
@@ -184,15 +200,22 @@ def _value_iteration(g: Graph, start: np.ndarray,
     ``start`` must bound gamma from above with ``start[0] == 0``; it is not
     modified, and the returned table never shares its array.  ``cut_t`` is
     ``cut_table(g)``.
+
+    The rounds run on copies of both in the dtype ``_narrowed`` picks
+    (uint8 for every start this module passes), and the fixed point is
+    returned in ``start``'s dtype.  Each round holds the cut table, the
+    iterate, the operator's fold and its one-removal output, one byte per
+    bag each on uint8.
     """
     n = g.node_count
-    gamma = start
+    cut_t, gamma = _narrowed(cut_t, start)
     rounds = 0
     while True:
         rounds += 1
         new = np.minimum(gamma, _bellman_rhs(gamma, cut_t, n))
         if np.array_equal(new, gamma):
-            return ResistanceTable(g, new, converged_rounds=rounds)
+            return ResistanceTable(g, new.astype(start.dtype),
+                                   converged_rounds=rounds)
         gamma = new
 
 
@@ -423,7 +446,11 @@ def check_bellman(g: Graph, table: ResistanceTable) -> BellmanCheck:
 
     The right-hand side is recomputed with the superset-min transform, so
     the whole check is O(n 2^n).  Returns the first violating bag (in mask
-    order) with both sides on failure.
+    order) with both sides on failure.  It is computed in the dtype that
+    ``_narrowed`` picks from the cuts and the table's own minimum and
+    maximum, uint8 for any table value iteration builds, so a hand-built
+    table with entries above 255 or below 0 gets the same report as in
+    int64.
 
     The equation is a necessary condition only: the true table is its
     greatest fixed point, but smaller fixed points exist (the identically
@@ -439,8 +466,9 @@ def check_bellman(g: Graph, table: ResistanceTable) -> BellmanCheck:
     gamma = table.values
     if gamma[0] != 0:
         return BellmanCheck(False, 0, int(gamma[0]), 0)
-    rhs = _bellman_rhs(gamma, cut_table(g), n)
-    bad = np.nonzero(rhs != gamma)[0]
+    cut_t, narrow = _narrowed(cut_table(g), gamma)
+    rhs = _bellman_rhs(narrow, cut_t, n)
+    bad = np.flatnonzero(rhs != narrow)
     if bad.size:
         first = int(bad[0])
         return BellmanCheck(False, first, int(gamma[first]), int(rhs[first]))

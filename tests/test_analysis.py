@@ -170,6 +170,17 @@ class TestInvariantSuite:
             with pytest.raises(ErlError, match="samples"):
                 verify_table_invariants(g, t, mode=mode, samples=-5)
 
+    def test_negative_seed_rejected_before_any_work(self, monkeypatch):
+        g = generate("line", (4,))
+        t = resistance_table(g)
+
+        def no_work(*args):
+            raise AssertionError("the audit started")
+
+        monkeypatch.setattr(erl.analysis, "check_bellman", no_work)
+        with pytest.raises(ErlError, match="seed must be nonnegative"):
+            verify_table_invariants(g, t, seed=-1)
+
     def test_report_json(self):
         g = generate("line", (4,))
         report = verify_table_invariants(g, resistance_table(g))

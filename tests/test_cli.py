@@ -193,9 +193,17 @@ class TestUsageErrors:
         ("simulate", "--gen", "line:6", "--budget", "2", "--horizon", "nan"),
         ("simulate", "--gen", "line:6", "--budget", "2", "--replications",
          "-1"),
+        ("simulate", "--gen", "line:3", "--seed", "-1", "--budget", "1"),
+        ("verify", "--gen", "line:3", "--seed", "-1", "--trajectories", "1"),
+        ("cutwidth", "--gen", "random_regular:6,3", "--seed", "-1"),
+        ("simulate", "--gen", "line:3", "--budget", "1" + "0" * 400),
+        ("simulate", "--gen", "line:3", "--budget", "1" + "0" * 400,
+         "--replications", "3"),
     ], ids=["budget", "initial", "line_arity", "grid_arity", "size_cap",
             "negative_samples", "negative_trajectories", "nan_rate",
-            "infinite_rate", "nan_horizon", "negative_replications"])
+            "infinite_rate", "nan_horizon", "negative_replications",
+            "negative_seed_simulate", "negative_seed_verify",
+            "negative_seed_generate", "huge_budget", "huge_budget_replicated"])
     def test_bad_argument_exit_2_one_line(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -324,7 +332,10 @@ class TestSweepCommand:
         ("degree", 2.0, "degree"), ("budget", math.nan, "budget"),
         ("budget", math.inf, "budget"),
         ("budget", {"per_node": math.nan}, "budget/per_node"),
-        ("budget", {"per_node": math.inf}, "budget/per_node")])
+        ("budget", {"per_node": math.inf}, "budget/per_node"),
+        pytest.param("budget", 10**400, "budget", id="budget-huge-budget"),
+        pytest.param("budget", {"per_node": 10**400}, "budget/per_node",
+                     id="budget-huge_per_node-budget/per_node")])
     def test_malformed_number_refused_before_any_point(self, field, value,
                                                        where, tmp_path,
                                                        capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -645,6 +646,22 @@ class TestConfigValidation:
         with pytest.raises(ErlError, match="max_events must be at least 1"):
             EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
                            budget=1, max_events=cap)
+
+    def test_negative_seed(self):
+        """Refused here, not by ``SeedSequence`` at the first run."""
+        with pytest.raises(ErlError, match="seed must be nonnegative"):
+            EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
+                           budget=1, seed=-1)
+
+    def test_budget_beyond_the_float_range(self):
+        """A budget the float rates cannot hold is refused; the largest
+        float is accepted and runs."""
+        with pytest.raises(ErlError, match="largest float"):
+            EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
+                           budget=10**400)
+        cfg = EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
+                             budget=sys.float_info.max)
+        assert simulate(cfg, builtin_policy("uniform")).extinct
 
     def test_budget_parsed_exactly_from_string(self):
         cfg = EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),

@@ -65,6 +65,8 @@ class TestGenerators:
             generate("random_regular", (5, 3))  # odd stub count
         with pytest.raises(GenerationError):
             generate("random_regular", (4, 4))  # d > n-1
+        with pytest.raises(GenerationError, match="nonnegative seed"):
+            generate("random_regular", (4, 3), seed=-1)
 
     def test_unknown_kind(self):
         with pytest.raises(GenerationError):
