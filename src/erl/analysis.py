@@ -22,11 +22,11 @@ from sys import float_info
 import numpy as np
 
 from .epidemic import (_POLICY_KINDS, EpidemicConfig, EventLog,
-                       Policy, _curing_table, _extinction_times, _stream,
+                       Policy, _curing_table, _extinction_times,
                        _StreamWatch, _trajectory, builtin_policy, derive_seed)
 from .errors import CapacityError, ErlError, LemmaViolationError
-from .graph import (Graph, _is_int, cut_sequence, cut_table, generate,
-                    halves, rowwise)
+from .graph import (Graph, _is_int, _stream, cut_sequence, cut_table,
+                    generate, halves, rowwise)
 from .resistance import ResistanceTable, check_bellman, resistance_table
 
 
@@ -53,7 +53,7 @@ def poisson_tail_probability(lam: float, lam_prime: float, n: int,
     Returns (empirical tail, exp(-eps*n)); the tail direction follows the
     sign of lam_prime - lam.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _stream(seed)
     x = rng.poisson(lam * n, size=samples)
     if lam_prime >= lam:
         emp = float(np.mean(x >= lam_prime * n))
@@ -144,14 +144,7 @@ class InvariantReport:
         return out
 
     def to_json_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "mode": self.mode,
-            "ok": self.ok,
-            "checks": {name: {"checked": c.checked, "strategy": c.strategy,
-                              "violations": c.violations}
-                       for name, c in self.checks.items()},
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 _MAX_WITNESSES = 5
@@ -219,8 +212,7 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
         raise ErlError(f"unknown mode {mode!r}")
     if samples < 0:
         raise ErlError(f"samples must be nonnegative, got {samples}")
-    if seed < 0:
-        raise ErlError(f"seed must be nonnegative, got {seed}")
+    rng = _stream(seed)
     table.require_graph(g)
     # computed before the work arrays below exist, so its own arrays do
     # not stack on theirs; reported last
@@ -239,7 +231,6 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     # half-size work buffers, viewed in each pass with the half-view's shape
     diff = np.empty(size >> 1, dtype=work)
     cond = np.empty(size >> 1, dtype=bool)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     all_pairs = mode == "exhaustive" and n <= 8
     all_subsets = mode == "exhaustive" and n <= 10
     checks: dict[str, CheckResult] = {}
@@ -731,15 +722,16 @@ def extinction_sweep(spec: dict, threads: int = 1) -> list[SweepRecord]:
 
     Replications run on the τ-only engine ``epidemic._extinction_times``:
     the same law as ``simulate``, with different draws from the same seed.
-    Each point derives one Philox key from its seed, and replication j
-    draws from its own counter range under that key, so its τ does not
-    depend on which other replications run beside it.  One allocation
-    memo is shared across all replications of a point.  With ``threads``
-    > 1 one process pool serves the whole sweep, opened at the first point
-    that runs: each point's replications are split into contiguous chunks,
-    one per worker, each with its own memo, as many as the least of
-    ``threads``, the replications and the cores.  The output is the same
-    for a given spec whatever ``threads`` is; it must be at least 1.
+    Each point's seed is ``derive_seed(seed, index)``, and replication j's
+    draws depend on that seed and j alone (``graph._seeds``), so its τ
+    does not depend on which other replications run beside it.  One
+    allocation memo is shared across all replications of a point.  With
+    ``threads`` > 1 one process pool serves the whole sweep, opened at the
+    first point that runs: each point's replications are split into
+    contiguous chunks, one per worker, each with its own memo, as many as
+    the least of ``threads``, the replications and the cores.  The output
+    is the same for a given spec whatever ``threads`` is; it must be at
+    least 1.
     """
     if threads < 1:
         raise ErlError(f"threads must be at least 1, got {threads}")
@@ -819,9 +811,11 @@ def complete_extinction_mean(n: int, r) -> float:
     the expected absorption time has a closed recurrence.  Used as an
     independent oracle for simulator means.
     """
+    # written so that NaN fails the test; a larger budget has no float
+    if not 0 < r <= float_info.max:
+        raise ErlError("needs a positive budget of at most "
+                       f"{float_info.max!r}, got {r!r}")
     rf = float(r)
-    if rf <= 0:
-        raise ErlError("needs a positive budget")
     h_next = 0.0
     total = 0.0
     for k in range(n, 0, -1):
@@ -852,18 +846,18 @@ def exact_extinction_times(g: Graph, policy: Policy, budget,
     independent oracle for the simulator and the sweep engine: it shares
     the allocation check with them and nothing else.
 
-    Raises ErlError for a graph of more than ``CHAIN_CAP`` nodes, a policy
-    call that touches the policy stream (reads any attribute of it, even
-    without drawing), and a bag from which extinction cannot be reached.
+    Raises ErlError for a graph of more than ``CHAIN_CAP`` nodes, a budget
+    or rate that ``EpidemicConfig`` refuses, a policy call that touches the
+    policy stream (reads any attribute of it, even without drawing), and a
+    bag from which extinction cannot be reached.
     """
     n = g.node_count
     if n > CHAIN_CAP:
         raise ErlError(f"exact extinction times are capped at n = "
                        f"{CHAIN_CAP} nodes, got {n}")
-    budget = Fraction(budget)
-    beta = float(infection_rate)
-    if not 0 < beta < math.inf:
-        raise ErlError("infection rate must be positive and finite")
+    config = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                            budget=budget, infection_rate=infection_rate)
+    budget, beta = config.budget, float(config.infection_rate)
     size = 1 << n
     neighbors = g.neighbor_masks
     # row and column A - 1 stand for bag A; the empty bag is absorbing

@@ -19,9 +19,7 @@ at every event.
 
 ``simulate`` writes event logs and is the reference.  Sweeps run the
 τ-only engine ``_extinction_times``, which follows the same law with
-different draws from the same seed: one Philox key per sweep point and one
-counter range per replication, where ``simulate`` seeds two streams per
-replication (``event_streams``).
+different draws from the same seed; ``graph._seeds`` lists every stream.
 
 Budget feasibility is checked in exact rational arithmetic; only the event
 sampling itself uses floating point.
@@ -45,7 +43,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ErlError, PolicyViolationError, ReplayError
-from .graph import GENERATE_CAP, Bag, Graph, cut, members, toggle_delta
+from .graph import (GENERATE_CAP, Bag, Graph, _CounterRange, _seeds, _stream,
+                    cut, members, toggle_delta)
 
 INFECTION = "INFECTION"
 RECOVERY = "RECOVERY"
@@ -73,69 +72,15 @@ class Event(NamedTuple):
     node: int
 
 
-def _stream(seed: int, replication: int, k: int) -> np.random.Generator:
-    """Stream ``k`` of one run: 0 for events, 1 for the policy.
-
-    It is the k-th child of the (seed, replication) seed sequence, built
-    directly from its spawn key rather than by spawning from the parent,
-    which gives the same stream.
-    """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        entropy=seed, spawn_key=(replication, k))))
-
-
 def event_streams(seed: int, replication: int = 0):
     """Two independent Philox streams (events, policy) for one ``simulate``
-    run.
-
-    Replication j derives its streams from (seed, j), so replications are
-    independent and individually reproducible.  Sweeps do not use these:
-    the sweep engine derives one Philox key from a point's seed and gives
-    replication j the counter ranges that start at word 2 = j (see
-    ``_CounterRange``).
-    """
+    run, on the keys ``graph._seeds`` lists for it."""
     return _stream(seed, replication, 0), _stream(seed, replication, 1)
-
-
-class _CounterRange:
-    """Philox streams under one key, one per replication, on one reused
-    bit generator.
-
-    Philox4x64 is a counter-based generator (Salmon et al., "Parallel
-    Random Numbers: As Easy as 1, 2, 3", SC 2011): under one key, blocks
-    at distinct counters are independent.  The key is the one ``seq``
-    gives a Philox; the stream of replication j starts at the counter
-    (0, 0, j, ``word3``), so streams sit 2^128 blocks apart, and ranges
-    of different ``word3`` on one key hold further streams per
-    replication.  ``at(j)`` moves the bit generator, built at the first
-    call, to the start of j's stream by setting its state: a fraction of
-    the cost of a seed sequence and a bit generator per replication.
-    """
-
-    __slots__ = ("_seq", "_word3", "_bits", "_state", "_counter", "_rng")
-
-    def __init__(self, seq: np.random.SeedSequence, word3: int):
-        self._seq = seq
-        self._word3 = word3
-        self._bits = None
-
-    def at(self, replication: int) -> np.random.Generator:
-        """The generator, at the start of ``replication``'s stream."""
-        if self._bits is None:
-            self._bits = np.random.Philox(self._seq)
-            self._state = self._bits.state
-            self._counter = self._state["state"]["counter"]
-            self._counter[3] = self._word3
-            self._rng = np.random.Generator(self._bits)
-        self._counter[2] = replication
-        self._bits.state = self._state
-        return self._rng
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Stable 64-bit child seed for sweep point ``index``."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seeds(master_seed, index).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -149,6 +94,9 @@ class EpidemicConfig:
     max_events: int = 10**8
 
     def __post_init__(self):
+        # NaN and the infinities have no Fraction
+        if self.budget != self.budget or self.budget in (inf, -inf):
+            raise ErlError(f"budget must be finite, got {self.budget!r}")
         object.__setattr__(self, "budget", Fraction(self.budget))
         self.graph.check_bag(self.initial_infected)
         if self.budget < 0:
@@ -161,8 +109,8 @@ class EpidemicConfig:
         if self.seed < 0:
             raise ErlError(f"seed must be nonnegative, got {self.seed}")
         # written so that NaN fails each test
-        if not 0 < self.infection_rate < inf:
-            raise ErlError("infection rate must be positive and finite")
+        if not 0 < self.infection_rate <= float_info.max:
+            raise ErlError("infection rate must be a positive finite float")
         if self.horizon is not None and not self.horizon > 0:
             raise ErlError("horizon must be positive")
         if self.max_events < 1:
@@ -658,15 +606,13 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
     """(extinction time or None, censor reason or None) of each replication
     index in ``replications``: ``simulate``'s process, keeping only τ.
 
-    The law is ``simulate``'s but the draws are not.  One Philox key is
-    derived from ``config.seed`` per call, by one seed sequence;
-    replication j draws its events from the counter range that starts at
-    (0, 0, j, 0) and a policy's stream, when touched, from the one at
-    (0, 0, j, 1) (``_CounterRange``).  Each event takes one uniform and
-    one standard exponential, drawn in blocks.  So replication j's τ
-    depends on (config, policy, j) only, not on the other replications,
-    their order or how a sweep splits them into chunks, and it differs
-    from ``simulate``'s τ for the same seed.  Runs are censored for the
+    The law is ``simulate``'s but the draws are not: replication j draws
+    from the engine's streams that ``graph._seeds`` lists, a policy's
+    only when touched.  Each event takes one uniform and one standard
+    exponential, drawn in blocks.  So replication j's τ depends on
+    (config, policy, j) only, not on the other replications, their order
+    or how a sweep splits them into chunks, and it differs from
+    ``simulate``'s τ for the same seed.  Runs are censored for the
     same reasons as in ``simulate``, checked in its order: the event cap,
     then a bag with no transition, then the horizon.
 
@@ -684,7 +630,7 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
     beta = float(config.infection_rate)
     neighbors = g.neighbor_masks
     horizon = inf if config.horizon is None else config.horizon
-    seq = np.random.SeedSequence(config.seed)
+    seq = _seeds(config.seed)
     events, draws = _CounterRange(seq, 0), _CounterRange(seq, 1)
 
     def step_table(mask: int, curing: tuple) -> tuple | None:

@@ -3,7 +3,8 @@
 Bags are canonically encoded as integer bitmasks (bit v set = node v is a
 member).  Python integers are arbitrary precision, so the same encoding
 serves every graph size; full-lattice tables elsewhere in the package are
-what carry size caps, not the encoding.
+what carry size caps, not the encoding.  Every module imports this one,
+so it also owns the rule that turns a seed into draws (``_seeds``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import GenerationError, GraphParseError, InvalidBagError
+from .errors import ErlError, GenerationError, GraphParseError, InvalidBagError
 
 # Generator kinds and the number of integer parameters each takes.
 GENERATOR_ARITY = {
@@ -325,6 +326,66 @@ def cut_table(g: Graph) -> np.ndarray:
     return table
 
 
+def _seeds(seed: int, *key: int) -> np.random.SeedSequence:
+    """``SeedSequence(entropy=seed, spawn_key=key)``, refusing a negative
+    seed: the one rule by which the package turns a seed into draws.
+
+    It is the child at ``key[-1]`` of ``(seed, *key[:-1])``'s sequence, and
+    ``SeedSequence(seed)`` with no key.  Every stream is a Philox4x64
+    generator on one (``_stream``, ``_CounterRange``).  The keys:
+    ``(seed)`` for ``generate``, the Poisson sampler and the invariant
+    audit; ``(seed, j, 0)`` and ``(seed, j, 1)`` for the events and policy
+    draws of ``simulate``'s replication j (``event_streams``); ``(seed,
+    index)`` for a sweep point's seed (``derive_seed``); ``(seed)`` once
+    per sweep engine call, whose replication j takes its events and its
+    policy draws from counter ranges 0 and 1 on it, so they depend on j
+    alone and differ from ``simulate``'s; ``(0, 0, 1)`` for the exact
+    chain's policy stream, which must stay untouched.
+    """
+    if seed < 0:
+        raise ErlError(f"seed must be nonnegative, got {seed}")
+    return np.random.SeedSequence(entropy=seed, spawn_key=key)
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The Philox stream on ``_seeds(seed, *key)``."""
+    return np.random.Generator(np.random.Philox(_seeds(seed, *key)))
+
+
+class _CounterRange:
+    """Philox streams under one key, one per replication, on one reused
+    bit generator.
+
+    Philox4x64 is a counter-based generator (Salmon et al., "Parallel
+    Random Numbers: As Easy as 1, 2, 3", SC 2011): under one key, blocks
+    at distinct counters are independent.  Replication j's stream starts
+    at counter (0, 0, j, ``word3``) under ``seq``'s key, so streams sit
+    2^128 blocks apart and each ``word3`` holds one more stream per
+    replication.  ``at(j)`` moves the bit generator, built at the first
+    call, to the start of j's stream by setting its state: a fraction of
+    the cost of a seed sequence and a bit generator per replication.
+    """
+
+    __slots__ = ("_seq", "_word3", "_bits", "_state", "_counter", "_rng")
+
+    def __init__(self, seq: np.random.SeedSequence, word3: int):
+        self._seq = seq
+        self._word3 = word3
+        self._bits = None
+
+    def at(self, replication: int) -> np.random.Generator:
+        """The generator, at the start of ``replication``'s stream."""
+        if self._bits is None:
+            self._bits = np.random.Philox(self._seq)
+            self._state = self._bits.state
+            self._counter = self._state["state"]["counter"]
+            self._counter[3] = self._word3
+            self._rng = np.random.Generator(self._bits)
+        self._counter[2] = replication
+        self._bits.state = self._state
+        return self._rng
+
+
 def _pairing_attempt(n: int, d: int, rng: np.random.Generator):
     stubs = np.repeat(np.arange(n), d)
     rng.shuffle(stubs)
@@ -402,7 +463,7 @@ def generate(kind: str, params: tuple[int, ...] = (), seed: int = 0) -> Graph:
                 f"random_regular needs 0 <= d <= n-1 and even n*d, got n={n}, d={d}")
         if seed < 0:
             raise GenerationError(f"random_regular needs a nonnegative seed, got {seed}")
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        rng = _stream(seed)
         for _ in range(10000):
             edges = _pairing_attempt(n, d, rng)
             if edges is not None:

@@ -63,6 +63,10 @@ class TestPoissonExponent:
         emp, bound = poisson_tail_probability(2, 1, 20, samples=200_000, seed=5)
         assert emp <= bound
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ErlError, match="seed must be nonnegative, got -1"):
+            poisson_tail_probability(1, 2, 20, samples=10, seed=-1)
+
 
 class TestSlowRegimeConstants:
     def test_hand_check(self):
@@ -826,6 +830,12 @@ class TestCompleteExtinctionOracle:
         with pytest.raises(ErlError):
             complete_extinction_mean(4, 0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 10**400],
+                             ids=["nan", "inf", "beyond_float"])
+    def test_rejects_budget_with_no_finite_float(self, r):
+        with pytest.raises(ErlError, match="positive budget of at most"):
+            complete_extinction_mean(3, r)
+
 
 SMALL_ZOO = [(name, make) for name, make in ZOO if make().node_count <= 8]
 DETERMINISTIC = ["max_cut_drop", "resistance_greedy", "degree_proportional",
@@ -870,6 +880,24 @@ class TestExactChain:
     def test_cap_named(self):
         with pytest.raises(ErlError, match="12"):
             exact_extinction_times(Graph(13, []), builtin_policy("uniform"), 1)
+
+    @pytest.mark.parametrize("budget,message", [
+        (-1, "budget must be nonnegative"), (10**400, "largest float"),
+        (math.nan, "budget must be finite"), (math.inf, "budget must be finite"),
+    ], ids=["negative", "beyond_float", "nan", "inf"])
+    def test_budget_checked_as_in_a_config(self, budget, message):
+        """The caller's budget is refused, not blamed on the policy."""
+        with pytest.raises(ErlError, match=message) as info:
+            exact_extinction_times(generate("line", (3,)),
+                                   builtin_policy("max_cut_drop"), budget)
+        assert not isinstance(info.value, PolicyViolationError)
+
+    @pytest.mark.parametrize("rate", [0, math.nan, 10**400],
+                             ids=["zero", "nan", "beyond_float"])
+    def test_rate_checked_as_in_a_config(self, rate):
+        with pytest.raises(ErlError, match="infection rate"):
+            exact_extinction_times(generate("line", (3,)),
+                                   builtin_policy("max_cut_drop"), 1, rate)
 
     def test_drawing_policy_refused(self):
         # the first bag, 0x1, only touches the stream: integers(1) draws

@@ -14,7 +14,7 @@ import pytest
 from erl import (GENERATE_CAP, HORIZON, MAX_EVENTS, RECOVERY, STALLED, Bag,
                  EpidemicConfig, ErlError, EventLog, Graph, Policy,
                  PolicyViolationError, ReplayError, builtin_policy, cut,
-                 event_streams, generate, replay, resistance_table, simulate,
+                 derive_seed, event_streams, generate, replay, resistance_table, simulate,
                  validate_log)
 from erl import epidemic
 from erl.epidemic import LOG_MAGIC, Event, INFECTION
@@ -356,6 +356,13 @@ class TestAllocationMemo:
 
 
 class TestStreams:
+    @pytest.mark.parametrize("make", [event_streams,
+                                      lambda seed: derive_seed(seed, 0)],
+                             ids=["event_streams", "derive_seed"])
+    def test_negative_seed_refused(self, make):
+        with pytest.raises(ErlError, match="seed must be nonnegative, got -1"):
+            make(-1)
+
     @pytest.mark.parametrize("seed,replication", [(0, 0), (4242, 3),
                                                   (2**63 + 5, 17)])
     def test_same_streams_as_spawned_children(self, seed, replication):
@@ -630,6 +637,18 @@ class TestConfigValidation:
         with pytest.raises(ErlError, match="infection rate"):
             EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
                            budget=1, infection_rate=rate)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_budget(self, budget):
+        """Refused here, not by ``Fraction``."""
+        with pytest.raises(ErlError, match="budget must be finite"):
+            EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
+                           budget=budget)
+
+    def test_rate_beyond_the_float_range(self):
+        with pytest.raises(ErlError, match="infection rate"):
+            EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
+                           budget=1, infection_rate=10**400)
 
     def test_nan_horizon(self):
         with pytest.raises(ErlError, match="horizon"):

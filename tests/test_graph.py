@@ -508,3 +508,23 @@ class TestBagAlgebra:
 
     def test_mask_round_trip(self):
         assert Bag.from_mask(0b1011).nodes() == (0, 1, 3)
+
+
+class TestSeededStreams:
+    def test_only_graph_builds_streams(self):
+        """Every seeded stream comes from ``graph._seeds``: no other module
+        builds a seed sequence, a Philox or a generator."""
+        found = [f"{path.name}:{no}: {line.strip()}"
+                 for path in sorted(Path(erl.__file__).parent.glob("*.py"))
+                 if path.name != "graph.py"
+                 for no, line in enumerate(path.read_text().splitlines(), 1)
+                 if any(word in line for word in (
+                     "SeedSequence(", "Philox(", "np.random.Generator("))]
+        assert found == []
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+    def test_keyless_stream_is_the_plain_seed_sequence(self, seed):
+        want = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed)))
+        got = erl.graph._stream(seed)
+        assert got.random(50).tolist() == want.random(50).tolist()
