@@ -15,8 +15,8 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate, repeat
-from operator import and_, gt, index
+from itertools import repeat
+from operator import index
 from sys import float_info
 
 import numpy as np
@@ -25,8 +25,8 @@ from .epidemic import (_POLICY_KINDS, EpidemicConfig, EventLog,
                        Policy, _curing_table, _extinction_times,
                        _StreamWatch, _trajectory, builtin_policy, derive_seed)
 from .errors import CapacityError, ErlError, LemmaViolationError
-from .graph import (Graph, _is_int, _stream, cut_sequence, cut_table,
-                    generate, halves, rowwise)
+from .graph import (Graph, _is_int, _stream, cut_table, cuts_along, generate,
+                    halves, rowwise)
 from .resistance import ResistanceTable, check_bellman, resistance_table
 
 
@@ -53,6 +53,8 @@ def poisson_tail_probability(lam: float, lam_prime: float, n: int,
     Returns (empirical tail, exp(-eps*n)); the tail direction follows the
     sign of lam_prime - lam.
     """
+    if not _is_int(samples) or samples < 1:
+        raise ErlError(f"samples must be an int of at least 1, got {samples!r}")
     rng = _stream(seed)
     x = rng.poisson(lam * n, size=samples)
     if lam_prime >= lam:
@@ -413,7 +415,8 @@ def audit_recovery_bound(g: Graph, table, log: EventLog,
 
     The segment needs 0 <= t_from <= t_to (t_to may be infinite; a NaN
     bound is rejected) and a table that belongs to ``g``; either failing
-    raises ErlError.  The log is checked and replayed once, as masks.
+    raises ErlError.  The log is checked and replayed once, into a mask
+    array (``mask_array``).
     """
     if not 0 <= t_from <= t_to:
         raise ErlError("need 0 <= t_from <= t_to")
@@ -422,42 +425,38 @@ def audit_recovery_bound(g: Graph, table, log: EventLog,
     return _recovery_audit(g, table, times, masks, t_from, t_to)
 
 
-def _recovery_audit(g: Graph, table, times: list[float], masks: list[int],
+def _recovery_audit(g: Graph, table, times: list[float], masks: np.ndarray,
                     t_from: float, t_to: float) -> RecoveryBoundReport:
     """:func:`audit_recovery_bound` on a trajectory already checked by
-    ``_trajectory``."""
+    ``_trajectory``: numpy passes over the segment's mask array."""
     # states after the events at or before each bound; times increase
     # strictly, so the segment's states are one slice
     first = bisect_right(times, t_from) - 1
     last = bisect_right(times, t_to) - 1
-    seg_masks = masks[first:last + 1]
-    theta_masks = list(accumulate(seg_masks, and_))
-    theta_cuts = cut_sequence(g, theta_masks)
+    seg = masks[first:last + 1]
+    theta = np.bitwise_and.accumulate(seg)
+    theta_cuts = cuts_along(g, theta)
+    gam = table.gammas(theta)
 
-    gamma0 = table.gamma(masks[0])
-    half = gamma0 // 2
+    half = int(table.gammas(masks[:1])[0]) // 2
     crossing_index = crossing_cut = crossing_gamma_before = None
-    prev_gam = table.gamma(theta_masks[0])
-    for i in range(1, len(theta_masks)):
-        cur_gam = (prev_gam if theta_masks[i] == theta_masks[i - 1]
-                   else table.gamma(theta_masks[i]))
-        if cur_gam <= half < prev_gam:
-            crossing_index = i
-            crossing_cut = theta_cuts[i]
-            crossing_gamma_before = prev_gam
-            if crossing_cut < prev_gam:
-                raise LemmaViolationError(
-                    f"bottleneck crossing at step {i}: cut {crossing_cut} "
-                    f"below pre-crossing resistance {prev_gam}",
-                    witness={"theta": theta_masks[i], "index": i})
-            break
-        prev_gam = cur_gam
+    crossed = np.flatnonzero((gam[1:] <= half) & (gam[:-1] > half))
+    if crossed.size:
+        i = int(crossed[0]) + 1
+        crossing_index = i
+        crossing_cut = int(theta_cuts[i])
+        crossing_gamma_before = int(gam[i - 1])
+        if crossing_cut < crossing_gamma_before:
+            raise LemmaViolationError(
+                f"bottleneck crossing at step {i}: cut {crossing_cut} "
+                f"below pre-crossing resistance {crossing_gamma_before}",
+                witness={"theta": int(theta[i]), "index": i})
 
     # a unit step is a recovery exactly when it lowers the mask
-    recoveries = sum(map(gt, seg_masks, seg_masks[1:]))
-    infections = len(seg_masks) - 1 - recoveries
-    c0 = theta_cuts[0]
-    cmax = max(theta_cuts)
+    recoveries = int(np.count_nonzero(seg[1:] < seg[:-1]))
+    infections = len(seg) - 1 - recoveries
+    c0 = int(theta_cuts[0])
+    cmax = int(theta_cuts.max())
     if recoveries * g.degree_bound < cmax - c0:
         raise LemmaViolationError(
             f"{recoveries} recoveries cannot explain bottleneck cut growth "
@@ -507,7 +506,7 @@ def scan_halving_window(g: Graph, table, log: EventLog) -> IntervalWitness:
     instead, run on the same replayed trajectory.  Any failed property
     raises LemmaViolationError; a table that does not belong to ``g``, or a
     log that does not end in extinction, raises ErlError.  The log is
-    checked and replayed once, as masks.
+    checked and replayed once, into a mask array (``mask_array``).
     """
     table.require_graph(g)
     times, masks = _trajectory(log, g)
@@ -515,80 +514,81 @@ def scan_halving_window(g: Graph, table, log: EventLog) -> IntervalWitness:
 
 
 def _halving_scan(g: Graph, table, times: list[float],
-                  state_masks: list[int]) -> IntervalWitness:
+                  masks: np.ndarray) -> IntervalWitness:
     """:func:`scan_halving_window` on a trajectory already checked by
-    ``_trajectory``; event e is a recovery exactly when it lowers the mask."""
-    if state_masks[-1] != 0:
+    ``_trajectory``: numpy passes over its mask array, where event e is a
+    recovery exactly when it lowers the mask."""
+    if masks[-1] != 0:
         raise ErlError("scan_halving_window needs a log that ends in extinction")
-    gamma0 = table.gamma(state_masks[0])
+    gam = table.gammas(masks)
+    gamma0 = int(gam[0])
     delta = g.degree_bound
     # with no edge every cut and every gamma is 0: the vacuous case
     b = gamma0 // (4 * delta) - 1 if delta else -1
     cut_thr = -(-gamma0 // 4)
     half = gamma0 // 2
 
-    for t_idx, m in enumerate(state_masks):
-        if table.gamma(m) <= half:
-            break
-    else:
+    halved = np.flatnonzero(gam <= half)
+    if not halved.size:
         raise LemmaViolationError("resistance never halved on an extinct path",
                                   witness={"gamma_initial": gamma0})
+    t_idx = int(halved[0])
     T = times[t_idx]
 
     if b < 1:
-        partial = _recovery_audit(g, table, times, state_masks, 0.0, times[-1])
+        partial = _recovery_audit(g, table, times, masks, 0.0, times[-1])
         return IntervalWitness(NOT_APPLICABLE, gamma0, b, cut_thr, T, None,
                                None, None, None, None, None, partial)
 
     # every read below is at an index <= t_idx
-    cuts = cut_sequence(g, state_masks[:t_idx + 1])
-    below = [j for j, c in enumerate(cuts) if c < cut_thr]
-    if not below:
+    cuts = cuts_along(g, masks[:t_idx + 1])
+    below = np.flatnonzero(cuts < cut_thr)
+    if not below.size:
         case = CASE1
         t_prime_time = 0.0
         T_prime = None
         first_event = 0
     else:
         case = CASE2
-        jlast = below[-1]
+        jlast = int(below[-1])
         if jlast == t_idx:
             raise LemmaViolationError(
                 "cut below threshold at the halving state",
-                witness={"state": state_masks[t_idx]})
+                witness={"state": int(masks[t_idx])})
         # a resistance drop on a growing set would contradict monotonicity
-        if state_masks[t_idx] & ~state_masks[t_idx - 1]:
+        if masks[t_idx] & ~masks[t_idx - 1]:
             raise LemmaViolationError(
                 "resistance halved on a non-recovery step",
-                witness={"state": state_masks[t_idx]})
-        gamma_before = table.gamma(state_masks[t_idx - 1])
+                witness={"state": int(masks[t_idx])})
+        gamma_before = int(gam[t_idx - 1])
         if cuts[t_idx] < gamma_before:
             raise LemmaViolationError(
-                f"cut {cuts[t_idx]} at the halving below pre-halving "
+                f"cut {int(cuts[t_idx])} at the halving below pre-halving "
                 f"resistance {gamma_before}",
-                witness={"state": state_masks[t_idx]})
+                witness={"state": int(masks[t_idx])})
         T_prime = times[jlast + 1]
         if cuts[jlast + 1] >= cut_thr + delta:
             raise LemmaViolationError(
                 "cut jumped past threshold by more than the degree bound",
-                witness={"state": state_masks[jlast + 1]})
+                witness={"state": int(masks[jlast + 1])})
         t_prime_time = T_prime
         first_event = jlast + 1
 
-    rec_events = [e for e in range(first_event, t_idx)
-                  if state_masks[e + 1] < state_masks[e]]
+    rec_events = first_event + np.flatnonzero(
+        masks[first_event + 1:t_idx + 1] < masks[first_event:t_idx])
     if len(rec_events) < b:
         raise LemmaViolationError(
             f"only {len(rec_events)} recoveries before the halving, "
             f"needed {b}", witness={"case": case})
-    e_b = rec_events[b - 1]
+    e_b = int(rec_events[b - 1])
     t_double = times[e_b + 1]
-    min_cut = min(cuts[first_event:e_b + 2])
+    min_cut = int(cuts[first_event:e_b + 2].min())
     if min_cut < cut_thr:
         raise LemmaViolationError(
             f"cut fell to {min_cut} inside the witness window "
             f"(threshold {cut_thr})", witness={"case": case})
-    window = state_masks[first_event:e_b + 2]
-    recoveries = sum(map(gt, window, window[1:]))
+    window = masks[first_event:e_b + 2]
+    recoveries = int(np.count_nonzero(window[1:] < window[:-1]))
     infections = len(window) - 1 - recoveries
     if recoveries != b:
         raise LemmaViolationError(
@@ -875,12 +875,18 @@ def exact_extinction_times(g: Graph, policy: Policy, budget,
                  for v, rate in alloc.items()]
         steps += [(a | (1 << u), beta * (neighbors[u] & a).bit_count())
                   for u in range(n) if not (a >> u) & 1]
+        # summed in Python floats, which overflow to inf without a warning
+        total = 0.0
         for b, rate in steps:
             if rate > 0:
-                minus_q[a - 1, a - 1] += rate
+                total += rate
                 if b:
-                    minus_q[a - 1, b - 1] -= rate
+                    minus_q[a - 1, b - 1] = -rate
                 into[b].append(a)
+        if not math.isfinite(total):
+            raise ErlError(f"the total rate out of bag {a:#x} is above the "
+                           "largest float")
+        minus_q[a - 1, a - 1] = total
     reached = {0}
     frontier = {0}
     while frontier:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import and_
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import ErlError
-from .graph import Bag, Graph, cut, cut_sequence
+from .graph import Bag, Graph, cut, cuts_along, mask_array
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,12 @@ def audit_bottleneck(g: Graph, seq: Sequence[Bag],
     corrupted inputs can be fed in deliberately; its bags may jump by any
     number of nodes per step.
 
-    Both sequences are read as bitmasks once: subsets are tested with
-    integer operations and cuts are updated per toggled node with
-    ``cut_sequence``.  An empty sequence raises ErlError, as does a
-    non-unit step that comes before the first violation; a bag of ``theta``
-    (or, without it, the first source bag) outside ``g`` raises
-    InvalidBagError.
+    Both sequences are read once, into mask arrays (``mask_array``), and
+    every check runs over all steps at once; the computed sequence's cuts
+    come from ``cuts_along``, an overriding one's from ``cut`` per bag.
+    An empty sequence raises ErlError, as does a non-unit step that comes
+    before the first violation; a bag of ``theta`` (or, without it, the
+    first source bag) outside ``g`` raises InvalidBagError.
     """
     if not seq:
         raise ErlError("empty sequence has no bottleneck sequence")
@@ -149,35 +149,47 @@ def audit_bottleneck(g: Graph, seq: Sequence[Bag],
     # without theta, every computed bag lies inside the first source bag
     for b in seq[:1] if theta is None else theta:
         g.check_bag(b)
-    return _bottleneck_audit(g, [b.mask for b in seq],
-                             theta and [b.mask for b in theta])
+    # later source bags are unchecked, so the widest one sets the dtype
+    n = max(g.node_count, max(b.mask for b in seq).bit_length())
+    masks = mask_array([b.mask for b in seq], n)
+    if theta is None:
+        return _bottleneck_audit(g, masks)
+    return _bottleneck_audit(g, masks, mask_array([b.mask for b in theta], n),
+                             np.array([cut(g, b) for b in theta]))
 
 
-def _bottleneck_audit(g: Graph, masks: list[int],
-                      thetas: list[int] | None = None) -> BottleneckAudit:
-    """:func:`audit_bottleneck` on masks already checked against ``g``."""
+def _bottleneck_audit(g: Graph, masks: np.ndarray,
+                      thetas: np.ndarray | None = None,
+                      cuts: np.ndarray | None = None) -> BottleneckAudit:
+    """:func:`audit_bottleneck` on a mask array already checked against
+    ``g``; ``thetas`` and their ``cuts`` default to the running
+    intersection and its ``cuts_along``.  Each check runs over all steps
+    at once, and the first failing step reports its first failed check."""
     if thetas is None:
-        thetas = list(accumulate(masks, and_))
-    cuts = cut_sequence(g, thetas)
+        thetas = np.bitwise_and.accumulate(masks)
+        cuts = cuts_along(g, thetas)
     if thetas[0] & ~masks[0]:
         return BottleneckAudit(False, 0, 0, "bottleneck bag not inside source bag")
+    prev, cur = masks[:-1], masks[1:]
+    growth = np.diff(cuts)
     bound = g.degree_bound
-    for i in range(1, len(masks)):
-        prev, cur = masks[i - 1], masks[i]
-        _check_unit_step(prev, cur, i)
-        if thetas[i] & ~cur:
-            return BottleneckAudit(False, i, i, "bottleneck bag not inside source bag")
-        if thetas[i] & ~thetas[i - 1]:
-            return BottleneckAudit(False, i, i, "bottleneck bag grew")
-        growth = cuts[i] - cuts[i - 1]
-        # after a unit step, the mask drops exactly when a node is removed
-        if growth > 0 and cur > prev:
-            return BottleneckAudit(False, i, i, "cut increased on a non-removal step")
-        if growth > bound:
-            return BottleneckAudit(
-                False, i, i,
-                f"cut increased by {growth} > degree bound {bound}")
-    return BottleneckAudit(True, len(masks) - 1, None, None)
+    # in check order; after a unit step, the mask drops exactly when a
+    # node is removed
+    failures = [
+        (np.bitwise_count(prev ^ cur) != 1, None),
+        ((thetas[1:] & ~cur) != 0, "bottleneck bag not inside source bag"),
+        ((thetas[1:] & ~thetas[:-1]) != 0, "bottleneck bag grew"),
+        ((growth > 0) & (cur > prev), "cut increased on a non-removal step"),
+        (growth > bound, "cut increased by {} > degree bound {}"),
+    ]
+    hits = np.flatnonzero(np.logical_or.reduce([f for f, _ in failures]))
+    if not hits.size:
+        return BottleneckAudit(True, len(masks) - 1, None, None)
+    i = int(hits[0]) + 1
+    _check_unit_step(int(masks[i - 1]), int(masks[i]), i)
+    reason = next(r for f, r in failures[1:] if f[i - 1])
+    return BottleneckAudit(False, i, i,
+                           reason.format(int(growth[i - 1]), bound))
 
 
 def crusade_to_json(c: Crusade | BottleneckSequence) -> str:

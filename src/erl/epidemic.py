@@ -17,7 +17,8 @@ mask; ``simulate`` keeps only that mask and its cut, updates the cut by one
 ``toggle_delta`` per event and (in debug runs) re-derives it from scratch
 at every event.
 
-``simulate`` writes event logs and is the reference.  Sweeps run the
+``simulate`` records each event's time, kind and node, from which its
+event log is built on demand, and is the reference.  Sweeps run the
 τ-only engine ``_extinction_times``, which follows the same law with
 different draws from the same seed; ``graph._seeds`` lists every stream.
 
@@ -32,7 +33,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate
 from math import inf, lcm
 from numbers import Rational
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import ErlError, PolicyViolationError, ReplayError
 from .graph import (GENERATE_CAP, Bag, Graph, _CounterRange, _seeds, _stream,
-                    cut, members, toggle_delta)
+                    cut, mask_array, members, toggle_delta)
 
 INFECTION = "INFECTION"
 RECOVERY = "RECOVERY"
@@ -207,18 +208,19 @@ class EventLog:
             raise _node_id_error(top, "an event")
         return cls(bags[0], tuple(events), bags[1])
 
-    def recovery_count(self) -> int:
-        return sum(1 for ev in self.events if ev.kind == RECOVERY)
-
-    def infection_count(self) -> int:
-        return sum(1 for ev in self.events if ev.kind == INFECTION)
-
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """One ``simulate`` run, its events kept as three columns (time, kind
+    and node); ``log`` builds its ``EventLog`` when first read."""
+
     extinction_time: float | None
     censored: str | None
-    log: EventLog
+    initial_infected: Bag
+    final: Bag
+    times: list[float]
+    kinds: list[str]
+    nodes: list[int]
     infection_count: int
     recovery_count: int
 
@@ -226,15 +228,21 @@ class SimulationResult:
     def extinct(self) -> bool:
         return self.extinction_time is not None
 
+    @cached_property
+    def log(self) -> EventLog:
+        return EventLog(self.initial_infected,
+                        tuple(map(Event, self.times, self.kinds, self.nodes)),
+                        self.final)
+
     def to_json_dict(self) -> dict:
         return {
             "extinction_time": self.extinction_time,
             "censored": self.censored,
             "infection_count": self.infection_count,
             "recovery_count": self.recovery_count,
-            "initial": list(self.log.initial_infected.nodes()),
-            "final": list(self.log.final.nodes()),
-            "events": len(self.log.events),
+            "initial": list(self.initial_infected.nodes()),
+            "final": list(self.final.nodes()),
+            "events": len(self.kinds),
         }
 
 
@@ -528,7 +536,9 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
                                lambda mask, curing: curing)
     memo_get = allocations.memo.get
 
-    events: list[Event] = []
+    times: list[float] = []
+    kinds: list[str] = []
+    nodes: list[int] = []
     t = 0.0
     extinction_time: float | None = None
     censored: str | None = None
@@ -537,7 +547,7 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
         if not mask:
             extinction_time = t
             break
-        if len(events) >= config.max_events:
+        if len(times) >= config.max_events:
             censored = MAX_EVENTS
             break
         table = memo_get(mask)
@@ -575,22 +585,20 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
             kind = RECOVERY
         cut_now += toggle_delta(g, mask, node)
         mask ^= 1 << node
-        events.append(Event(t, kind, node))
+        times.append(t)
+        kinds.append(kind)
+        nodes.append(node)
         if debug:
             fresh = cut(g, Bag.from_mask(mask))
             if fresh != cut_now:
                 raise ErlError(
                     f"hazard bookkeeping drifted: cached cut {cut_now}, "
-                    f"recomputed {fresh} after event {len(events) - 1}")
+                    f"recomputed {fresh} after event {len(times) - 1}")
 
-    log = EventLog(config.initial_infected, tuple(events), Bag.from_mask(mask))
-    return SimulationResult(
-        extinction_time=extinction_time,
-        censored=censored,
-        log=log,
-        infection_count=log.infection_count(),
-        recovery_count=log.recovery_count(),
-    )
+    recoveries = kinds.count(RECOVERY)
+    return SimulationResult(extinction_time, censored, config.initial_infected,
+                            Bag.from_mask(mask), times, kinds, nodes,
+                            len(kinds) - recoveries, recoveries)
 
 
 # Uniforms and exponentials the sweep engine draws at a time: the first
@@ -693,23 +701,28 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
     return [run(j) for j in replications]
 
 
-def _trajectory(log: EventLog, g: Graph) -> tuple[list[float], list[int]]:
-    """Check an event log against ``g`` and reconstruct its trajectory.
+def _trajectory(run: EventLog | SimulationResult,
+                g: Graph) -> tuple[list[float], np.ndarray]:
+    """Check a log, or a ``simulate`` result's columns, against ``g`` and
+    reconstruct its trajectory.
 
     Returns the state times (0.0, then each event's time) and the infected
-    mask from that time on, so entry i is the state after i events; each
-    event flips exactly one node, so consecutive masks differ in one bit.
-    Raises ReplayError with the offending event index on any inconsistency,
-    and InvalidBagError when the initial bag lies outside ``g``.
+    masks as one ``mask_array``, so entry i is the state after i events;
+    each event flips exactly one node, so consecutive masks differ in one
+    bit.  Raises ReplayError with the offending event index on any
+    inconsistency, and InvalidBagError when the initial bag lies outside
+    ``g``.
     """
-    g.check_bag(log.initial_infected)
+    g.check_bag(run.initial_infected)
     n = g.node_count
     neighbors = g.neighbor_masks
-    mask = log.initial_infected.mask
+    mask = run.initial_infected.mask
+    events = (run.events if isinstance(run, EventLog)
+              else zip(run.times, run.kinds, run.nodes))
     times = [0.0]
     masks = [mask]
     prev_t = 0.0
-    for i, (t, kind, node) in enumerate(log.events):
+    for i, (t, kind, node) in enumerate(events):
         if not prev_t < t < inf:
             raise ReplayError(f"time {t} is not a finite time after {prev_t}", i)
         prev_t = t
@@ -730,11 +743,11 @@ def _trajectory(log: EventLog, g: Graph) -> tuple[list[float], list[int]]:
         mask ^= bit
         times.append(t)
         masks.append(mask)
-    if mask != log.final.mask:
+    if mask != run.final.mask:
         raise ReplayError(
             f"final state {Bag.from_mask(mask)!r} does not match recorded "
-            f"{log.final!r}", len(log.events))
-    return times, masks
+            f"{run.final!r}", len(times) - 1)
+    return times, mask_array(masks, n)
 
 
 def replay(log: EventLog, g: Graph) -> Iterator[tuple[float, Bag]]:
@@ -746,7 +759,7 @@ def replay(log: EventLog, g: Graph) -> Iterator[tuple[float, Bag]]:
     inconsistency raises ReplayError with the offending event index.
     """
     times, masks = _trajectory(log, g)
-    for t, mask in zip(times, masks):
+    for t, mask in zip(times, masks.tolist()):
         yield t, Bag.from_mask(mask)
 
 

@@ -235,26 +235,29 @@ def toggle_delta(g: Graph, mask: int, v: int) -> int:
     return -delta if (mask >> v) & 1 else delta
 
 
-def cut_sequence(g: Graph, masks: Iterable[int]) -> list[int]:
-    """Cuts of the bags along a sequence of bitmasks.
+def mask_array(masks: list[int], n: int) -> np.ndarray:
+    """Bag masks of nodes below ``n`` as one array: uint64 for n <= 64, an
+    object array of Python ints above.  Every pass over a mask array is
+    the same numpy code on both dtypes."""
+    return np.array(masks, dtype=np.uint64 if n <= 64 else object)
 
-    Each cut is found from the one before by toggling the nodes where the
-    two masks differ, one ``toggle_delta`` per node (the first from the
-    empty bag, whose cut is 0), so a unit-step sequence costs one popcount
-    per step.  Unchecked like ``toggle_delta``: every mask must be a bag of
-    ``g``.
-    """
-    cuts = []
-    value = prev = 0
-    for mask in masks:
-        flipped = prev ^ mask
-        while flipped:
-            low = flipped & -flipped
-            value += toggle_delta(g, prev, low.bit_length() - 1)
-            prev ^= low
-            flipped ^= low
-        cuts.append(value)
-    return cuts
+
+def cuts_along(g: Graph, masks: np.ndarray) -> np.ndarray:
+    """Cuts of the bags of a mask array whose steps flip at most one node,
+    as int64: the first counted as ``cut`` counts it, then every step's
+    ``toggle_delta`` at once (a node leaves exactly when the mask drops)
+    and their cumulative sum.  Unchecked like ``toggle_delta``; from a
+    step that flips more nodes on the cuts mean nothing."""
+    neighbors = np.array(g.neighbor_masks, dtype=masks.dtype)
+    degrees = np.bitwise_count(neighbors).astype(np.int64)
+    first = np.bitwise_count(neighbors[members(int(masks[0]))] & ~masks[0])
+    prev, flip = masks[:-1], masks[1:] ^ masks[:-1]
+    # for one flipped bit 2^v, v is the popcount of 2^v - 1
+    node = np.where(flip, np.bitwise_count(flip - 1), 0).astype(np.intp)
+    delta = degrees[node] - 2 * np.bitwise_count(
+        neighbors[node] & prev).astype(np.int64)
+    delta = np.where(masks[1:] < prev, -delta, delta) * (flip != 0)
+    return np.cumsum(np.concatenate(([int(first.sum())], delta)))
 
 
 # Widest operand row, in bytes, that ``rowwise`` runs one column at a time:

@@ -127,6 +127,10 @@ class ResistanceTable:
         mask = bag.mask if isinstance(bag, Bag) else int(bag)
         return int(self.values[mask])
 
+    def gammas(self, masks: np.ndarray) -> np.ndarray:
+        """gamma of every bag of a mask array (``graph.mask_array``)."""
+        return self.values[masks]
+
     @property
     def cutwidth(self) -> int:
         return int(self.values[-1])
@@ -649,6 +653,10 @@ class CompleteGraphResistance:
     def gamma(self, bag) -> int:
         mask = bag.mask if isinstance(bag, Bag) else int(bag)
         return self.by_size[mask.bit_count()]
+
+    def gammas(self, masks: np.ndarray) -> np.ndarray:
+        """gamma of every bag of a mask array (``graph.mask_array``)."""
+        return np.array(self.by_size)[np.bitwise_count(masks).astype(np.intp)]
 
     @property
     def cutwidth(self) -> int:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,9 +26,10 @@ from erl import (CASE1, CASE2, NOT_APPLICABLE, Bag, CompleteGraphResistance,
                  sweep_to_csv, verify_table_invariants)
 from erl.analysis import CheckResult, make_policy, mean_and_stderr
 from erl.epidemic import Event, _extinction_times
-from erl.graph import cut_sequence
+from erl.graph import cuts_along, mask_array
 
 from conftest import ZOO, random_bounded_graph, rng_for
+from reference_audits import reference_cut_sequence
 from test_epidemic import GOLDEN_RUNS, golden_config
 
 
@@ -66,6 +68,13 @@ class TestPoissonExponent:
     def test_negative_seed_refused(self):
         with pytest.raises(ErlError, match="seed must be nonnegative, got -1"):
             poisson_tail_probability(1, 2, 20, samples=10, seed=-1)
+
+    @pytest.mark.parametrize("samples", [-1, 0, 2.5, True])
+    def test_bad_sample_count_refused(self, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ErlError, match="samples must be an int"):
+                poisson_tail_probability(1, 2, 20, samples=samples)
 
 
 class TestSlowRegimeConstants:
@@ -389,9 +398,14 @@ class TestCutSequence:
         theta = [bag.mask for bag in iter_bottleneck(
             Bag.from_mask(m) for m in states)]
         assert len(set(theta)) < len(theta)    # holds repeated masks
+        for masks in (states, theta):
+            cuts = cuts_along(g, mask_array(masks, g.node_count))
+            assert cuts.tolist() == [int(table[m]) for m in masks]
+        # the loop oracle also takes steps that flip several nodes
         jumps = [int(m) for m in rng_for(78).integers(0, 1 << 10, size=200)]
         for masks in (states, theta, jumps):
-            assert cut_sequence(g, masks) == [int(table[m]) for m in masks]
+            assert reference_cut_sequence(g, masks) == \
+                [int(table[m]) for m in masks]
 
 
 class TestRecoveryBoundAudit:
@@ -440,9 +454,8 @@ class TestRecoveryBoundAudit:
         class InflatedTable(CompleteGraphResistance):
             # claims a colossal resistance for every nonempty bag, so the
             # crossing-step cut can never cover the pre-crossing value
-            def gamma(self, bag):
-                mask = bag.mask if isinstance(bag, Bag) else int(bag)
-                return 0 if mask == 0 else 10**6
+            def gammas(self, masks):
+                return np.where(masks == 0, 0, 10**6)
 
         with pytest.raises(LemmaViolationError):
             audit_recovery_bound(g, InflatedTable(g), log, 0.0, 32.0)
@@ -465,7 +478,7 @@ class TestRecoveryBoundAudit:
         table = resistance_table(g)
         whole = audit_recovery_bound(g, table, log, 0.0, log.events[-1].time)
         assert audit_recovery_bound(g, table, log, 0.0, math.inf) == whole
-        assert whole.recoveries == log.recovery_count()
+        assert whole.recoveries == sum(e.kind == RECOVERY for e in log.events)
 
 
 class TestHalvingWindow:
@@ -511,10 +524,10 @@ class TestHalvingWindow:
 
         def recorded(g, masks):
             seen.append(len(masks))
-            return cut_sequence(g, masks)
+            return cuts_along(g, masks)
 
         want = scan_halving_window(g, table, log)
-        monkeypatch.setattr(erl.analysis, "cut_sequence", recorded)
+        monkeypatch.setattr(erl.analysis, "cuts_along", recorded)
         assert scan_halving_window(g, table, log) == want
         masks = [bag.mask for _, bag in replay(log, g)]
         t_idx = next(i for i, m in enumerate(masks)
@@ -569,9 +582,8 @@ class TestHalvingWindow:
         class DropNeverTable(CompleteGraphResistance):
             # resistance "never halves" until the empty bag, then the cut
             # at the final step cannot cover it
-            def gamma(self, bag):
-                mask = bag.mask if isinstance(bag, Bag) else int(bag)
-                return 0 if mask == 0 else 256
+            def gammas(self, masks):
+                return np.where(masks == 0, 0, 256)
 
         with pytest.raises(LemmaViolationError):
             scan_halving_window(g, DropNeverTable(g), log)
@@ -608,41 +620,43 @@ def _outcome(call):
     return repr(out) if not hasattr(out, "to_json_dict") else out.to_json_dict()
 
 
+def log_audit_reports(g: Graph, table, log: EventLog) -> dict:
+    """Every audit of one log: the bottleneck audit of the trajectory and
+    of the trajectory read backwards, and three wrong bottleneck sequences
+    for it (the trajectory itself, the true one a step early, and the true
+    one at double speed); with a table, also the recovery bound on the
+    whole log and on its middle third, and the halving window."""
+    bags = [bag for _, bag in replay(log, g)]
+    theta = bottleneck_sequence(bags).bags
+    early = theta[1:] + theta[-1:]
+    double = [theta[min(2 * i, len(theta) - 1)] for i in range(len(theta))]
+    doc = {
+        "bottleneck": _outcome(lambda: audit_bottleneck(g, bags)),
+        "backwards": _outcome(lambda: audit_bottleneck(g, bags[::-1])),
+        "self_theta": _outcome(lambda: audit_bottleneck(g, bags, theta=bags)),
+        "early_theta": _outcome(
+            lambda: audit_bottleneck(g, bags, theta=early)),
+        "double_theta": _outcome(
+            lambda: audit_bottleneck(g, bags, theta=double)),
+    }
+    if table is not None:
+        end = log.events[-1].time
+        doc["recovery"] = _outcome(
+            lambda: audit_recovery_bound(g, table, log, 0.0, end))
+        doc["recovery_mid"] = _outcome(lambda: audit_recovery_bound(
+            g, table, log, end / 3, 2 * end / 3))
+        doc["halving"] = _outcome(lambda: scan_halving_window(g, table, log))
+    return doc
+
+
 def audit_reports(spec: str, kind: str) -> list:
-    """Every audit of replications 0-2 of ``kind`` on ``spec``: the
-    bottleneck audit of the trajectory and of the trajectory read
-    backwards, and three wrong bottleneck sequences for it (the trajectory
-    itself, the true one a step early, and the true one at double speed);
-    the recovery bound on the whole log and on its middle third; and the
-    halving window."""
+    """``log_audit_reports`` of replications 0-2 of ``kind`` on ``spec``."""
     cfg, table = audit_config(spec)
-    g = cfg.graph
     pol = builtin_policy(kind, table=table) if kind == "resistance_greedy" \
         else builtin_policy(kind)
-    docs = []
-    for j in range(3):
-        log = simulate(cfg, pol, replication=j).log
-        bags = [bag for _, bag in replay(log, g)]
-        theta = bottleneck_sequence(bags).bags
-        early = theta[1:] + theta[-1:]
-        double = [theta[min(2 * i, len(theta) - 1)] for i in range(len(theta))]
-        end = log.events[-1].time
-        docs.append({
-            "bottleneck": _outcome(lambda: audit_bottleneck(g, bags)),
-            "backwards": _outcome(lambda: audit_bottleneck(g, bags[::-1])),
-            "self_theta": _outcome(
-                lambda: audit_bottleneck(g, bags, theta=bags)),
-            "early_theta": _outcome(
-                lambda: audit_bottleneck(g, bags, theta=early)),
-            "double_theta": _outcome(
-                lambda: audit_bottleneck(g, bags, theta=double)),
-            "recovery": _outcome(
-                lambda: audit_recovery_bound(g, table, log, 0.0, end)),
-            "recovery_mid": _outcome(lambda: audit_recovery_bound(
-                g, table, log, end / 3, 2 * end / 3)),
-            "halving": _outcome(lambda: scan_halving_window(g, table, log)),
-        })
-    return docs
+    return [log_audit_reports(cfg.graph, table,
+                              simulate(cfg, pol, replication=j).log)
+            for j in range(3)]
 
 
 # SHA-256 of json.dumps(audit_reports(spec, kind), sort_keys=True), recorded
@@ -709,6 +723,54 @@ class TestAuditGolden:
             AUDIT_DIGESTS[spec, kind]
 
 
+def wide_audit_reports(case: str) -> dict:
+    """``log_audit_reports`` on graphs of more than 64 nodes, whose masks
+    fit no machine word: a simulated extinct log and a hand-built monotone
+    recovery log on complete:70 (CutWidth 1,225, budget above it), and a
+    random_regular:100,3 trajectory, which has no table."""
+    if case == "random_regular:100,3":
+        g = generate("random_regular", (100, 3), seed=100)
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(40), seed=100, max_events=3000)
+        log = simulate(cfg, builtin_policy("uniform")).log
+        return log_audit_reports(g, None, log)
+    g = generate("complete", (70,))
+    table = CompleteGraphResistance(g)
+    assert table.cutwidth == 1225
+    if case == "complete:70 monotone":
+        events = tuple(Event(float(i + 1), RECOVERY, 69 - i)
+                       for i in range(70))
+        log = EventLog(g.all_nodes(), events, Bag())
+    else:
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(1300), seed=7000,
+                             max_events=10**5)
+        res = simulate(cfg, builtin_policy("max_cut_drop"))
+        assert res.extinct
+        log = res.log
+    return log_audit_reports(g, table, log)
+
+
+# SHA-256 of json.dumps(wide_audit_reports(case), sort_keys=True), recorded
+# with the audits that read every mask as a Python int.
+WIDE_AUDIT_DIGESTS = {
+    "complete:70 simulated":
+        "7d82e717abe2f8c3b51955e088a5a8e7ec9a4d7d7c3e53f05f0fd71fb052ac93",
+    "complete:70 monotone":
+        "732323c586ba56d1c0bd8ae729c8fbda31c56db8c39309c7539e6f6993216a9b",
+    "random_regular:100,3":
+        "dd25edeb3efd51ee72037488444077471a5c6b7447155b714033507881a0ad2d",
+}
+
+
+class TestWideAuditGolden:
+    @pytest.mark.parametrize("case", sorted(WIDE_AUDIT_DIGESTS))
+    def test_report_digest(self, case):
+        doc = json.dumps(wide_audit_reports(case), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == \
+            WIDE_AUDIT_DIGESTS[case]
+
+
 class TestForeignTables:
     """Both trajectory audits read the table only after checking that it
     belongs to the log's graph."""
@@ -738,7 +800,8 @@ class TestForeignTables:
 
 
 class TestReplayOnce:
-    """Each audit call checks and replays its log once, as masks."""
+    """Each audit call checks and replays its log once, into one mask
+    array."""
 
     def count(self, monkeypatch):
         """Record every trajectory built and every bag made from a mask."""
@@ -797,11 +860,28 @@ class TestReplayOnce:
                              "25", "--seed", "6"]) == 0
         assert "0 violations" in capsys.readouterr().out
         assert len(calls) == 25
-        assert len({id(log) for log in calls}) == 25
+        assert len({id(run) for run in calls}) == 25
         # the start bag and each run's final state, never a bag per state
-        states = sum(len(log.events) + 1 for log in calls)
+        states = sum(len(run.times) + 1 for run in calls)
         assert states > 10 * 25
         assert len(bags) <= 1 + 25
+
+    def test_verify_builds_no_event_log(self, monkeypatch, capsys):
+        # the audits read each run's columns, so no log is built
+        logs = []
+        init = EventLog.__init__
+
+        def counted(self, *args):
+            logs.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(EventLog, "__init__", counted)
+        assert erl.cli.main(["verify", "--gen", "line:9", "--trajectories",
+                             "5", "--seed", "6"]) == 0
+        assert "0 violations" in capsys.readouterr().out
+        assert logs == []
+        simulated_extinct_log("line", (5,), 4, 5)
+        assert len(logs) == 1
 
 
 class TestCompleteExtinctionOracle:
@@ -898,6 +978,15 @@ class TestExactChain:
         with pytest.raises(ErlError, match="infection rate"):
             exact_extinction_times(generate("line", (3,)),
                                    builtin_policy("max_cut_drop"), 1, rate)
+
+    def test_rate_sum_beyond_float_refused(self):
+        # each rate is a finite float, but their sum out of a bag is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ErlError, match="bag 0x2 is above the largest"):
+                exact_extinction_times(generate("line", (3,)),
+                                       builtin_policy("max_cut_drop"), 1,
+                                       1e308)
 
     def test_drawing_policy_refused(self):
         # the first bag, 0x1, only touches the stream: integers(1) draws

@@ -785,6 +785,25 @@ class TestSimulate:
         assert res.recovery_count == sum(
             1 for e in res.log.events if e.kind == RECOVERY)
 
+    def test_log_built_on_first_read(self, monkeypatch):
+        made = []
+
+        def counted(*fields):
+            made.append(fields)
+            return Event(*fields)
+
+        monkeypatch.setattr(epidemic, "Event", counted)
+        g = generate("cycle", (5,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(4), seed=9)
+        res = simulate(cfg, builtin_policy("uniform"))
+        assert made == [] and len(res.times) > 5
+        log = res.log
+        assert made == list(zip(res.times, res.kinds, res.nodes))
+        assert log.events == tuple(made) and res.log is log
+        assert (log.initial_infected, log.final) == \
+            (res.initial_infected, res.final)
+
     def test_simulate_outputs_replay_clean(self, zoo_graph):
         g = zoo_graph
         cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
