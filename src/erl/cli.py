@@ -49,17 +49,25 @@ def _load_graph(args) -> Graph:
 
 
 def _parse_bag(spec: str, g: Graph) -> Bag:
+    """``all``, a ``0x`` mask or a comma-separated id list, as a bag of
+    ``g``.  Ids outside the graph are refused before any mask is built, so
+    a huge id costs nothing; a mask's highest bit names its id."""
     if spec == "all":
         return g.all_nodes()
+    n = g.node_count
     try:
-        if spec.startswith("0x") or spec.startswith("0X"):
-            bag = Bag.from_mask(int(spec, 16))
+        if spec.startswith(("0x", "0X")):
+            mask = int(spec, 16)
+            ids = [mask.bit_length() - 1] if mask >> n else []
         else:
-            bag = Bag(int(x) for x in spec.split(","))
+            mask = None
+            ids = [int(x) for x in spec.split(",")]
     except ValueError:
         raise ErlError(f"bad bag {spec!r}: expected all, 0xMASK or an id list")
-    g.check_bag(bag)
-    return bag
+    for v in ids:
+        if not 0 <= v < n:
+            raise ErlError(f"bad bag {spec!r}: node {v} is not in 0..{n - 1}")
+    return Bag(ids) if mask is None else Bag.from_mask(mask)
 
 
 def _parse_budget(spec: str) -> Fraction:
@@ -95,6 +103,7 @@ def _manifest(subcommand: str, argv: list[str], seed, outputs: list[str],
 def cmd_resistance(args, argv) -> int:
     started = time.perf_counter()
     g = _load_graph(args)
+    bag = None if args.witness is None else _parse_bag(args.witness, g)
     table = resistance_table(g)
     outputs = []
     if args.out:
@@ -103,8 +112,7 @@ def cmd_resistance(args, argv) -> int:
         else:
             _write(args.out, table.dump_binary())
         outputs.append(args.out)
-    if args.witness is not None:
-        bag = _parse_bag(args.witness, g)
+    if bag is not None:
         crusade = witness_crusade(g, table, bag)
         check = validate_crusade(crusade.bags, bag, Bag())
         w = width(g, crusade)
@@ -115,7 +123,7 @@ def cmd_resistance(args, argv) -> int:
         doc = {"bag": list(bag.nodes()), "gamma": table.gamma(bag),
                "width": w, "crusade": json.loads(crusade_to_json(crusade))}
         print(json.dumps(doc, sort_keys=True))
-    if not args.out and args.witness is None:
+    if not args.out and bag is None:
         print(f"n={g.node_count} cutwidth={table.cutwidth} "
               f"rounds={table.converged_rounds}")
     _manifest("resistance", argv, args.seed, outputs, started)

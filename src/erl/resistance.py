@@ -30,7 +30,8 @@ import numpy as np
 
 from .crusade import Crusade
 from .errors import CapacityError, ErlError
-from .graph import Bag, Graph, cut_table, halves, rowwise
+from .graph import (Bag, Graph, cut, cut_table, halves, members, rowwise,
+                    toggle_delta)
 
 LATTICE_CAP = 20    # full 2^n tables
 ORACLE_CAP = 10     # literal state-graph search
@@ -100,7 +101,15 @@ def _narrowed(cut_t: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 class ResistanceTable:
-    """gamma(A) for every bag of a graph, indexed by bag bitmask."""
+    """gamma(A) for every bag of a graph, indexed by bag bitmask.
+
+    A table from ``resistance_table`` also keeps its graph's removal-only
+    values, uint8 by bag mask, in ``_monotone`` for ``witness_crusade``.
+    They are not serialized, compared or passed to the constructor; every
+    other table (loaded, hand-built, copied) has None there.
+    """
+
+    _monotone: np.ndarray | None = None
 
     def __init__(self, graph: Graph | None, values: np.ndarray, converged_rounds: int):
         self.graph = graph
@@ -207,9 +216,9 @@ def _value_iteration(g: Graph, start: np.ndarray,
 
     The rounds run on copies of both in the dtype ``_narrowed`` picks
     (uint8 for every start this module passes), and the fixed point is
-    returned in ``start``'s dtype.  Each round holds the cut table, the
-    iterate, the operator's fold and its one-removal output, one byte per
-    bag each on uint8.
+    returned as uint16, like every table.  Each round holds the cut table,
+    the iterate, the operator's fold and its one-removal output, one byte
+    per bag each on uint8.
     """
     n = g.node_count
     cut_t, gamma = _narrowed(cut_t, start)
@@ -218,18 +227,21 @@ def _value_iteration(g: Graph, start: np.ndarray,
         rounds += 1
         new = np.minimum(gamma, _bellman_rhs(gamma, cut_t, n))
         if np.array_equal(new, gamma):
-            return ResistanceTable(g, new.astype(start.dtype),
+            return ResistanceTable(g, new.astype(np.uint16),
                                    converged_rounds=rounds)
         gamma = new
 
 
-def _tables(g: Graph) -> tuple[ResistanceTable, ResistanceTable]:
-    """The monotone table and the resistance table that value iteration
-    reaches from it, both from one cut table."""
+def _tables(g: Graph) -> tuple[np.ndarray, ResistanceTable]:
+    """The monotone values (uint8) and the resistance table that value
+    iteration reaches from them, both from one cut table.  The table keeps
+    the monotone values as its ``_monotone``."""
     _require_cap(g.node_count, LATTICE_CAP, "resistance_table")
     cut_t = cut_table(g)
-    mono = _monotone_table(g, cut_t)
-    return mono, _value_iteration(g, mono.values, cut_t)
+    mg = _monotone_values(g, cut_t)
+    table = _value_iteration(g, mg, cut_t)
+    table._monotone = mg
+    return mg, table
 
 
 def resistance_table(g: Graph) -> ResistanceTable:
@@ -302,12 +314,13 @@ def monotone_resistance_table(g: Graph) -> ResistanceTable:
     the popcount layers of the 2^(n-w) rows and of the 2^w columns.
     """
     _require_cap(g.node_count, LATTICE_CAP, "monotone_resistance_table")
-    return _monotone_table(g, cut_table(g))
+    return ResistanceTable(g, _monotone_values(g, cut_table(g)).astype(np.uint16),
+                           converged_rounds=1)
 
 
-def _monotone_table(g: Graph, cut_t: np.ndarray) -> ResistanceTable:
-    """``monotone_resistance_table`` on ``cut_t`` = ``cut_table(g)``, which
-    is not modified."""
+def _monotone_values(g: Graph, cut_t: np.ndarray) -> np.ndarray:
+    """The values of ``monotone_resistance_table`` as uint8, from
+    ``cut_t`` = ``cut_table(g)``, which is not modified."""
     n = g.node_count
     w = min(BLOCK_NODES, n)
     shape = (1 << (n - w), 1 << w)
@@ -332,8 +345,7 @@ def _monotone_table(g: Graph, cut_t: np.ndarray) -> ResistanceTable:
             h_b[cols] = np.maximum(cut_b[cols], val)
         mg[rows] = best.T
         h[rows] = h_b.T
-    return ResistanceTable(g, mg.reshape(-1).astype(np.uint16),
-                           converged_rounds=1)
+    return mg.reshape(-1)
 
 
 def cutwidth(g: Graph) -> int:
@@ -345,11 +357,11 @@ def cutwidth(g: Graph) -> int:
     starts from the monotone table, and the two full-set entries are
     compared, so a returned width is also the monotone DP's.
     """
-    mono, table = _tables(g)
+    mg, table = _tables(g)
     w = table.cutwidth
-    if w != mono.cutwidth:
+    if w != int(mg[-1]):
         raise ErlError(
-            f"cutwidth mismatch: nonmonotone {w} vs monotone {mono.cutwidth} "
+            f"cutwidth mismatch: nonmonotone {w} vs monotone {int(mg[-1])} "
             "(implementation bug)")
     return w
 
@@ -556,9 +568,66 @@ def _crusade_steps(allowed: np.ndarray, n: int, src: int) -> np.ndarray:
 def witness_crusade(g: Graph, table: ResistanceTable, a: Bag) -> Crusade:
     """A concrete optimal crusade from ``a`` to the empty bag.
 
-    Walks a shortest crusade among those of optimal width: every entered bag
-    has cut at most gamma(a).  Ties prefer fewer remaining steps, then
-    smaller bags, then smaller bitmask, so output is deterministic.
+    Walks a shortest crusade among those of optimal width t = gamma(a):
+    every entered bag has cut at most t.  Ties prefer fewer remaining
+    steps, then smaller bags, then smaller bitmask, so output is
+    deterministic.  Two cases split on mg(a), the removal-only value of
+    ``a`` (the table's ``_monotone``, else the monotone DP run on ``g``):
+
+    - mg(a) <= t: ``a`` has a removal-only crusade within t, of |a|
+      steps, and none is shorter, since a step removes at most one node.
+      A bag one step along a shortest crusade then has |a| - 1 nodes, so
+      it is some a - v with cut(a - v) <= t and mg(a - v) <= t, and of
+      those the tie rule picks the smallest mask, the highest v.  The same
+      holds at every later bag, so ``_removal_walk`` takes those removals
+      with no step count and no tie key.
+    - mg(a) > t: the crusade must grow some bag, and ``_search_walk``
+      counts steps by breadth-first search and walks the tie key.
+
+    Both apply the one tie rule, so wherever mg(a) <= t they return the
+    same crusade (the tests compare them on every bag of small graphs).
+    On a table of gamma the full bag is always in the first case: its
+    resistance is the CutWidth, which is mg's full-bag entry.
+    """
+    _require_cap(g.node_count, LATTICE_CAP, "witness_crusade")
+    table.require_graph(g)
+    g.check_bag(a)
+    t = table.gamma(a)
+    mg = table._monotone
+    if mg is None:
+        mg = _monotone_values(g, cut_table(g))
+    if int(mg[a.mask]) <= t:
+        path = _removal_walk(g, mg, t, a.mask)
+    else:
+        path = _search_walk(g, t, a.mask)
+    return Crusade(tuple(Bag.from_mask(m) for m in path))
+
+
+def _removal_walk(g: Graph, mg: np.ndarray, t: int, src: int) -> list[int]:
+    """The masks of the crusade from ``src`` that removes, at each step,
+    the highest node v of the bag with cut(bag - v) <= t and
+    mg(bag - v) <= t, for the monotone values ``mg``.
+
+    Needs mg(src) <= t; mg's recurrence then gives every nonempty bag on
+    the way such a node.  Cuts follow the walk by ``toggle_delta``.
+    """
+    path = [src]
+    cur, c = src, cut(g, Bag.from_mask(src))
+    while cur:
+        for v in reversed(members(cur)):
+            nxt, c_nxt = cur ^ (1 << v), c + toggle_delta(g, cur, v)
+            if c_nxt <= t and int(mg[nxt]) <= t:
+                break
+        else:
+            raise ErlError("witness walk stuck (implementation bug)")
+        path.append(nxt)
+        cur, c = nxt, c_nxt
+    return path
+
+
+def _search_walk(g: Graph, t: int, src: int) -> list[int]:
+    """The masks of the shortest crusade of width at most ``t`` from
+    ``src``, under ``witness_crusade``'s tie rule, for any source.
 
     The step counts come from a breadth-first search on bit-packed bag
     sets, 64 bags to a uint64 word (``_crusade_steps``).  A round asks
@@ -577,15 +646,8 @@ def witness_crusade(g: Graph, table: ResistanceTable, a: Bag) -> Crusade:
     uint64 otherwise.
     """
     n = g.node_count
-    _require_cap(n, LATTICE_CAP, "witness_crusade")
-    table.require_graph(g)
-    g.check_bag(a)
-    if a.mask == 0:
-        return Crusade((a,))
-    t = table.gamma(a)
     size = 1 << n
     allowed = cut_table(g) <= t
-    src = a.mask
     steps = _crusade_steps(allowed, n, src)
 
     # Composite key packs (steps, popcount, mask) so one superset-min gives
@@ -600,7 +662,7 @@ def witness_crusade(g: Graph, table: ResistanceTable, a: Bag) -> Crusade:
     key[~keyed] = none
     km = superset_min(key, n)
 
-    bags = [a]
+    path = [src]
     cur = src
     while cur:
         best = int(km[cur])
@@ -612,9 +674,9 @@ def witness_crusade(g: Graph, table: ResistanceTable, a: Bag) -> Crusade:
         nxt = best & (size - 1)
         if best >> (n + 5) != int(steps[cur]) - 1:
             raise ErlError("witness walk did not shorten (implementation bug)")
-        bags.append(Bag.from_mask(nxt))
+        path.append(nxt)
         cur = nxt
-    return Crusade(tuple(bags))
+    return path
 
 
 class CompleteGraphResistance:

@@ -4,6 +4,7 @@ import math
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -227,6 +228,46 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+class TestBagIds:
+    """``--witness`` and ``--initial`` refuse an id outside the graph before
+    any mask is built, naming the id."""
+
+    HUGE = "99999999999999999999"
+
+    @pytest.mark.parametrize("argv,node", [
+        (("resistance", "--gen", "line:5", "--witness", HUGE), HUGE),
+        (("simulate", "--gen", "line:5", "--budget", "2", "--initial", HUGE),
+         HUGE),
+        (("resistance", "--gen", "line:5", "--witness", "4000000000"),
+         "4000000000"),
+        (("resistance", "--gen", "line:5", "--witness", "0x20"), "5"),
+        (("simulate", "--gen", "line:5", "--budget", "2", "--initial",
+          "0x" + "f" * 1000), "3999"),
+        (("resistance", "--gen", "line:5", "--witness", "1,-2"), "-2"),
+    ], ids=["huge_witness", "huge_initial", "witness_4e9", "mask_one_wide",
+            "mask_4000_bits", "negative"])
+    def test_out_of_range_exit_2_one_line(self, capsys, argv, node):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"node {node} is not in 0..4" in err
+        # 1 << 4000000000 alone would take 500 MB
+        assert peak < 1 << 20
+
+    def test_highest_node_accepted(self, capsys):
+        for spec in ("4", "0x10", "0,4"):
+            code, out, _ = run(capsys, "resistance", "--gen", "line:5",
+                               "--witness", spec)
+            assert code == 0
+            assert 4 in json.loads(out)["bag"]
 
 
 class TestVerifyCommand:

@@ -13,7 +13,8 @@ from erl import (LATTICE_CAP, Bag, CapacityError, CompleteGraphResistance,
                  validate_crusade, width, witness_crusade)
 from erl.graph import cut_table
 from erl.resistance import (BLOCK_NODES, NO_STEP, UNREACHED, _bellman_rhs,
-                            _crusade_steps, _reach_round, step_min,
+                            _crusade_steps, _monotone_values, _reach_round,
+                            _removal_walk, _search_walk, step_min,
                             superset_min)
 
 from conftest import ZOO, random_bounded_graph, rng_for
@@ -159,10 +160,11 @@ class TestTableShape:
         assert np.array_equal(start, before)
 
     def test_peak_memory(self):
-        """Under 10 bytes per bag at n = 18 (9.0 measured): value iteration
+        """Under 9 bytes per bag at n = 18 (8.0 measured): value iteration
         holds the cut table, the iterate, the operator's fold and its
-        output in uint8 beside the uint16 cut and monotone tables; on uint16
-        rounds it peaked at 12.2."""
+        output in uint8 beside the uint16 cut table and the uint8 monotone
+        values the table keeps; with a uint16 monotone table it peaked at
+        9.0, and on uint16 rounds at 12.2."""
         g = generate("random_regular", (18, 3), seed=1)
         tracemalloc.start()
         try:
@@ -170,7 +172,7 @@ class TestTableShape:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 << 18
+        assert peak < 9 << 18
 
     def test_one_cut_table_per_call(self, monkeypatch):
         g = generate("random_regular", (12, 3), seed=1)
@@ -320,7 +322,9 @@ class TestWitness:
 
     def test_step_limit_raises(self, monkeypatch):
         # a round that reaches mask r in round r needs 511 rounds to reach
-        # the full set of 9 nodes, past the 254 a uint8 count can hold
+        # the full set of 9 nodes, past the 254 a uint8 count can hold; at
+        # width 0 the full bag has no removal-only crusade, so the search
+        # runs
         def path_round(reached, allowed, n):
             bits = np.unpackbits(reached.view(np.uint8), bitorder="little")
             bits[1:] |= bits[:-1]
@@ -328,10 +332,29 @@ class TestWitness:
 
         g = generate("line", (9,))
         values = resistance_table(g).values.copy()
-        values[-1] = 100
+        values[-1] = 0
         monkeypatch.setattr(erl.resistance, "_reach_round", path_round)
         with pytest.raises(ErlError, match="more than 254 steps"):
             witness_crusade(g, ResistanceTable(g, values, 1), g.all_nodes())
+
+    def test_full_bag_runs_no_search(self, monkeypatch):
+        """On a table from ``resistance_table`` the full bag takes the
+        removal walk on the kept monotone values: no breadth-first round
+        and no cut table."""
+        g = generate("random_regular", (20, 3), seed=1)
+        table = resistance_table(g)
+        calls = []
+
+        def refused(*args):
+            calls.append(args)
+            raise AssertionError("called")
+
+        monkeypatch.setattr(erl.resistance, "_reach_round", refused)
+        monkeypatch.setattr(erl.resistance, "cut_table", refused)
+        c = witness_crusade(g, table, g.all_nodes())
+        assert calls == []
+        assert len(c.bags) == g.node_count + 1
+        assert width(g, c) == table.cutwidth
 
     def test_lowered_full_set_raises_promptly(self, monkeypatch):
         g = generate("random_regular", (12, 3), seed=5)
@@ -419,6 +442,76 @@ class TestPackedSearch:
                 for t in range(-1, int(cut_table(g).max()) + 1):
                     self.check_sources(g, t, range(1 << n))
         assert set(rounds) == {1, 2, 3, 4, 5}
+
+
+class TestRemovalWalk:
+    """``_removal_walk`` against the breadth-first ``_search_walk``: the two
+    must return the same crusade from every source a with mg(a) <= t."""
+
+    @staticmethod
+    def agree(g: Graph, mg: np.ndarray, values: np.ndarray, sources) -> int:
+        """Compare the walks at t = values[a] from each source with
+        mg(a) <= t; return how many sources were compared."""
+        compared = 0
+        for src in map(int, sources):
+            t = int(values[src])
+            if mg[src] <= t:
+                assert _removal_walk(g, mg, t, src) == _search_walk(g, t, src)
+                compared += 1
+        return compared
+
+    def test_every_bag_of_zoo(self, zoo_graph):
+        g = zoo_graph
+        assert g.node_count <= 10
+        table = resistance_table(g)
+        bags = range(1 << g.node_count)
+        assert self.agree(g, table._monotone, table.values, bags) >= 2
+
+    def test_sampled_bags_of_large_graphs(self):
+        rng = rng_for(91)
+        for name in ("rr16_3s1", "rr18_3s2", "rr20_3s1"):
+            g = GOLDEN_GRAPHS[name]()
+            table = resistance_table(g)
+            mg, values = table._monotone, table.values
+            # sample among the removal-only sources, which are rare here
+            fit = np.flatnonzero(mg <= values)
+            sources = rng.choice(fit, 8, replace=False)
+            assert self.agree(g, mg, values, sources) == 8
+
+    def test_raised_gamma(self, zoo_graph):
+        """Hand-built tables: gamma(a) raised by one, and raised to mg(a)
+        where that is higher, which moves a must-grow source into the
+        removal case.  ``witness_crusade`` computes mg from the graph."""
+        g = zoo_graph
+        gamma = resistance_table(g).values
+        mg = _monotone_values(g, cut_table(g))
+        rng = rng_for(92)
+        sources = rng.integers(1, g.full_mask + 1, 12)
+        for src in map(int, sources):
+            for raised in {int(gamma[src]) + 1, int(mg[src])}:
+                if raised <= gamma[src]:
+                    continue
+                values = gamma.copy()
+                values[src] = raised
+                got = witness_crusade(g, ResistanceTable(g, values, 1),
+                                      Bag.from_mask(src))
+                assert [b.mask for b in got.bags] == \
+                    _search_walk(g, raised, src)
+                assert width(g, got) <= raised
+
+    def test_golden_sources_reach_both_walks(self):
+        """The golden witness digests cover both cases: every full bag and
+        some seeded bags take the removal walk, other seeded bags must
+        grow."""
+        walks = []
+        for make in GOLDEN_GRAPHS.values():
+            g = make()
+            table = resistance_table(g)
+            full, *seeded = _witness_sources(g)
+            assert table._monotone[full] <= table.cutwidth
+            walks += [table._monotone[src] <= table.gamma(src)
+                      for src in seeded]
+        assert any(walks) and not all(walks)
 
 
 class TestDumpFormats:
@@ -652,6 +745,7 @@ GOLDEN_GRAPHS.update({
     f"rr{n}_3s{seed}": (lambda n=n, seed=seed:
                         generate("random_regular", (n, 3), seed=seed))
     for n in (16, 18) for seed in (1, 2)})
+GOLDEN_GRAPHS["rr20_3s1"] = lambda: generate("random_regular", (20, 3), seed=1)
 
 # First 16 hex digits of the SHA-256 of: the monotone table's values, the
 # resistance table's values (both little-endian uint16), and the witness
@@ -669,6 +763,7 @@ GOLDEN = {
     "rr16_3s2": ("25ffaad1545e2d66", "fd3f3059ac6a8a22", "047fe0cf74e83644"),
     "rr18_3s1": ("bbdb91014d4f3405", "b6c7e933093c800b", "b84de6e1ab54a854"),
     "rr18_3s2": ("2bb8831c39b24c8a", "af7fe194f90b8197", "3a5fd24691e19cfc"),
+    "rr20_3s1": ("a849c2955a15b665", "24ac823e48d01966", "b2357c2960c193ab"),
     "rr8_3": ("d62b72574d3fd818", "ebdcf83a43969410", "8d7f3f0fe16291df"),
     "star3": ("8c3a2e88b9a57312", "8c3a2e88b9a57312", "d9566dfe80b29859"),
 }
@@ -678,11 +773,15 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _witness_digest(g: Graph, table: ResistanceTable) -> str:
+def _witness_sources(g: Graph) -> list[int]:
+    """The full bag and five seeded bags."""
     rng = rng_for(80)
-    sources = [g.full_mask, *(int(m) for m in rng.integers(1, g.full_mask + 1, 5))]
+    return [g.full_mask, *(int(m) for m in rng.integers(1, g.full_mask + 1, 5))]
+
+
+def _witness_digest(g: Graph, table: ResistanceTable) -> str:
     h = hashlib.sha256()
-    for mask in sources:
+    for mask in _witness_sources(g):
         bags = witness_crusade(g, table, Bag.from_mask(mask)).bags
         h.update(len(bags).to_bytes(4, "little"))
         h.update(np.array([b.mask for b in bags], dtype="<u4").tobytes())
@@ -697,8 +796,8 @@ CSV_GOLDEN = {
     "line5": "e63c6d7512a5fe36", "line9": "37d95bba23d54dba",
     "rr10_3": "69278991753e4184", "rr16_3s1": "360f287c3659195e",
     "rr16_3s2": "6b37fd17e8bebb5f", "rr18_3s1": "5ade8b45225d9e7e",
-    "rr18_3s2": "beee90bf565c19dd", "rr8_3": "4ce47d9be74fbd5b",
-    "star3": "c9f80fcb807873cd",
+    "rr18_3s2": "beee90bf565c19dd", "rr20_3s1": "802ab4ad29da7a26",
+    "rr8_3": "4ce47d9be74fbd5b", "star3": "c9f80fcb807873cd",
 }
 
 
@@ -711,7 +810,8 @@ class TestCsvGolden:
 
 class TestGolden:
     """Tables and witnesses recorded before the warm start and the
-    small-type witness search; both must stay bit-identical."""
+    small-type witness search (rr20_3s1 before the removal walk); both
+    must stay bit-identical."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
     def test_digests(self, name):
