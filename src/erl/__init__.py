@@ -8,9 +8,9 @@ properties those computations rely on.
 
 __version__ = "0.1.0"
 
-from .analysis import (CASE1, CASE2, NOT_APPLICABLE, IntervalWitness,
-                       InvariantReport, RecoveryBoundReport, SlowRegimeConstants,
-                       SweepRecord, audit_recovery_bound,
+from .analysis import (CASE1, CASE2, NOT_APPLICABLE, SAMPLE_CAP,
+                       IntervalWitness, InvariantReport, RecoveryBoundReport,
+                       SlowRegimeConstants, SweepRecord, audit_recovery_bound,
                        complete_extinction_mean, exact_extinction_times,
                        extinction_sweep, poisson_ld_exponent,
                        poisson_tail_probability, scan_halving_window,

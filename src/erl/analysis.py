@@ -55,6 +55,10 @@ def poisson_tail_probability(lam: float, lam_prime: float, n: int,
     """
     if not _is_int(samples) or samples < 1:
         raise ErlError(f"samples must be an int of at least 1, got {samples!r}")
+    # written so that NaN fails the test
+    if not (lam > 0 and lam_prime > 0):
+        raise ErlError("poisson_tail_probability needs positive rates, "
+                       f"got lam={lam!r}, lam_prime={lam_prime!r}")
     rng = _stream(seed)
     x = rng.poisson(lam * n, size=samples)
     if lam_prime >= lam:
@@ -177,6 +181,12 @@ def _first(cond: np.ndarray) -> np.ndarray:
     return np.flatnonzero(cond)[:_MAX_WITNESSES]
 
 
+# Most random pairs ``verify_table_invariants`` draws.  Its arrays take
+# about 43 bytes per pair (traced on random_regular:16,3 at 10^6 and
+# 2 * 10^6 pairs), so about 0.43 GB at the cap.
+SAMPLE_CAP = 10**7
+
+
 def verify_table_invariants(g: Graph, table: ResistanceTable,
                             mode: str = "exhaustive", samples: int = 100_000,
                             seed: int = 0) -> InvariantReport:
@@ -185,7 +195,7 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     Exhaustive mode checks all bag pairs when n <= 8 and all subset pairs
     for monotonicity when n <= 10; above that, and throughout sampled mode,
     the pair checks run over all single-node steps plus ``samples`` random
-    pairs.  The fixed-point and cut-at-drop checks are always complete.
+    pairs, at most ``SAMPLE_CAP``.  The fixed-point and cut-at-drop checks are always complete.
 
     Single-node steps use the half-views of ``graph.halves``: they line
     every bag without v up with the bag that adds v, so no mask array is
@@ -212,8 +222,9 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     """
     if mode not in ("exhaustive", "sampled"):
         raise ErlError(f"unknown mode {mode!r}")
-    if samples < 0:
-        raise ErlError(f"samples must be nonnegative, got {samples}")
+    if not _is_int(samples) or not 0 <= samples <= SAMPLE_CAP:
+        raise ErlError(f"samples must be an int in 0..{SAMPLE_CAP}, "
+                       f"got {samples!r}")
     rng = _stream(seed)
     table.require_graph(g)
     # computed before the work arrays below exist, so its own arrays do
@@ -811,6 +822,8 @@ def complete_extinction_mean(n: int, r) -> float:
     the expected absorption time has a closed recurrence.  Used as an
     independent oracle for simulator means.
     """
+    if not _is_int(n) or n < 1:
+        raise ErlError(f"n must be an int of at least 1, got {n!r}")
     # written so that NaN fails the test; a larger budget has no float
     if not 0 < r <= float_info.max:
         raise ErlError("needs a positive budget of at most "

@@ -199,7 +199,7 @@ def cmd_verify(args, argv) -> int:
                                 max_events=10**6)
         for j in range(args.trajectories):
             res = simulate(config, policy, replication=j)
-            times, masks = _trajectory(res, g)
+            times, masks = _trajectory(res.log, g)
             audit = _bottleneck_audit(g, masks)
             if not audit.passed:
                 trajectory_failures.append(

@@ -17,8 +17,8 @@ mask; ``simulate`` keeps only that mask and its cut, updates the cut by one
 ``toggle_delta`` per event and (in debug runs) re-derives it from scratch
 at every event.
 
-``simulate`` records each event's time, kind and node, from which its
-event log is built on demand, and is the reference.  Sweeps run the
+``simulate`` records each event's time, kind and node as the three
+columns of its event log, and is the reference.  Sweeps run the
 τ-only engine ``_extinction_times``, which follows the same law with
 different draws from the same seed; ``graph._seeds`` lists every stream.
 
@@ -33,19 +33,20 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate
 from math import inf, lcm
-from numbers import Rational
-from operator import index, itemgetter
+from numbers import Rational, Real
+from operator import index
 from sys import float_info
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ErlError, PolicyViolationError, ReplayError
-from .graph import (GENERATE_CAP, Bag, Graph, _CounterRange, _seeds, _stream,
-                    cut, mask_array, members, toggle_delta)
+from .graph import (GENERATE_CAP, Bag, Graph, _check_seed, _CounterRange,
+                    _is_int, _seeds, _stream, cut, mask_array, members,
+                    toggle_delta)
 
 INFECTION = "INFECTION"
 RECOVERY = "RECOVERY"
@@ -59,7 +60,10 @@ LOG_MAGIC = b"REL1"
 # tables of at most 2n + 1 items each); the memo is emptied when it reaches
 # the bound, which changes no output.
 _MEMO_CELLS = 1 << 20
-_EVENT = struct.Struct("<dBI")
+# One REL1 event: little-endian float64 time, kind byte (0 infection,
+# 1 recovery) and uint32 node, 13 bytes with no padding.
+_EVENT = np.dtype([("time", "<f8"), ("kind", "u1"), ("node", "<u4")])
+_KINDS = (INFECTION, RECOVERY)
 
 
 def _node_id_error(top: int, where: str) -> ErlError:
@@ -98,7 +102,12 @@ class EpidemicConfig:
         # NaN and the infinities have no Fraction
         if self.budget != self.budget or self.budget in (inf, -inf):
             raise ErlError(f"budget must be finite, got {self.budget!r}")
-        object.__setattr__(self, "budget", Fraction(self.budget))
+        try:
+            budget = Fraction(self.budget)
+        except (TypeError, ValueError):
+            raise ErlError("budget must be a real number, "
+                           f"got {self.budget!r}") from None
+        object.__setattr__(self, "budget", budget)
         self.graph.check_bag(self.initial_infected)
         if self.budget < 0:
             raise ErlError("budget must be nonnegative")
@@ -107,13 +116,17 @@ class EpidemicConfig:
             raise ErlError(f"budget must be at most {float_info.max!r}, "
                            "the largest float")
         # the event and policy streams are seeded from it
-        if self.seed < 0:
-            raise ErlError(f"seed must be nonnegative, got {self.seed}")
+        _check_seed(self.seed)
         # written so that NaN fails each test
-        if not 0 < self.infection_rate <= float_info.max:
+        if not (isinstance(self.infection_rate, Real)
+                and 0 < self.infection_rate <= float_info.max):
             raise ErlError("infection rate must be a positive finite float")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ErlError("horizon must be positive")
+        if self.horizon is not None and not (isinstance(self.horizon, Real)
+                                             and self.horizon > 0):
+            raise ErlError("horizon must be a positive real number, "
+                           f"got {self.horizon!r}")
+        if not _is_int(self.max_events):
+            raise ErlError(f"max_events must be an int, got {self.max_events!r}")
         if self.max_events < 1:
             raise ErlError("max_events must be at least 1, "
                            f"got {self.max_events}")
@@ -121,20 +134,29 @@ class EpidemicConfig:
 
 @dataclass(frozen=True)
 class EventLog:
+    """One run's events as three columns: time, kind and node of each."""
+
     initial_infected: Bag
-    events: tuple[Event, ...]
+    times: tuple[float, ...]
+    kinds: tuple[str, ...]
+    nodes: tuple[int, ...]
     final: Bag
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """The events as rows, built at each read."""
+        return tuple(map(Event, self.times, self.kinds, self.nodes))
 
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write("time,kind,node\n")
-        for ev in self.events:
-            out.write(f"{ev.time!r},{ev.kind},{ev.node}\n")
+        for t, kind, node in zip(self.times, self.kinds, self.nodes):
+            out.write(f"{t!r},{kind},{node}\n")
         return out.getvalue()
 
     @classmethod
     def from_csv(cls, text: str, initial_infected: Bag) -> "EventLog":
-        events = []
+        times, kinds, nodes = [], [], []
         mask = initial_infected.mask
         lines = text.splitlines()
         if not lines or lines[0].strip() != "time,kind,node":
@@ -146,7 +168,7 @@ class EventLog:
             if len(fields) != 3:
                 raise ErlError(f"event line {line!r} needs 3 fields")
             time_s, kind, node_s = fields
-            if kind not in (INFECTION, RECOVERY):
+            if kind not in _KINDS:
                 raise ErlError(f"unknown event kind {kind!r}")
             try:
                 time, node = float(time_s), int(node_s)
@@ -155,12 +177,15 @@ class EventLog:
             if not 0 <= node < GENERATE_CAP:
                 raise ErlError(f"node id out of range 0..{GENERATE_CAP - 1} "
                                f"in event line {line!r}")
-            events.append(Event(time, kind, node))
+            times.append(time)
+            kinds.append(kind)
+            nodes.append(node)
             if kind == INFECTION:
                 mask |= 1 << node
             else:
                 mask &= ~(1 << node)
-        return cls(initial_infected, tuple(events), Bag.from_mask(mask))
+        return cls(initial_infected, tuple(times), tuple(kinds), tuple(nodes),
+                   Bag.from_mask(mask))
 
     def to_binary(self) -> bytes:
         out = [LOG_MAGIC]
@@ -168,10 +193,12 @@ class EventLog:
             nodes = bag.nodes()
             out.append(struct.pack("<I", len(nodes)))
             out.append(struct.pack(f"<{len(nodes)}I", *nodes))
-        out.append(struct.pack("<Q", len(self.events)))
-        for ev in self.events:
-            out.append(_EVENT.pack(ev.time, 0 if ev.kind == INFECTION else 1,
-                                   ev.node))
+        out.append(struct.pack("<Q", len(self.times)))
+        body = np.empty(len(self.times), dtype=_EVENT)
+        body["time"] = self.times
+        body["kind"] = [kind != INFECTION for kind in self.kinds]
+        body["node"] = self.nodes
+        out.append(body.tobytes())
         return b"".join(out)
 
     @classmethod
@@ -194,55 +221,42 @@ class EventLog:
             off += 8
         except struct.error:
             raise ErlError("event log ends inside its header")
-        if len(data) - off != count * _EVENT.size:
+        if len(data) - off != count * _EVENT.itemsize:
             raise ErlError(f"event log declares {count} events but holds "
                            f"{len(data) - off} bytes of them")
-        events = []
-        for t, kind, node in _EVENT.iter_unpack(data[off:]):
-            if kind > 1:
-                raise ErlError(f"unknown event kind byte {kind}")
-            events.append(Event(t, INFECTION if kind == 0 else RECOVERY, node))
-        # one check of the largest id, so that no event pays a branch for it
-        top = max(map(itemgetter(2), events), default=0)
+        body = np.frombuffer(data, dtype=_EVENT, offset=off)
+        bad = np.flatnonzero(body["kind"] > 1)
+        if bad.size:
+            raise ErlError(f"unknown event kind byte {body['kind'][bad[0]]}")
+        top = int(body["node"].max(initial=0))
         if top >= GENERATE_CAP:
             raise _node_id_error(top, "an event")
-        return cls(bags[0], tuple(events), bags[1])
+        return cls(bags[0], tuple(body["time"].tolist()),
+                   tuple(map(_KINDS.__getitem__, body["kind"].tolist())),
+                   tuple(body["node"].tolist()), bags[1])
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """One ``simulate`` run, its events kept as three columns (time, kind
-    and node); ``log`` builds its ``EventLog`` when first read."""
-
     extinction_time: float | None
     censored: str | None
-    initial_infected: Bag
-    final: Bag
-    times: list[float]
-    kinds: list[str]
-    nodes: list[int]
-    infection_count: int
-    recovery_count: int
+    log: EventLog
 
     @property
     def extinct(self) -> bool:
         return self.extinction_time is not None
 
-    @cached_property
-    def log(self) -> EventLog:
-        return EventLog(self.initial_infected,
-                        tuple(map(Event, self.times, self.kinds, self.nodes)),
-                        self.final)
-
     def to_json_dict(self) -> dict:
+        log = self.log
+        recoveries = log.kinds.count(RECOVERY)
         return {
             "extinction_time": self.extinction_time,
             "censored": self.censored,
-            "infection_count": self.infection_count,
-            "recovery_count": self.recovery_count,
-            "initial": list(self.initial_infected.nodes()),
-            "final": list(self.final.nodes()),
-            "events": len(self.kinds),
+            "infection_count": len(log.kinds) - recoveries,
+            "recovery_count": recoveries,
+            "initial": list(log.initial_infected.nodes()),
+            "final": list(log.final.nodes()),
+            "events": len(log.kinds),
         }
 
 
@@ -595,10 +609,9 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
                     f"hazard bookkeeping drifted: cached cut {cut_now}, "
                     f"recomputed {fresh} after event {len(times) - 1}")
 
-    recoveries = kinds.count(RECOVERY)
-    return SimulationResult(extinction_time, censored, config.initial_infected,
-                            Bag.from_mask(mask), times, kinds, nodes,
-                            len(kinds) - recoveries, recoveries)
+    return SimulationResult(extinction_time, censored, EventLog(
+        config.initial_infected, tuple(times), tuple(kinds), tuple(nodes),
+        Bag.from_mask(mask)))
 
 
 # Uniforms and exponentials the sweep engine draws at a time: the first
@@ -701,10 +714,8 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
     return [run(j) for j in replications]
 
 
-def _trajectory(run: EventLog | SimulationResult,
-                g: Graph) -> tuple[list[float], np.ndarray]:
-    """Check a log, or a ``simulate`` result's columns, against ``g`` and
-    reconstruct its trajectory.
+def _trajectory(log: EventLog, g: Graph) -> tuple[list[float], np.ndarray]:
+    """Check a log against ``g`` and reconstruct its trajectory.
 
     Returns the state times (0.0, then each event's time) and the infected
     masks as one ``mask_array``, so entry i is the state after i events;
@@ -713,16 +724,14 @@ def _trajectory(run: EventLog | SimulationResult,
     inconsistency, and InvalidBagError when the initial bag lies outside
     ``g``.
     """
-    g.check_bag(run.initial_infected)
+    g.check_bag(log.initial_infected)
     n = g.node_count
     neighbors = g.neighbor_masks
-    mask = run.initial_infected.mask
-    events = (run.events if isinstance(run, EventLog)
-              else zip(run.times, run.kinds, run.nodes))
+    mask = log.initial_infected.mask
     times = [0.0]
     masks = [mask]
     prev_t = 0.0
-    for i, (t, kind, node) in enumerate(events):
+    for i, (t, kind, node) in enumerate(zip(log.times, log.kinds, log.nodes)):
         if not prev_t < t < inf:
             raise ReplayError(f"time {t} is not a finite time after {prev_t}", i)
         prev_t = t
@@ -743,10 +752,10 @@ def _trajectory(run: EventLog | SimulationResult,
         mask ^= bit
         times.append(t)
         masks.append(mask)
-    if mask != run.final.mask:
+    if mask != log.final.mask:
         raise ReplayError(
             f"final state {Bag.from_mask(mask)!r} does not match recorded "
-            f"{run.final!r}", len(times) - 1)
+            f"{log.final!r}", len(times) - 1)
     return times, mask_array(masks, n)
 
 

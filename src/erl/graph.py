@@ -329,9 +329,18 @@ def cut_table(g: Graph) -> np.ndarray:
     return table
 
 
+def _check_seed(seed) -> None:
+    """Refuse, with ``ErlError``, a seed that is not a nonnegative int."""
+    if not _is_int(seed):
+        raise ErlError(f"seed must be an int, got {seed!r}")
+    if seed < 0:
+        raise ErlError(f"seed must be nonnegative, got {seed}")
+
+
 def _seeds(seed: int, *key: int) -> np.random.SeedSequence:
-    """``SeedSequence(entropy=seed, spawn_key=key)``, refusing a negative
-    seed: the one rule by which the package turns a seed into draws.
+    """``SeedSequence(entropy=seed, spawn_key=key)``, refusing a seed
+    ``_check_seed`` refuses: the one rule by which the package turns a seed
+    into draws.
 
     It is the child at ``key[-1]`` of ``(seed, *key[:-1])``'s sequence, and
     ``SeedSequence(seed)`` with no key.  Every stream is a Philox4x64
@@ -345,8 +354,7 @@ def _seeds(seed: int, *key: int) -> np.random.SeedSequence:
     alone and differ from ``simulate``'s; ``(0, 0, 1)`` for the exact
     chain's policy stream, which must stay untouched.
     """
-    if seed < 0:
-        raise ErlError(f"seed must be nonnegative, got {seed}")
+    _check_seed(seed)
     return np.random.SeedSequence(entropy=seed, spawn_key=key)
 
 
@@ -464,7 +472,8 @@ def generate(kind: str, params: tuple[int, ...] = (), seed: int = 0) -> Graph:
         if d < 0 or d > n - 1 or (n * d) % 2 != 0:
             raise GenerationError(
                 f"random_regular needs 0 <= d <= n-1 and even n*d, got n={n}, d={d}")
-        if seed < 0:
+        # a seed that is no int is refused by _seeds
+        if _is_int(seed) and seed < 0:
             raise GenerationError(f"random_regular needs a nonnegative seed, got {seed}")
         rng = _stream(seed)
         for _ in range(10000):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from erl import Bag, Graph, generate
+from erl import Bag, EventLog, Graph, generate
 
 ZOO = [
     ("line5", lambda: generate("line", (5,))),
@@ -59,3 +59,8 @@ def random_unit_step_sequence(n: int, length: int,
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def event_log(initial: Bag, events, final: Bag) -> EventLog:
+    """The ``EventLog`` of ``Event`` rows: its three columns in row order."""
+    return EventLog(initial, *(tuple(zip(*events)) or ((), (), ())), final)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from erl import (CASE2, NOT_APPLICABLE, RECOVERY, Bag, CompleteGraphResistance,
-                 EpidemicConfig, EventLog, audit_bottleneck,
+                 EpidemicConfig, audit_bottleneck,
                  audit_recovery_bound, bottleneck_sequence, builtin_policy,
                  complete_extinction_mean, cut, extinction_sweep, generate,
                  brute_force_resistance_all, monotone_resistance_table,
@@ -23,7 +23,7 @@ from erl import (CASE2, NOT_APPLICABLE, RECOVERY, Bag, CompleteGraphResistance,
                  slow_regime_constants, verify_table_invariants)
 from erl.epidemic import Event
 
-from conftest import random_bounded_graph, random_unit_step_sequence, rng_for
+from conftest import event_log, random_bounded_graph, random_unit_step_sequence, rng_for
 
 
 @contextmanager
@@ -209,7 +209,7 @@ def test_06_recovery_count_bound():
         g = generate("complete", (32,))
         table = CompleteGraphResistance(g)
         events = tuple(Event(float(i + 1), RECOVERY, 31 - i) for i in range(32))
-        log = EventLog(g.all_nodes(), events, Bag())
+        log = event_log(g.all_nodes(), events, Bag())
         witness = scan_halving_window(g, table, log)
         assert witness.case_tag == CASE2
         assert witness.b == 1

@@ -20,7 +20,7 @@ from erl import (CASE1, CASE2, NOT_APPLICABLE, Bag, CompleteGraphResistance,
                  audit_bottleneck, audit_recovery_bound, bottleneck_sequence,
                  builtin_policy, complete_extinction_mean, cut_table,
                  exact_extinction_times, extinction_sweep, generate,
-                 iter_bottleneck, poisson_ld_exponent,
+                 iter_bottleneck, poisson_ld_exponent, SAMPLE_CAP,
                  poisson_tail_probability, replay, resistance_table,
                  scan_halving_window, simulate, slow_regime_constants,
                  sweep_to_csv, verify_table_invariants)
@@ -28,7 +28,7 @@ from erl.analysis import CheckResult, make_policy, mean_and_stderr
 from erl.epidemic import Event, _extinction_times
 from erl.graph import cuts_along, mask_array
 
-from conftest import ZOO, random_bounded_graph, rng_for
+from conftest import ZOO, event_log, random_bounded_graph, rng_for
 from reference_audits import reference_cut_sequence
 from test_epidemic import GOLDEN_RUNS, golden_config
 
@@ -68,6 +68,17 @@ class TestPoissonExponent:
     def test_negative_seed_refused(self):
         with pytest.raises(ErlError, match="seed must be nonnegative, got -1"):
             poisson_tail_probability(1, 2, 20, samples=10, seed=-1)
+
+    @pytest.mark.parametrize("lam,lam_prime", [
+        (1, 0), (0, 1), (-1, 2), (math.nan, 1), (1, math.nan)])
+    def test_bad_rate_refused_before_drawing(self, lam, lam_prime,
+                                             monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(erl.analysis, "_stream", no_draws)
+        with pytest.raises(ErlError, match="needs positive rates"):
+            poisson_tail_probability(lam, lam_prime, 20)
 
     @pytest.mark.parametrize("samples", [-1, 0, 2.5, True])
     def test_bad_sample_count_refused(self, samples):
@@ -182,6 +193,20 @@ class TestInvariantSuite:
         for mode in ("exhaustive", "sampled"):
             with pytest.raises(ErlError, match="samples"):
                 verify_table_invariants(g, t, mode=mode, samples=-5)
+
+    @pytest.mark.parametrize("samples", [2.5, True, SAMPLE_CAP + 1, 10**13])
+    def test_bad_sample_count_rejected_before_any_work(self, samples,
+                                                       monkeypatch):
+        g = generate("line", (4,))
+        t = resistance_table(g)
+
+        def no_work(*args):
+            raise AssertionError("the audit started")
+
+        monkeypatch.setattr(erl.analysis, "_stream", no_work)
+        monkeypatch.setattr(erl.analysis, "check_bellman", no_work)
+        with pytest.raises(ErlError, match=f"an int in 0..{SAMPLE_CAP}, got"):
+            verify_table_invariants(g, t, mode="sampled", samples=samples)
 
     def test_negative_seed_rejected_before_any_work(self, monkeypatch):
         g = generate("line", (4,))
@@ -378,7 +403,7 @@ class TestSubmodularOracle:
 def k32_monotone_log() -> tuple:
     g = generate("complete", (32,))
     events = tuple(Event(float(i + 1), RECOVERY, 31 - i) for i in range(32))
-    return g, CompleteGraphResistance(g), EventLog(g.all_nodes(), events, Bag())
+    return g, CompleteGraphResistance(g), event_log(g.all_nodes(), events, Bag())
 
 
 def simulated_extinct_log(kind, params, budget, seed):
@@ -435,7 +460,7 @@ class TestRecoveryBoundAudit:
         g = generate("line", (6,))
         # infections only: 0 infected grows rightward
         events = tuple(Event(float(i), "INFECTION", i) for i in range(1, 6))
-        log = EventLog(Bag([0]), events, g.all_nodes())
+        log = event_log(Bag([0]), events, g.all_nodes())
         table = resistance_table(g)
         rep = audit_recovery_bound(g, table, log, 0.0, 5.0)
         assert rep.recoveries == 0
@@ -509,7 +534,7 @@ class TestHalvingWindow:
                                    generate("star", (0,)), Graph(2, [])])
     def test_degree_zero_not_applicable(self, g):
         # no edge: every cut and gamma is 0, so the window is vacuous
-        log = EventLog(g.all_nodes(), tuple(
+        log = event_log(g.all_nodes(), tuple(
             Event(float(v + 1), RECOVERY, v) for v in range(g.node_count)),
             Bag())
         w = scan_halving_window(g, resistance_table(g), log)
@@ -536,7 +561,7 @@ class TestHalvingWindow:
 
     def test_requires_extinct_log(self):
         g = generate("line", (4,))
-        log = EventLog(Bag([0]), (), Bag([0]))
+        log = event_log(Bag([0]), (), Bag([0]))
         with pytest.raises(ErlError):
             scan_halving_window(g, resistance_table(g), log)
 
@@ -547,7 +572,7 @@ class TestHalvingWindow:
         table = CompleteGraphResistance(g)
         start = Bag(range(16))
         events = tuple(Event(float(i + 1), RECOVERY, 15 - i) for i in range(16))
-        log = EventLog(start, events, Bag())
+        log = event_log(start, events, Bag())
         w = scan_halving_window(g, table, log)
         assert w.case_tag == CASE1
         assert w.t_prime == 0.0
@@ -740,7 +765,7 @@ def wide_audit_reports(case: str) -> dict:
     if case == "complete:70 monotone":
         events = tuple(Event(float(i + 1), RECOVERY, 69 - i)
                        for i in range(70))
-        log = EventLog(g.all_nodes(), events, Bag())
+        log = event_log(g.all_nodes(), events, Bag())
     else:
         cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
                              budget=Fraction(1300), seed=7000,
@@ -866,22 +891,21 @@ class TestReplayOnce:
         assert states > 10 * 25
         assert len(bags) <= 1 + 25
 
-    def test_verify_builds_no_event_log(self, monkeypatch, capsys):
-        # the audits read each run's columns, so no log is built
-        logs = []
-        init = EventLog.__init__
+    def test_verify_builds_no_event_rows(self, monkeypatch, capsys):
+        # the audits read each log's columns, so no Event row is built
+        made = []
 
-        def counted(self, *args):
-            logs.append(args)
-            init(self, *args)
+        def counted(*fields):
+            made.append(fields)
+            return Event(*fields)
 
-        monkeypatch.setattr(EventLog, "__init__", counted)
+        monkeypatch.setattr(erl.epidemic, "Event", counted)
         assert erl.cli.main(["verify", "--gen", "line:9", "--trajectories",
                              "5", "--seed", "6"]) == 0
         assert "0 violations" in capsys.readouterr().out
-        assert logs == []
-        simulated_extinct_log("line", (5,), 4, 5)
-        assert len(logs) == 1
+        assert made == []
+        _, log = simulated_extinct_log("line", (5,), 4, 5)
+        assert len(log.events) == len(made) > 0
 
 
 class TestCompleteExtinctionOracle:
@@ -891,6 +915,11 @@ class TestCompleteExtinctionOracle:
 
     def test_single_node_is_exponential_mean(self):
         assert math.isclose(complete_extinction_mean(1, 2), 0.5)
+
+    @pytest.mark.parametrize("n", [2.5, 0, -3, True, "5"])
+    def test_node_count_not_an_int_of_at_least_one_refused(self, n):
+        with pytest.raises(ErlError, match="n must be an int of at least 1"):
+            complete_extinction_mean(n, 1)
 
     def test_simulator_agrees_on_k5(self):
         n, r = 5, 1.25

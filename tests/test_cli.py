@@ -294,6 +294,15 @@ class TestVerifyCommand:
         assert "violation" in err
         assert "FAIL" in stdout
 
+    @pytest.mark.parametrize("samples", ["10000000000000", "10000001"])
+    def test_samples_above_cap_exit_2_one_line(self, capsys, samples):
+        code, out, err = run(capsys, "verify", "--gen", "line:6", "--mode",
+                             "sampled", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"got {samples}" in err
+
     @pytest.mark.parametrize("source", [["--gen", "line:1"],
                                         ["--gen", "star:0"], ["--graph"]])
     def test_degree_zero_graph_audited(self, source, capsys, tmp_path):

@@ -15,11 +15,11 @@ from erl import (GENERATE_CAP, HORIZON, MAX_EVENTS, RECOVERY, STALLED, Bag,
                  EpidemicConfig, ErlError, EventLog, Graph, Policy,
                  PolicyViolationError, ReplayError, builtin_policy, cut,
                  derive_seed, event_streams, generate, replay, resistance_table, simulate,
-                 validate_log)
+                 validate_log, verify_table_invariants)
 from erl import epidemic
 from erl.epidemic import LOG_MAGIC, Event, INFECTION
 
-from conftest import rng_for
+from conftest import event_log, rng_for
 
 
 def isolated(n: int) -> Graph:
@@ -363,6 +363,18 @@ class TestStreams:
         with pytest.raises(ErlError, match="seed must be nonnegative, got -1"):
             make(-1)
 
+    @pytest.mark.parametrize("make", [
+        lambda seed: derive_seed(seed, 0),
+        lambda seed: generate("random_regular", (8, 3), seed=seed),
+        lambda seed: verify_table_invariants(
+            generate("line", (3,)), resistance_table(generate("line", (3,))),
+            seed=seed)],
+        ids=["derive_seed", "generate", "verify_table_invariants"])
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    def test_seed_not_an_int_refused(self, make, seed):
+        with pytest.raises(ErlError, match="seed must be an int"):
+            make(seed)
+
     @pytest.mark.parametrize("seed,replication", [(0, 0), (4242, 3),
                                                   (2**63 + 5, 17)])
     def test_same_streams_as_spawned_children(self, seed, replication):
@@ -622,6 +634,23 @@ class TestSweepEngine:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", 1.5, "seed must be an int"),
+        ("seed", True, "seed must be an int"),
+        ("budget", "abc", "budget must be a real number"),
+        ("budget", None, "budget must be a real number"),
+        ("infection_rate", "1", "infection rate"),
+        ("horizon", "5", "horizon"),
+        ("max_events", 2.5, "max_events must be an int"),
+        ("max_events", "5", "max_events must be an int"),
+    ])
+    def test_wrong_type_refused_at_construction(self, field, value, message):
+        """Refused with ``ErlError`` when built, not by a ``TypeError`` or
+        ``ValueError`` at construction or at the first run."""
+        args = dict(graph=isolated(1), initial_infected=Bag([0]), budget=1)
+        with pytest.raises(ErlError, match=message):
+            EpidemicConfig(**{**args, field: value})
+
     def test_negative_budget(self):
         with pytest.raises(ErlError):
             EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
@@ -725,7 +754,7 @@ class TestSimulate:
         pol = builtin_policy("max_cut_drop")
         k = 4000
         results = [simulate(cfg, pol, replication=j) for j in range(k)]
-        assert all(r.infection_count == 0 for r in results[:50])
+        assert all(INFECTION not in r.log.kinds for r in results[:50])
         mean = sum(r.extinction_time for r in results) / k
         se = math.sqrt(2) / math.sqrt(k)
         assert abs(mean - 2.0) <= 3 * se
@@ -780,12 +809,14 @@ class TestSimulate:
         cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
                              budget=Fraction(4), seed=9)
         res = simulate(cfg, builtin_policy("random_node"))
-        assert res.infection_count == sum(
+        doc = res.to_json_dict()
+        assert doc["infection_count"] == sum(
             1 for e in res.log.events if e.kind == INFECTION)
-        assert res.recovery_count == sum(
+        assert doc["recovery_count"] == sum(
             1 for e in res.log.events if e.kind == RECOVERY)
+        assert doc["events"] == len(res.log.events) > 5
 
-    def test_log_built_on_first_read(self, monkeypatch):
+    def test_no_event_until_events_read(self, monkeypatch):
         made = []
 
         def counted(*fields):
@@ -796,13 +827,14 @@ class TestSimulate:
         g = generate("cycle", (5,))
         cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
                              budget=Fraction(4), seed=9)
-        res = simulate(cfg, builtin_policy("uniform"))
-        assert made == [] and len(res.times) > 5
-        log = res.log
-        assert made == list(zip(res.times, res.kinds, res.nodes))
-        assert log.events == tuple(made) and res.log is log
-        assert (log.initial_infected, log.final) == \
-            (res.initial_infected, res.final)
+        log = simulate(cfg, builtin_policy("uniform")).log
+        assert made == [] and len(log.times) > 5
+        validate_log(log, g)
+        EventLog.from_binary(log.to_binary())
+        assert made == []
+        rows = log.events
+        assert made == list(zip(log.times, log.kinds, log.nodes))
+        assert rows == tuple(made)
 
     def test_simulate_outputs_replay_clean(self, zoo_graph):
         g = zoo_graph
@@ -909,12 +941,12 @@ def test_partial_start_logs_bit_identical(spec, kind):
 class TestReplay:
     def test_empty_log_single_segment(self):
         g = generate("line", (5,))
-        log = EventLog(Bag([3]), (), Bag([3]))
+        log = event_log(Bag([3]), (), Bag([3]))
         assert list(replay(log, g)) == [(0.0, Bag([3]))]
 
     def test_two_node_cure_sequence(self):
         g = isolated(2)
-        log = EventLog(Bag([0, 1]),
+        log = event_log(Bag([0, 1]),
                        (Event(0.5, RECOVERY, 0), Event(1.5, RECOVERY, 1)),
                        Bag())
         bags = [b for _, b in replay(log, g)]
@@ -931,27 +963,27 @@ class TestReplay:
 
     def test_recovery_of_healthy_node_rejected(self):
         g = generate("line", (3,))
-        log = EventLog(Bag([0]), (Event(1.0, RECOVERY, 2),), Bag([0]))
+        log = event_log(Bag([0]), (Event(1.0, RECOVERY, 2),), Bag([0]))
         with pytest.raises(ReplayError) as exc:
             validate_log(log, g)
         assert exc.value.index == 0
 
     def test_infection_of_infected_node_rejected(self):
         g = generate("line", (3,))
-        log = EventLog(Bag([0]), (Event(1.0, INFECTION, 0),), Bag([0]))
+        log = event_log(Bag([0]), (Event(1.0, INFECTION, 0),), Bag([0]))
         with pytest.raises(ReplayError):
             validate_log(log, g)
 
     def test_infection_without_infected_neighbor_rejected(self):
         g = generate("line", (4,))
-        log = EventLog(Bag([0]), (Event(1.0, INFECTION, 3),), Bag([0, 3]))
+        log = event_log(Bag([0]), (Event(1.0, INFECTION, 3),), Bag([0, 3]))
         with pytest.raises(ReplayError) as exc:
             validate_log(log, g)
         assert exc.value.index == 0
 
     def test_nonincreasing_times_rejected(self):
         g = isolated(2)
-        log = EventLog(Bag([0, 1]),
+        log = event_log(Bag([0, 1]),
                        (Event(1.0, RECOVERY, 0), Event(1.0, RECOVERY, 1)),
                        Bag())
         with pytest.raises(ReplayError) as exc:
@@ -959,7 +991,7 @@ class TestReplay:
         assert exc.value.index == 1
 
     def test_nan_time_rejected(self):
-        log = EventLog(Bag([0]), (Event(math.nan, RECOVERY, 0),), Bag())
+        log = event_log(Bag([0]), (Event(math.nan, RECOVERY, 0),), Bag())
         with pytest.raises(ReplayError) as exc:
             validate_log(log, generate("line", (1,)))
         assert exc.value.index == 0
@@ -971,7 +1003,7 @@ class TestReplay:
 
     def test_inf_time_rejected(self):
         g = isolated(2)
-        log = EventLog(Bag([0, 1]),
+        log = event_log(Bag([0, 1]),
                        (Event(1.0, RECOVERY, 0), Event(math.inf, RECOVERY, 1)),
                        Bag())
         with pytest.raises(ReplayError) as exc:
@@ -997,7 +1029,7 @@ class TestReplay:
 
     def test_final_mismatch_rejected(self):
         g = isolated(1)
-        log = EventLog(Bag([0]), (Event(1.0, RECOVERY, 0),), Bag([0]))
+        log = event_log(Bag([0]), (Event(1.0, RECOVERY, 0),), Bag([0]))
         with pytest.raises(ReplayError):
             validate_log(log, g)
 
@@ -1052,7 +1084,7 @@ class TestLogSerialization:
 
     def test_binary_largest_node_id_accepted(self):
         top = GENERATE_CAP - 1
-        log = EventLog(Bag([top]), (Event(1.0, INFECTION, top),), Bag([top]))
+        log = event_log(Bag([top]), (Event(1.0, INFECTION, top),), Bag([top]))
         assert EventLog.from_binary(log.to_binary()) == log
 
     @pytest.mark.parametrize("line", [

@@ -144,7 +144,7 @@ def trajectory(name: str, kind: str, rng) -> tuple[list[float], list[int]]:
             budget=Fraction(int(rng.integers(1, 3 * n * n // 4 + 2))),
             seed=int(rng.integers(1 << 30)), max_events=3000)
         pol = builtin_policy(("max_cut_drop", "uniform")[int(rng.integers(2))])
-        times, masks = _trajectory(simulate(cfg, pol), g)
+        times, masks = _trajectory(simulate(cfg, pol).log, g)
         return times, masks.tolist()
     if kind == "monotone":
         masks = [g.all_nodes().mask]
