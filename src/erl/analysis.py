@@ -25,8 +25,8 @@ from .epidemic import (_POLICY_KINDS, EpidemicConfig, EventLog,
                        Policy, _curing_table, _extinction_times,
                        _StreamWatch, _trajectory, builtin_policy, derive_seed)
 from .errors import CapacityError, ErlError, LemmaViolationError
-from .graph import (Graph, _is_int, _stream, cut_table, cuts_along, generate,
-                    halves, rowwise)
+from .graph import (SHORT_ROW_BYTES, Graph, _is_int, _stream, cut_table,
+                    cuts_along, generate, halves, rowwise, transposed)
 from .resistance import ResistanceTable, check_bellman, resistance_table
 
 
@@ -46,6 +46,12 @@ def poisson_ld_exponent(lam: float, lam_prime: float) -> float:
     return lam_prime * math.log(lam_prime / lam) - lam_prime + lam
 
 
+# numpy's largest Poisson mean: the int64 maximum less ten of its square
+# roots, as numpy.random computes it
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max
+                         - 10 * math.sqrt(np.iinfo(np.int64).max))
+
+
 def poisson_tail_probability(lam: float, lam_prime: float, n: int,
                              samples: int = 10**6, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo tail estimate next to its Chernoff bound.
@@ -55,10 +61,19 @@ def poisson_tail_probability(lam: float, lam_prime: float, n: int,
     """
     if not _is_int(samples) or samples < 1:
         raise ErlError(f"samples must be an int of at least 1, got {samples!r}")
+    if not _is_int(n) or n < 0:
+        raise ErlError(f"n must be a nonnegative int, got {n!r}")
     # written so that NaN fails the test
     if not (lam > 0 and lam_prime > 0):
         raise ErlError("poisson_tail_probability needs positive rates, "
                        f"got lam={lam!r}, lam_prime={lam_prime!r}")
+    if not (lam < math.inf and lam_prime < math.inf):
+        raise ErlError("poisson_tail_probability needs finite rates, "
+                       f"got lam={lam!r}, lam_prime={lam_prime!r}")
+    if n > POISSON_MEAN_MAX or lam * n > POISSON_MEAN_MAX:
+        raise ErlError(f"n and lam * n must be at most {POISSON_MEAN_MAX!r}, "
+                       "the largest Poisson mean numpy draws; "
+                       f"got lam={lam!r}, n={n}")
     rng = _stream(seed)
     x = rng.poisson(lam * n, size=samples)
     if lam_prime >= lam:
@@ -154,7 +169,9 @@ class InvariantReport:
 
 
 _MAX_WITNESSES = 5
-_NO_HITS = np.empty(0, dtype=np.intp)
+_NO_HITS = np.empty(0, dtype=np.int64)
+_STEP_CHECKS = ("cut_lipschitz", "resistance_smooth", "resistance_monotone",
+                "cut_at_drop")
 
 
 def _collect(viols: list, bad_masks, detail) -> None:
@@ -162,24 +179,177 @@ def _collect(viols: list, bad_masks, detail) -> None:
         viols.append({"bag": int(m), **detail(int(m))})
 
 
-def _insert_bit(k, v: int, bit: int):
-    """Masks with bit ``v`` set to ``bit`` from indices that lack that bit.
+def _hits(cond: np.ndarray, order: list[int]) -> np.ndarray:
+    """The first reportable bags of a flattened condition over an array
+    whose index bit p holds node ``order[p]``, as masks in mask order.
 
-    The flattened index of a bag in ``halves(x, v)[bit]``, and in any
-    array of that shape, is its mask with bit v removed; inserting the bit
-    back keeps order.
+    One with no hit, the usual case, costs one ``any``.  Otherwise every
+    hit is mapped back and sorted: index order is mask order only when
+    ``order`` ascends.
     """
-    low = (1 << v) - 1
-    return ((k & ~low) << 1) | (k & low) | (bit << v)
-
-
-def _first(cond: np.ndarray) -> np.ndarray:
-    """Indices of the first reportable witnesses in a flattened condition;
-    one with no hit, the usual case, costs one ``any``."""
     if not cond.any():
         return _NO_HITS
-    return np.flatnonzero(cond)[:_MAX_WITNESSES]
+    idx = np.flatnonzero(cond)
+    masks = np.zeros(idx.size, dtype=np.int64)
+    for p, v in enumerate(order):
+        masks |= (idx >> p & 1) << v
+    masks.sort()
+    return masks[:_MAX_WITNESSES]
 
+
+class _Steps:
+    """The single-node steps of the invariant audit, one node at a time.
+
+    ``node`` makes node v's three passes over the ``halves`` of a cut
+    table and a resistance table laid out by ``order`` (node ``order[p]``
+    at index bit p), each for the bags A holding v: dc = cut(A - v) -
+    cut(A), dg = gamma(A - v) - gamma(A) and cut(A - v) - gamma(A).  Every
+    check reads them from half-size buffers: the Lipschitz checks |dc| and
+    |dg|, monotonicity dg, cut-at-drop max(cut(A - v) - gamma(A), dg) and
+    submodularity the squares of dc.  It keeps each check's first bags
+    per node, and per node pair for submodularity, as masks.
+    """
+
+    def __init__(self, n: int, delta: int, work: np.dtype):
+        half = (1 << n) >> 1
+        self.delta = delta
+        self.dc = np.empty(half, dtype=work)
+        self.dg = np.empty(half, dtype=work)
+        self.cond = np.empty(half >> 1, dtype=bool)     # a square's compare
+        self.hits = {name: [_NO_HITS] * n for name in _STEP_CHECKS}
+        # (v, u), v < u -> first bags S without either node for which
+        # cut(S) + cut(S + u + v) > cut(S + u) + cut(S + v)
+        self.squares: dict[tuple[int, int], np.ndarray] = {}
+
+    def node(self, v: int, order: list[int], cut: np.ndarray,
+             gam: np.ndarray, partners, lift: int = 0) -> None:
+        """Node v's steps, and its squares with each node of ``partners``
+        on dc; with ``lift``, also its squares with nodes 0..lift-1, on a
+        transposed copy of dc that puts their bits on top (``order`` must
+        then hold them at bits 0..lift-1)."""
+        p = order.index(v)
+        rest = order[:p] + order[p + 1:]        # the halves' layout
+        c_out, c_in = halves(cut, p)
+        g_out, g_in = halves(gam, p)
+        dc, dg, hits = self.dc, self.dg, self.hits
+        rowwise(np.subtract, c_out, c_in, out=dc.reshape(c_out.shape))
+        for u in partners:
+            self._square(dc, rest, v, u)
+        if lift:
+            lifted = transposed(dc, lift)
+            lifted_order = rest[lift:] + rest[:lift]
+            for u in rest[:lift]:
+                self._square(lifted, lifted_order, v, u)
+        # each condition is tested on the extremes of its difference
+        # first, and built only when they allow a hit
+        delta = self.delta
+        if dc.min() < -delta or dc.max() > delta:
+            hits["cut_lipschitz"][v] = _hits(np.abs(dc) > delta, rest)
+        rowwise(np.subtract, g_out, g_in, out=dg.reshape(c_out.shape))
+        g_lo, g_hi = dg.min(), dg.max()
+        if g_hi > 0:
+            hits["resistance_monotone"][v] = _hits(dg > 0, rest)
+        if g_lo < -delta or g_hi > delta:
+            hits["resistance_smooth"][v] = _hits(np.abs(dg) > delta, rest)
+        rowwise(np.subtract, c_out, g_in, out=dc.reshape(c_out.shape))
+        np.maximum(dc, dg, out=dc)
+        if dc.min() < 0:
+            hits["cut_at_drop"][v] = _hits(dc < 0, rest)
+
+    def _square(self, d: np.ndarray, order: list[int], v: int,
+                u: int) -> None:
+        """Squares of v and u from d, v's or u's cut difference laid out
+        by ``order``: the violation d(S) > d(S + u) is symmetric in u and
+        v, so one quarter-size compare serves both orders."""
+        w = order.index(u)
+        d_out, d_in = halves(d, w)
+        cond = rowwise(np.greater, d_out, d_in,
+                       out=self.cond.reshape(d_out.shape))
+        self.squares[min(u, v), max(u, v)] = _hits(cond,
+                                                   order[:w] + order[w + 1:])
+
+
+def _pair_checks(cut_t: np.ndarray, gam: np.ndarray, delta: int,
+                 all_pairs: bool, all_subsets: bool, rng,
+                 samples: int) -> tuple[dict, dict]:
+    """The invariant checks on bag pairs beyond single-node steps, on the
+    mask-ordered tables: each check's literal enumeration when its branch
+    covers the whole lattice, as a ``CheckResult``, and otherwise the bags
+    of its bad random pairs, drawn in check order.  Its arrays are freed
+    on return, before the steps' buffers exist."""
+    size = len(cut_t)
+    whole: dict[str, CheckResult] = {}
+    sampled: dict[str, np.ndarray] = {}
+
+    # |f(A) - f(B)| <= delta * |A xor B| for f in {cut, resistance}
+    for name, vals in (("cut_lipschitz", cut_t), ("resistance_smooth", gam)):
+        if all_pairs:
+            viols: list = []
+            masks = np.arange(size, dtype=np.int64)
+            pops = np.bitwise_count(masks).astype(np.int64)
+            for bm in range(size):
+                bad = np.nonzero(np.abs(vals - vals[bm])
+                                 > delta * pops[masks ^ bm])[0]
+                _collect(viols, bad, lambda m, bm=bm: {"other": bm})
+            whole[name] = CheckResult(size * size, "all_pairs", viols)
+        else:
+            a = rng.integers(0, size, samples)
+            bm = rng.integers(0, size, samples)
+            dist = np.bitwise_count(a ^ bm).astype(np.int64)
+            sampled[name] = a[np.abs(vals[a] - vals[bm]) > delta * dist]
+
+    # resistance is monotone under set inclusion
+    if all_subsets:
+        viols = []
+        checked = 0
+        gl = gam.tolist()
+        for bm in range(size):
+            gb = gl[bm]
+            s = bm
+            while True:
+                checked += 1
+                if gl[s] > gb and len(viols) < _MAX_WITNESSES:
+                    viols.append({"bag": s, "superset": bm})
+                if s == 0:
+                    break
+                s = (s - 1) & bm
+        whole["resistance_monotone"] = CheckResult(checked, "all_subset_pairs",
+                                                   viols)
+    else:
+        sup = rng.integers(0, size, samples)
+        sub = sup & rng.integers(0, size, samples)
+        sampled["resistance_monotone"] = sub[gam[sub] > gam[sup]]
+
+    # cut submodularity: dropping v hurts a small bag at most as much as a
+    # containing one: cut(A-v) - cut(A) <= cut(B-v) - cut(B) for A <= B
+    if all_pairs:
+        viols = []
+        checked = 0
+        cl = cut_t.tolist()
+        for bm in range(size):
+            s = bm
+            while True:
+                if s:
+                    t = s
+                    while t:
+                        vbit = t & -t
+                        t ^= vbit
+                        checked += 1
+                        if (cl[s & ~vbit] - cl[s] > cl[bm & ~vbit] - cl[bm]
+                                and len(viols) < _MAX_WITNESSES):
+                            viols.append({"bag": s, "superset": bm,
+                                          "node": vbit.bit_length() - 1})
+                if s == 0:
+                    break
+                s = (s - 1) & bm
+        whole["cut_submodular"] = CheckResult(checked, "all_subset_pairs",
+                                              viols)
+    return whole, sampled
+
+
+# Nodes below TRANSPOSE_NODES are audited on transposed copies of the
+# tables; see ``verify_table_invariants`` for the timings that chose it.
+TRANSPOSE_NODES = 6
 
 # Most random pairs ``verify_table_invariants`` draws.  Its arrays take
 # about 43 bytes per pair (traced on random_regular:16,3 at 10^6 and
@@ -195,30 +365,52 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     Exhaustive mode checks all bag pairs when n <= 8 and all subset pairs
     for monotonicity when n <= 10; above that, and throughout sampled mode,
     the pair checks run over all single-node steps plus ``samples`` random
-    pairs, at most ``SAMPLE_CAP``.  The fixed-point and cut-at-drop checks are always complete.
+    pairs, at most ``SAMPLE_CAP``.  The fixed-point and cut-at-drop checks
+    are always complete.
 
-    Single-node steps use the half-views of ``graph.halves``: they line
-    every bag without v up with the bag that adds v, so no mask array is
-    built or gathered.  Each step condition is written by ``rowwise`` into
-    a reused half-size buffer of the half-view's shape.  Submodularity
-    takes dv = cut(A - v) - cut(A) on the half holding v and compares it
-    with itself one node u higher: for a bag S without u and v, the
-    violation dv(S) > dv(S+u) reads cut(S) + cut(S+u+v) > cut(S+u) +
-    cut(S+v).  That is symmetric in u and v, and both orders index it by
-    S with both bits removed, so one quarter-size compare per pair u > v,
-    n(n-1)/2 in all, serves the checks (v, u) and (u, v); each order maps
-    the same indices to its own witnesses.  Cut-at-drop takes max(gamma,
-    cut) once, over the cuts, which no later check reads, and then makes
-    one half-size compare per node.  A condition with no hit costs one
-    ``any``: no index list is built and no witness mapped back.
+    Single-node steps run one node at a time (``_Steps``).  Three passes
+    over the ``graph.halves`` views of the two tables give node v's cut
+    difference, its resistance difference and cut(A - v) - gamma(A), and
+    every check reads those: both Lipschitz checks, monotonicity and
+    cut-at-drop test the extremes of a difference first and build a
+    condition only when they allow a hit.  Submodularity compares the cut
+    difference of v with itself one node u further: for a bag S without
+    u and v, the violation dv(S) > dv(S+u) reads cut(S) + cut(S+u+v) >
+    cut(S+u) + cut(S+v).  That is symmetric in u and v, so one
+    quarter-size compare per pair, n(n-1)/2 in all, serves the checks
+    (v, u) and (u, v).
+
+    A node's half-views have rows of 2^v entries, and numpy pays per row
+    (``graph.rowwise``).  So nodes K = TRANSPOSE_NODES and up run first,
+    on the mask-ordered int8 tables, which are then replaced, one at a
+    time, by copies transposed by ``graph.transposed``: node v < K sits
+    at bit n - K + v there and node u >= K at bit u - K, so the low
+    nodes' passes run on long rows.  A square of a low node with a node
+    u >= K is compared on the low node's transposed difference, unless
+    u's bit gives rows of at most ``SHORT_ROW_BYTES`` there; then it is
+    compared on a transposed copy of u's difference, which puts the low
+    nodes on top.  For n <= K nothing is copied.  Witnesses are mapped
+    back to masks and sorted only for a condition with a hit, so reports
+    match a literal enumeration of the bags.  Milliseconds for the
+    sampled audit (10^5 pairs) on random_regular:n,3 (seed 1) at each K,
+    the best of three lower quartiles of 21 calls, on 2 cores of a
+    shared VM with numpy 2.4 (K = 0 copies nothing):
+
+        n     K=0    K=4    K=5    K=6    K=7    K=8
+        16    6.0    5.9    5.8    5.8    5.8    5.8
+        18    9.2    8.6    8.4    8.4    8.6    9.0
+        20   27.0   24.2   22.7   23.1   23.9   25.4
+
+    K = 5 and 6 are within 2% at every n; 6 is the first width whose rows
+    reach 64 bytes on int8.  The check-at-a-time oracle in
+    ``tests/reference_invariants.py`` takes 6.7, 10.8 and 32.3 ms.
 
     Values are compared in the narrowest signed dtype that holds every
     cut, every table entry, the degree bound and every difference of two
     of them exactly: int8 for any valid table up to n = 22, wider only for
     tables with larger entries.  Full-size int64 mask arrays exist only in
-    the n <= 8 and n <= 10 exhaustive branches.  Only reported witnesses
-    are mapped back to masks, in mask order, so reports match a literal
-    enumeration of the bags.
+    the n <= 8 and n <= 10 exhaustive branches, which run with the random
+    pairs on the mask-ordered tables before the steps (``_pair_checks``).
     """
     if mode not in ("exhaustive", "sampled"):
         raise ErlError(f"unknown mode {mode!r}")
@@ -241,148 +433,84 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     work = np.min_scalar_type(lo - hi - 1)
     cut_t = cut_t.astype(work)
     gam = table.values.astype(work)
-    # half-size work buffers, viewed in each pass with the half-view's shape
-    diff = np.empty(size >> 1, dtype=work)
-    cond = np.empty(size >> 1, dtype=bool)
     all_pairs = mode == "exhaustive" and n <= 8
     all_subsets = mode == "exhaustive" and n <= 10
-    checks: dict[str, CheckResult] = {}
-
-    # |f(A) - f(B)| <= delta * |A xor B| for f in {cut, resistance}
-    for name, vals in (("cut_lipschitz", cut_t), ("resistance_smooth", gam)):
-        viols: list = []
-        checked = 0
-        if all_pairs:
-            masks = np.arange(size, dtype=np.int64)
-            pops = np.bitwise_count(masks).astype(np.int64)
-            for bm in range(size):
-                bad = np.nonzero(np.abs(vals - vals[bm])
-                                 > delta * pops[masks ^ bm])[0]
-                checked += size
-                _collect(viols, bad, lambda m, bm=bm: {"other": bm})
-            strategy = "all_pairs"
-        else:
-            for v in range(n):
-                without, with_v = halves(vals, v)
-                rowwise(np.subtract, without, with_v,
-                        out=diff.reshape(without.shape))
-                np.abs(diff, out=diff)
-                k = _first(np.greater(diff, delta, out=cond))
-                checked += size
-                # both bags of a bad step are witnesses, in mask order
-                bad = np.sort(np.concatenate([_insert_bit(k, v, 0),
-                                              _insert_bit(k, v, 1)]))
-                _collect(viols, bad, lambda m, v=v: {"other": m ^ (1 << v)})
-            a = rng.integers(0, size, samples)
-            bm = rng.integers(0, size, samples)
-            dist = np.bitwise_count(a ^ bm).astype(np.int64)
-            bad = np.nonzero(np.abs(vals[a] - vals[bm]) > delta * dist)[0]
-            checked += samples
-            _collect(viols, a[bad], lambda m: {})
-            strategy = "single_steps+sampled_pairs"
-        checks[name] = CheckResult(checked, strategy, viols)
-
-    # resistance is monotone under set inclusion
-    viols = []
-    checked = 0
-    if all_subsets:
-        gl = gam.tolist()
-        for bm in range(size):
-            gb = gl[bm]
-            s = bm
-            while True:
-                checked += 1
-                if gl[s] > gb and len(viols) < _MAX_WITNESSES:
-                    viols.append({"bag": s, "superset": bm})
-                if s == 0:
-                    break
-                s = (s - 1) & bm
-        strategy = "all_subset_pairs"
-    else:
-        for v in range(n):
-            without, with_v = halves(gam, v)
-            k = _first(rowwise(np.greater, without, with_v,
-                               out=cond.reshape(without.shape)))
-            checked += size
-            _collect(viols, _insert_bit(k, v, 1),
-                     lambda m, v=v: {"bag": m & ~(1 << v), "superset": m})
-        sup = rng.integers(0, size, samples)
-        sub = sup & rng.integers(0, size, samples)
-        bad = np.nonzero(gam[sub] > gam[sup])[0]
-        checked += samples
-        _collect(viols, sub[bad], lambda m: {})
-        strategy = "single_steps+sampled_pairs"
-    checks["resistance_monotone"] = CheckResult(checked, strategy, viols)
-
-    # cut submodularity: dropping v hurts a small bag at most as much as a
-    # containing one: cut(A-v) - cut(A) <= cut(B-v) - cut(B) for A <= B
-    viols = []
-    checked = 0
-    if all_pairs:
-        cl = cut_t.tolist()
-        for bm in range(size):
-            s = bm
-            while True:
-                if s:
-                    t = s
-                    while t:
-                        vbit = t & -t
-                        t ^= vbit
-                        checked += 1
-                        if (cl[s & ~vbit] - cl[s] > cl[bm & ~vbit] - cl[bm]
-                                and len(viols) < _MAX_WITNESSES):
-                            viols.append({"bag": s, "superset": bm,
-                                          "node": vbit.bit_length() - 1})
-                if s == 0:
-                    break
-                s = (s - 1) & bm
-        strategy = "all_subset_pairs"
-    else:
-        quarter = cond[:size >> 2]
-        first = {}      # pair (v, u), u > v -> first indices of its condition
-        for v in range(n):
-            without, with_v = halves(cut_t, v)
-            # diff[A - v] = cut(A - v) - cut(A) for the bags A holding v
-            rowwise(np.subtract, without, with_v,
-                    out=diff.reshape(without.shape))
-            for u in range(n):
-                if u == v:
-                    continue
-                w = u - (u > v)     # u's bit once v's bit is removed
-                if u > v:
-                    d_without, d_with = halves(diff, w)
-                    first[v, u] = _first(rowwise(
-                        np.greater, d_without, d_with,
-                        out=quarter.reshape(d_without.shape)))
-                k = first[min(u, v), max(u, v)]
-                checked += size >> 2
-                if k.size:
-                    _collect(viols, _insert_bit(_insert_bit(k, w, 0), v, 1),
-                             lambda m, u=u, v=v: {"superset": m | (1 << u),
-                                                  "node": v})
-        strategy = "single_steps"
-    checks["cut_submodular"] = CheckResult(checked, strategy, viols)
-
-    # whenever removing a node lowers the resistance, the cut it leaves
-    # behind is at least the resistance it left: gamma(A - v) < gamma(A)
-    # and cut(A - v) < gamma(A), as one compare of max(gamma, cut), which
-    # overwrites the cuts (no later check reads them)
-    viols = []
-    checked = 0
-    high = np.maximum(gam, cut_t, out=cut_t)
-    for v in range(n):
-        g_in = halves(gam, v)[1]
-        k = _first(rowwise(np.less, halves(high, v)[0], g_in,
-                           out=cond.reshape(g_in.shape)))
-        checked += size >> 1
-        _collect(viols, _insert_bit(k, v, 1), lambda m, v=v: {"node": v})
-    checks["cut_at_drop"] = CheckResult(checked, "all_bag_node_pairs", viols)
+    whole, sampled = _pair_checks(cut_t, gam, delta, all_pairs, all_subsets,
+                                  rng, samples)
 
     # no bag is harder than the full set
     viols = []
-    bad = np.nonzero(gam > gam[-1])[0]
-    _collect(viols, bad, lambda m: {"cutwidth": int(gam[-1])})
-    checks["below_cutwidth"] = CheckResult(size, "all_bags", viols)
+    _collect(viols, np.nonzero(gam > gam[-1])[0],
+             lambda m: {"cutwidth": int(gam[-1])})
+    below = CheckResult(size, "all_bags", viols)
+
+    low = TRANSPOSE_NODES if n > TRANSPOSE_NODES else 0
+    steps = _Steps(n, delta, work)
+    order = list(range(n))
+    for v in range(low, n):
+        # v's squares with the low nodes go on a transposed copy of its
+        # cut difference when v's bit would give short rows after the
+        # tables are transposed
+        short = (1 << (v - low)) * work.itemsize <= SHORT_ROW_BYTES
+        steps.node(v, order, cut_t, gam, range(v + 1, n), low if short else 0)
+    if low:
+        cut_t = transposed(cut_t, low)
+        gam = transposed(gam, low)
+        order = order[low:] + order[:low]
+        for v in range(low):
+            steps.node(v, order, cut_t, gam,
+                       [u for u in range(v + 1, n)
+                        if (v, u) not in steps.squares])
+
+    checks: dict[str, CheckResult] = {}
+    for name in ("cut_lipschitz", "resistance_smooth"):
+        if name in whole:
+            checks[name] = whole[name]
+            continue
+        viols = []
+        for v, bags in enumerate(steps.hits[name]):
+            # both bags of a bad step are witnesses, in mask order
+            _collect(viols, np.sort(np.concatenate([bags, bags | 1 << v])),
+                     lambda m, v=v: {"other": m ^ (1 << v)})
+        _collect(viols, sampled[name], lambda m: {})
+        checks[name] = CheckResult(n * size + samples,
+                                   "single_steps+sampled_pairs", viols)
+
+    if all_subsets:
+        checks["resistance_monotone"] = whole["resistance_monotone"]
+    else:
+        viols = []
+        for v, bags in enumerate(steps.hits["resistance_monotone"]):
+            _collect(viols, bags | 1 << v,
+                     lambda m, v=v: {"bag": m & ~(1 << v), "superset": m})
+        _collect(viols, sampled["resistance_monotone"], lambda m: {})
+        checks["resistance_monotone"] = CheckResult(
+            n * size + samples, "single_steps+sampled_pairs", viols)
+
+    if all_pairs:
+        checks["cut_submodular"] = whole["cut_submodular"]
+    else:
+        # pair (v, u) reports its squares' bags holding v, in mask order
+        viols = []
+        for v in range(n):
+            for u in range(n):
+                if u != v:
+                    bags = steps.squares[min(u, v), max(u, v)] | 1 << v
+                    _collect(viols, bags,
+                             lambda m, u=u, v=v: {"superset": m | (1 << u),
+                                                  "node": v})
+        checks["cut_submodular"] = CheckResult(n * (n - 1) * (size >> 2),
+                                               "single_steps", viols)
+
+    # whenever removing a node lowers the resistance, the cut it leaves
+    # behind is at least the resistance it left; a witness has
+    # gamma(A - v) < gamma(A) and cut(A - v) < gamma(A)
+    viols = []
+    for v, bags in enumerate(steps.hits["cut_at_drop"]):
+        _collect(viols, bags | 1 << v, lambda m, v=v: {"node": v})
+    checks["cut_at_drop"] = CheckResult(n * (size >> 1), "all_bag_node_pairs",
+                                        viols)
+    checks["below_cutwidth"] = below
 
     # the table is a fixed point of the bottleneck recursion
     viols = [] if bc.passed else [{"bag": bc.witness_mask, "table": bc.lhs,

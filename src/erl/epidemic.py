@@ -64,6 +64,7 @@ _MEMO_CELLS = 1 << 20
 # 1 recovery) and uint32 node, 13 bytes with no padding.
 _EVENT = np.dtype([("time", "<f8"), ("kind", "u1"), ("node", "<u4")])
 _KINDS = (INFECTION, RECOVERY)
+_NODE_MAX = int(np.iinfo(_EVENT["node"]).max)
 
 
 def _node_id_error(top: int, where: str) -> ErlError:
@@ -197,7 +198,12 @@ class EventLog:
         body = np.empty(len(self.times), dtype=_EVENT)
         body["time"] = self.times
         body["kind"] = [kind != INFECTION for kind in self.kinds]
-        body["node"] = self.nodes
+        try:
+            body["node"] = self.nodes
+        except OverflowError:
+            top = next(v for v in self.nodes if not 0 <= v <= _NODE_MAX)
+            raise ErlError(f"node id {top} in an event is outside "
+                           f"0..{_NODE_MAX}, the ids REL1 can hold") from None
         out.append(body.tobytes())
         return b"".join(out)
 

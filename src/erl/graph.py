@@ -287,20 +287,30 @@ def rowwise(ufunc, *args, out: np.ndarray) -> np.ndarray:
 
     numpy runs its inner loop once per row of a strided view, so on rows
     of a few elements the per-row overhead dominates.  When the widest
-    operand's row is at most SHORT_ROW_BYTES, the call is made one column
-    at a time instead: 2^v long strided calls, not one short call per row.
-    An elementwise ufunc gives the same result either way; scalars
+    operand's row is at most SHORT_ROW_BYTES, the call is made on the
+    transposed views in C order instead, which numpy runs as 2^v long
+    strided inner loops, one per column, not one short loop per row.  An
+    elementwise ufunc gives the same result either way; scalars
     broadcast, and ``out`` may be one of the inputs.
     """
     width = max(a.itemsize for a in (*args, out) if isinstance(a, np.ndarray))
-    cols = out.shape[1]
-    if cols * width <= SHORT_ROW_BYTES:
-        for j in range(cols):
-            ufunc(*(a[:, j] if isinstance(a, np.ndarray) else a for a in args),
-                  out=out[:, j])
+    if out.shape[1] * width <= SHORT_ROW_BYTES:
+        ufunc(*(a.T if isinstance(a, np.ndarray) else a for a in args),
+              out=out.T, order="C")
     else:
         ufunc(*args, out=out)
     return out
+
+
+def transposed(x: np.ndarray, k: int) -> np.ndarray:
+    """A contiguous copy of an array indexed by bag bitmask, over m bits,
+    with its low k bits moved to the top: ``x.reshape(-1, 2^k).T``.
+
+    The bag with mask i * 2^k + j (j < 2^k) moves to index j * 2^(m-k) +
+    i, so node v < k moves to bit m - k + v and node v >= k to bit v - k;
+    the ``halves`` of a node below k become long contiguous runs.
+    """
+    return np.ascontiguousarray(x.reshape(-1, 1 << k).T).reshape(-1)
 
 
 def cut_table(g: Graph) -> np.ndarray:

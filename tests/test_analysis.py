@@ -80,6 +80,28 @@ class TestPoissonExponent:
         with pytest.raises(ErlError, match="needs positive rates"):
             poisson_tail_probability(lam, lam_prime, 20)
 
+    @pytest.mark.parametrize("lam,lam_prime,n,match", [
+        (math.inf, 2, 20, "needs finite rates"),
+        (1, math.inf, 20, "needs finite rates"),
+        (1e300, 2e300, 5, "lam \\* n must be at most"),
+        (1, 2, -1, "n must be a nonnegative int, got -1"),
+        (1, 2, 2.5, "n must be a nonnegative int, got 2.5"),
+    ], ids=["lam_inf", "lam_prime_inf", "mean_past_numpy", "n_negative",
+            "n_not_int"])
+    def test_bad_input_refused_before_drawing(self, lam, lam_prime, n, match,
+                                              monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(erl.analysis, "_stream", no_draws)
+        with pytest.raises(ErlError, match=match):
+            poisson_tail_probability(lam, lam_prime, n)
+
+    def test_largest_mean_numpy_draws_accepted(self):
+        top = erl.analysis.POISSON_MEAN_MAX
+        emp, bound = poisson_tail_probability(top, 2 * top, 1, samples=10)
+        assert (emp, bound) == (0.0, 0.0)
+
     @pytest.mark.parametrize("samples", [-1, 0, 2.5, True])
     def test_bad_sample_count_refused(self, samples):
         with warnings.catch_warnings():

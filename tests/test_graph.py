@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from erl import (GENERATE_CAP, Bag, GenerationError, Graph, GraphParseError,
                  InvalidBagError, cut, generate, parse_graph, serialize_graph)
 import erl
-from erl.graph import cut_table, halves, rowwise, toggle_delta
+from erl.graph import cut_table, halves, rowwise, toggle_delta, transposed
 from erl.resistance import _pack_bags, _unpack_bags
 
 from conftest import random_bounded_graph, rng_for
@@ -302,6 +302,15 @@ class TestHalves:
             low = without.reshape(-1) & ((1 << v) - 1)
             high = without.reshape(-1) >> (v + 1)
             assert np.array_equal((high << v) | low, np.arange(1 << 5))
+
+    def test_transposed_moves_low_bits_up(self):
+        masks = np.arange(1 << 7)
+        for k in range(8):
+            moved = transposed(masks, k)
+            assert moved.flags.c_contiguous
+            # node v < k sits at bit 7 - k + v, node v >= k at bit v - k
+            index = ((masks & ((1 << k) - 1)) << (7 - k)) | (masks >> k)
+            assert np.array_equal(moved[index], masks)
 
     def test_no_strided_pass_outside_halves(self):
         """Every per-node lattice pass goes through ``halves``: its body is

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import struct
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -113,3 +114,17 @@ def test_refusals_match_reference(log, kind_byte, big_id):
         want = message(reference_from_binary, data)
         assert want is not None, name
         assert message(EventLog.from_binary, data) == want, name
+
+
+@pytest.mark.parametrize("node", [1 << 32, -1, 10**30])
+def test_to_binary_refuses_id_rel1_cannot_hold(node):
+    log = event_log(Bag([0]), [(1.0, INFECTION, 1), (2.0, RECOVERY, node)],
+                    Bag([1]))
+    with pytest.raises(ErlError, match=f"node id {node} in an event is "
+                       "outside 0..4294967295"):
+        log.to_binary()
+
+
+def test_to_binary_writes_largest_rel1_id():
+    log = event_log(Bag(), [(1.0, INFECTION, (1 << 32) - 1)], Bag())
+    assert log.to_binary()[-4:] == b"\xff\xff\xff\xff"
