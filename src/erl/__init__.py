@@ -16,9 +16,9 @@ from .analysis import (CASE1, CASE2, NOT_APPLICABLE, SAMPLE_CAP,
                        poisson_tail_probability, scan_halving_window,
                        slow_regime_constants, sweep_to_csv,
                        verify_table_invariants)
-from .crusade import (BottleneckSequence, Crusade, audit_bottleneck,
-                      bottleneck_sequence, crusade_from_json, crusade_to_json,
-                      iter_bottleneck, validate_crusade, width)
+from .crusade import (Crusade, audit_bottleneck, bottleneck_sequence,
+                      crusade_from_json, crusade_to_json, validate_crusade,
+                      width)
 from .epidemic import (HORIZON, INFECTION, MAX_EVENTS, RECOVERY, STALLED,
                        EpidemicConfig, Event, EventLog, Policy,
                        SimulationResult, builtin_policy, derive_seed,

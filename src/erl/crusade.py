@@ -3,14 +3,17 @@
 A crusade is a sequence of bags in which each step may add arbitrarily many
 nodes but remove at most one.  The bottleneck sequence of a unit-step bag
 sequence is its running intersection: it tracks removals and ignores
-additions, which is what lets recovery counts be read off cut growth.
+additions, which is what lets recovery counts be read off cut growth.  The
+bottleneck sequence removes at most one node per step, so it is a crusade
+from the first bag, and on a trajectory that dies out its width is at least
+that bag's resistance.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,16 +33,6 @@ class Crusade:
         check = validate_crusade(self.bags, self.bags[0], self.bags[-1])
         if not check.valid:
             raise ErlError(check.reason)
-
-    def __len__(self) -> int:
-        return len(self.bags)
-
-
-@dataclass(frozen=True)
-class BottleneckSequence:
-    """Running intersection of a unit-step bag sequence."""
-
-    bags: tuple[Bag, ...]
 
     def __len__(self) -> int:
         return len(self.bags)
@@ -96,32 +89,25 @@ def _check_unit_step(prev: int, cur: int, i: int) -> None:
             f"{flipped})")
 
 
-def iter_bottleneck(seq: Iterable[Bag]) -> Iterator[Bag]:
-    """Yield the running-intersection sequence without materializing it.
+def bottleneck_sequence(seq: Sequence[Bag]) -> Crusade:
+    """The running intersection of a unit-step bag sequence, as a crusade
+    from its first bag.
 
-    Equivalent to intersecting all prefixes: on a removal of v, drop v from
-    the running bag if present; on an addition, leave it unchanged.  Holds
-    only the previous bag and the running intersection, so trajectory-length
-    inputs stream through.
+    The bags are read into one mask array (``mask_array``), every step is
+    checked to flip exactly one node at once, and the intersections are
+    ``np.bitwise_and.accumulate``, the pass the audits run.  An empty
+    sequence and the first non-unit step raise ErlError.
     """
-    it = iter(seq)
-    try:
-        prev = next(it).mask
-    except StopIteration:
+    if not seq:
         raise ErlError("empty sequence has no bottleneck sequence")
-    theta = prev
-    yield Bag.from_mask(theta)
-    for i, cur in enumerate(it, start=1):
-        cur = cur.mask
-        _check_unit_step(prev, cur, i)
-        theta &= cur
-        prev = cur
-        yield Bag.from_mask(theta)
-
-
-def bottleneck_sequence(seq: Sequence[Bag]) -> BottleneckSequence:
-    """Materialized form of :func:`iter_bottleneck`."""
-    return BottleneckSequence(tuple(iter_bottleneck(seq)))
+    masks = [b.mask for b in seq]
+    arr = mask_array(masks, max(masks).bit_length())
+    bad = np.flatnonzero(np.bitwise_count(arr[:-1] ^ arr[1:]) != 1)
+    if bad.size:
+        i = int(bad[0]) + 1
+        _check_unit_step(masks[i - 1], masks[i], i)
+    theta = np.bitwise_and.accumulate(arr).tolist()
+    return Crusade(tuple(map(Bag.from_mask, theta)))
 
 
 def audit_bottleneck(g: Graph, seq: Sequence[Bag],
@@ -192,7 +178,7 @@ def _bottleneck_audit(g: Graph, masks: np.ndarray,
                            reason.format(int(growth[i - 1]), bound))
 
 
-def crusade_to_json(c: Crusade | BottleneckSequence) -> str:
+def crusade_to_json(c: Crusade) -> str:
     """Debug serialization: a JSON array of sorted node-id arrays."""
     return json.dumps([list(b.nodes()) for b in c.bags], separators=(",", ":"))
 

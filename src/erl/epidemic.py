@@ -198,12 +198,14 @@ class EventLog:
         body = np.empty(len(self.times), dtype=_EVENT)
         body["time"] = self.times
         body["kind"] = [kind != INFECTION for kind in self.kinds]
-        try:
-            body["node"] = self.nodes
-        except OverflowError:
+        # one range check over the array, whatever numpy dtype it takes:
+        # a numpy id out of range would be cast to uint32 without error
+        nodes = np.array(self.nodes)
+        if nodes.size and not (0 <= nodes.min() and nodes.max() <= _NODE_MAX):
             top = next(v for v in self.nodes if not 0 <= v <= _NODE_MAX)
             raise ErlError(f"node id {top} in an event is outside "
-                           f"0..{_NODE_MAX}, the ids REL1 can hold") from None
+                           f"0..{_NODE_MAX}, the ids REL1 can hold")
+        body["node"] = nodes
         out.append(body.tobytes())
         return b"".join(out)
 

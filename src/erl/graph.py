@@ -260,12 +260,13 @@ def cuts_along(g: Graph, masks: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate(([int(first.sum())], delta)))
 
 
-# Widest operand row, in bytes, that ``rowwise`` runs one column at a time:
-# timed per pass at n = 20, column slices win on rows of up to 16 bytes for
-# every dtype the lattice passes use, and lose from 32 bytes on for all but
-# uint64.  With value iteration on uint8, a cut at 8 bytes (16-column uint8
-# rows run plainly) made the whole tables pipeline slower at n = 20 and 18
-# in 6 of 8 interleaved benchmark pairs, so 16 stays.
+# Widest operand row, in bytes, on which ``rowwise`` makes its one ufunc
+# call over the transposed views, one long strided inner loop per column:
+# timed per pass at n = 20, running by column wins on rows of up to 16
+# bytes for every dtype the lattice passes use, and loses from 32 bytes on
+# for all but uint64.  With value iteration on uint8, a cut at 8 bytes
+# (16-column uint8 rows run plainly) made the whole tables pipeline slower
+# at n = 20 and 18 in 6 of 8 interleaved benchmark pairs, so 16 stays.
 SHORT_ROW_BYTES = 16
 
 

@@ -50,8 +50,9 @@ def _require_cap(n: int, cap: int, what: str) -> None:
 
 def _superset(x: np.ndarray, nodes: range, ufunc) -> np.ndarray:
     """In place, x[C] = ``ufunc`` over x[D] for the D ⊇ C that add only
-    ``nodes``: pass v folds the with-v half into the without-v half
-    (``halves``/``rowwise``, column by column where rows are short)."""
+    ``nodes``: pass v folds the with-v half into the without-v half in one
+    ``rowwise`` call on its ``halves``, made over the transposed views
+    where rows are short."""
     for v in nodes:
         without, with_v = halves(x, v)
         rowwise(ufunc, without, with_v, out=without)
@@ -232,22 +233,16 @@ def _value_iteration(g: Graph, start: np.ndarray,
         gamma = new
 
 
-def _tables(g: Graph) -> tuple[np.ndarray, ResistanceTable]:
-    """The monotone values (uint8) and the resistance table that value
-    iteration reaches from them, both from one cut table.  The table keeps
-    the monotone values as its ``_monotone``."""
+def resistance_table(g: Graph) -> ResistanceTable:
+    """gamma(A) for all 2^n bags by value iteration from the monotone
+    table (n <= 20).  Both come from one cut table, and the returned table
+    keeps the monotone values (uint8) as its ``_monotone``."""
     _require_cap(g.node_count, LATTICE_CAP, "resistance_table")
     cut_t = cut_table(g)
     mg = _monotone_values(g, cut_t)
     table = _value_iteration(g, mg, cut_t)
     table._monotone = mg
-    return mg, table
-
-
-def resistance_table(g: Graph) -> ResistanceTable:
-    """gamma(A) for all 2^n bags by value iteration from the monotone
-    table (n <= 20)."""
-    return _tables(g)[1]
+    return table
 
 
 # Nodes below BLOCK_NODES index the columns of the monotone DP's blocks
@@ -354,15 +349,15 @@ def cutwidth(g: Graph) -> int:
     underlying theory.
 
     The cut table and the monotone table are built once: value iteration
-    starts from the monotone table, and the two full-set entries are
-    compared, so a returned width is also the monotone DP's.
+    starts from the monotone table, which ``resistance_table`` keeps, and
+    the two full-set entries are compared, so a returned width is also the
+    monotone DP's.
     """
-    mg, table = _tables(g)
-    w = table.cutwidth
-    if w != int(mg[-1]):
-        raise ErlError(
-            f"cutwidth mismatch: nonmonotone {w} vs monotone {int(mg[-1])} "
-            "(implementation bug)")
+    table = resistance_table(g)
+    w, mw = table.cutwidth, int(table._monotone[-1])
+    if w != mw:
+        raise ErlError(f"cutwidth mismatch: nonmonotone {w} vs monotone {mw} "
+                       "(implementation bug)")
     return w
 
 

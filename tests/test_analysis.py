@@ -20,10 +20,9 @@ from erl import (CASE1, CASE2, NOT_APPLICABLE, Bag, CompleteGraphResistance,
                  audit_bottleneck, audit_recovery_bound, bottleneck_sequence,
                  builtin_policy, complete_extinction_mean, cut_table,
                  exact_extinction_times, extinction_sweep, generate,
-                 iter_bottleneck, poisson_ld_exponent, SAMPLE_CAP,
-                 poisson_tail_probability, replay, resistance_table,
-                 scan_halving_window, simulate, slow_regime_constants,
-                 sweep_to_csv, verify_table_invariants)
+                 poisson_ld_exponent, SAMPLE_CAP, poisson_tail_probability,
+                 replay, resistance_table, scan_halving_window, simulate,
+                 slow_regime_constants, sweep_to_csv, verify_table_invariants)
 from erl.analysis import CheckResult, make_policy, mean_and_stderr
 from erl.epidemic import Event, _extinction_times
 from erl.graph import cuts_along, mask_array
@@ -442,8 +441,8 @@ class TestCutSequence:
         g, log = simulated_extinct_log("random_regular", (10, 3), 8, 9)
         table = cut_table(g)
         states = [bag.mask for _, bag in replay(log, g)]
-        theta = [bag.mask for bag in iter_bottleneck(
-            Bag.from_mask(m) for m in states)]
+        theta = [bag.mask for bag in bottleneck_sequence(
+            [Bag.from_mask(m) for m in states]).bags]
         assert len(set(theta)) < len(theta)    # holds repeated masks
         for masks in (states, theta):
             cuts = cuts_along(g, mask_array(masks, g.node_count))

@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
-from erl import (Bag, Crusade, ErlError, audit_bottleneck, bottleneck_sequence,
-                 brute_force_resistance, crusade_from_json, crusade_to_json,
-                 cut, generate, iter_bottleneck, validate_crusade, width)
+from erl import (Bag, Crusade, EpidemicConfig, ErlError, audit_bottleneck,
+                 bottleneck_sequence, brute_force_resistance, builtin_policy,
+                 crusade_from_json, crusade_to_json, cut, generate, replay,
+                 resistance_table, simulate, validate_crusade, width)
+from erl.epidemic import _POLICY_KINDS
 
 from conftest import random_unit_step_sequence, rng_for
 
@@ -81,26 +85,50 @@ class TestBottleneckSequence:
     def test_removal_propagates(self):
         assert bottleneck_sequence(bags([1], [])).bags == bags([1], [])
 
+    def test_is_a_crusade_from_the_first_bag(self):
+        seq = bags([1, 2], [1, 2, 3], [2, 3], [2])
+        theta = bottleneck_sequence(seq)
+        assert isinstance(theta, Crusade)
+        assert validate_crusade(theta.bags, seq[0], Bag([2])).valid
+        assert crusade_to_json(theta) == "[[1,2],[1,2],[2],[2]]"
+
     def test_non_unit_step_rejected(self):
-        with pytest.raises(ErlError):
+        with pytest.raises(ErlError, match=r"^step 1 is not a unit step "
+                           r"\(symmetric difference size 0\)$"):
             bottleneck_sequence(bags([1, 2], [1, 2]))
-        with pytest.raises(ErlError):
+        with pytest.raises(ErlError, match=r"^step 1 is not a unit step "
+                           r"\(symmetric difference size 2\)$"):
             bottleneck_sequence(bags([1, 2], []))
+        # the first non-unit step is named, not a later one
+        with pytest.raises(ErlError, match=r"^step 3 is not a unit step "
+                           r"\(symmetric difference size 4\)$"):
+            bottleneck_sequence(bags([1], [1, 2], [2], [0, 1, 3], [0, 1]))
 
     def test_empty_rejected(self):
-        with pytest.raises(ErlError):
+        with pytest.raises(ErlError,
+                           match="^empty sequence has no bottleneck sequence$"):
             bottleneck_sequence(())
-
-    def test_iterator_matches_materialized(self):
-        rng = rng_for(21)
-        for _ in range(30):
-            seq = random_unit_step_sequence(8, 40, rng)
-            assert tuple(iter_bottleneck(seq)) == bottleneck_sequence(seq).bags
 
     def test_matches_prefix_intersections(self):
         rng = rng_for(22)
         for _ in range(30):
             seq = random_unit_step_sequence(7, 25, rng)
+            theta = bottleneck_sequence(seq).bags
+            running = seq[0].mask
+            for i, a in enumerate(seq):
+                running &= a.mask
+                assert theta[i].mask == running
+
+    def test_wide_walk_matches_prefix_intersections(self):
+        # above 64 nodes the masks are held in an object array
+        rng = rng_for(23)
+        for _ in range(10):
+            mask = int(rng.integers(0, 1 << 62)) << 8 | 1
+            seq = [Bag.from_mask(mask)]
+            for v in rng.integers(0, 70, size=60).tolist():
+                mask ^= 1 << v
+                seq.append(Bag.from_mask(mask))
+            assert max(a.mask for a in seq).bit_length() > 64
             theta = bottleneck_sequence(seq).bags
             running = seq[0].mask
             for i, a in enumerate(seq):
@@ -196,6 +224,38 @@ class TestWidthVersusResistance:
             assert validate_crusade(seq, start, Bag()).valid
             w = width(g, Crusade(tuple(seq)))
             assert w >= brute_force_resistance(g, start)
+
+
+class TestBottleneckWidthVersusResistance:
+    def test_extinct_runs_are_at_least_initial_resistance(self, zoo_graph):
+        """On a run that dies out, the bottleneck sequence is a crusade from
+        the initial bag to the empty one, so its width is at least gamma of
+        the initial bag."""
+        g = zoo_graph
+        table = resistance_table(g)
+        rng = rng_for(41)
+        partial = Bag.from_mask(int(rng.integers(1, 1 << g.node_count)))
+        extinct = 0
+        for start in (g.all_nodes(), partial):
+            gamma = table.gamma(start)
+            assert gamma == brute_force_resistance(g, start)
+            for kind in _POLICY_KINDS:
+                params = {"table": table} if kind == "resistance_greedy" else {}
+                for rep in range(4):
+                    cfg = EpidemicConfig(
+                        graph=g, initial_infected=start,
+                        budget=Fraction(2 * g.degree_bound + 1), seed=5,
+                        max_events=10**4)
+                    res = simulate(cfg, builtin_policy(kind, **params),
+                                   replication=rep)
+                    if not res.extinct:
+                        continue
+                    extinct += 1
+                    theta = bottleneck_sequence(
+                        [b for _, b in replay(res.log, g)])
+                    assert theta.bags[-1] == Bag()
+                    assert width(g, theta) >= gamma
+        assert extinct >= 30
 
 
 class TestJson:

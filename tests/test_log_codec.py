@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -118,6 +119,17 @@ def test_refusals_match_reference(log, kind_byte, big_id):
 
 @pytest.mark.parametrize("node", [1 << 32, -1, 10**30])
 def test_to_binary_refuses_id_rel1_cannot_hold(node):
+    log = event_log(Bag([0]), [(1.0, INFECTION, 1), (2.0, RECOVERY, node)],
+                    Bag([1]))
+    with pytest.raises(ErlError, match=f"node id {node} in an event is "
+                       "outside 0..4294967295"):
+        log.to_binary()
+
+
+@pytest.mark.parametrize("node", [np.int64(2**32 + 5), np.uint64(2**40),
+                                  np.int64(-1)])
+def test_to_binary_refuses_numpy_id_rel1_cannot_hold(node):
+    # a uint32 cast would write these as 5, 0 and 4294967295
     log = event_log(Bag([0]), [(1.0, INFECTION, 1), (2.0, RECOVERY, node)],
                     Bag([1]))
     with pytest.raises(ErlError, match=f"node id {node} in an event is "

@@ -49,6 +49,20 @@ class TestLineGraph:
     def test_cutwidth_op(self):
         assert cutwidth(generate("line", (9,))) == 1
 
+    def test_cutwidth_cross_check_fires(self, monkeypatch):
+        # value iteration lowers a raised start back to gamma, so only the
+        # removal-only full-set entry the table keeps is off
+        def raised(g, cut_t):
+            mg = _monotone_values(g, cut_t)
+            mg[-1] += 1
+            return mg
+        monkeypatch.setattr(erl.resistance, "_monotone_values", raised)
+        g = generate("line", (9,))
+        assert resistance_table(g).cutwidth == 1
+        with pytest.raises(ErlError, match="^cutwidth mismatch: nonmonotone 1 "
+                           r"vs monotone 2 \(implementation bug\)$"):
+            cutwidth(g)
+
     def test_monotone_full_set(self):
         assert monotone_resistance_table(generate("line", (5,))).cutwidth == 1
 
