@@ -57,7 +57,9 @@ def validate_crusade(seq: Sequence[Bag], a: Bag, b: Bag) -> CrusadeCheck:
     """Check that ``seq`` is a crusade from ``a`` to ``b``.
 
     The violation index is the position of the first offending bag (for the
-    step rule, the index of the step's first bag).
+    step rule, the index of the step's first bag).  The bags are read into
+    one mask array (``mask_array``) and every step's removals are counted
+    at once, as the nodes of ``prev & ~cur``.
     """
     if len(seq) == 0:
         raise ErlError("empty sequence is not a crusade")
@@ -66,10 +68,13 @@ def validate_crusade(seq: Sequence[Bag], a: Bag, b: Bag) -> CrusadeCheck:
     if seq[-1] != b:
         return CrusadeCheck(False, len(seq) - 1,
                             f"ends at {seq[-1]!r}, expected {b!r}")
-    for i in range(len(seq) - 1):
-        removed = len(seq[i] - seq[i + 1])
-        if removed > 1:
-            return CrusadeCheck(False, i, f"step {i} removes {removed} nodes")
+    masks = [bag.mask for bag in seq]
+    arr = mask_array(masks, max(masks).bit_length())
+    removed = np.bitwise_count(arr[:-1] & ~arr[1:])
+    bad = np.flatnonzero(removed > 1)
+    if bad.size:
+        i = int(bad[0])
+        return CrusadeCheck(False, i, f"step {i} removes {int(removed[i])} nodes")
     return CrusadeCheck(True, None, None)
 
 

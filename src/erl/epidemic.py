@@ -143,6 +143,29 @@ class EventLog:
     nodes: tuple[int, ...]
     final: Bag
 
+    def __eq__(self, other) -> bool:
+        """Every field compares as a tuple, except that where the time
+        tuples differ, a time also equals one with the same float64 bit
+        pattern: a log with a NaN time equals its REL1 round trip, 0.0 and
+        -0.0 equal each other, as ``==`` has it, and NaNs of different
+        bits differ."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.initial_infected, self.kinds, self.nodes, self.final) != \
+                (other.initial_infected, other.kinds, other.nodes, other.final):
+            return False
+        if self.times == other.times:
+            return True
+        if len(self.times) != len(other.times):
+            return False
+        a = np.array(self.times, dtype=np.float64)
+        b = np.array(other.times, dtype=np.float64)
+        return bool(np.all((a == b) | (a.view(np.uint64) == b.view(np.uint64))))
+
+    def __hash__(self) -> int:
+        # without the times, which == may equate where their hashes differ
+        return hash((self.initial_infected, self.kinds, self.nodes, self.final))
+
     @property
     def events(self) -> tuple[Event, ...]:
         """The events as rows, built at each read."""

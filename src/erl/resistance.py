@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,13 +105,18 @@ def _narrowed(cut_t: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
 class ResistanceTable:
     """gamma(A) for every bag of a graph, indexed by bag bitmask.
 
-    A table from ``resistance_table`` also keeps its graph's removal-only
-    values, uint8 by bag mask, in ``_monotone`` for ``witness_crusade``.
-    They are not serialized, compared or passed to the constructor; every
-    other table (loaded, hand-built, copied) has None there.
+    A table from ``resistance_table`` also keeps two things its builder
+    already computed: its graph's removal-only values, uint8 by bag mask,
+    in ``_monotone`` for ``witness_crusade``, and in ``_fixed_point`` the
+    ``check_bellman`` report of its last value-iteration round, with the
+    array it certifies.  Its ``values`` and ``_monotone`` are read-only, so
+    that the report cannot go stale.  Neither is serialized, compared or
+    passed to the constructor; every other table (loaded, hand-built,
+    copied) has None there.
     """
 
     _monotone: np.ndarray | None = None
+    _fixed_point: tuple[np.ndarray, BellmanCheck] | None = None
 
     def __init__(self, graph: Graph | None, values: np.ndarray, converged_rounds: int):
         self.graph = graph
@@ -219,28 +225,42 @@ def _value_iteration(g: Graph, start: np.ndarray,
     (uint8 for every start this module passes), and the fixed point is
     returned as uint16, like every table.  Each round holds the cut table,
     the iterate, the operator's fold and its one-removal output, one byte
-    per bag each on uint8.
+    per bag each on uint8.  The last round applied the operator to the
+    values it returns, so its ``check_bellman`` report is kept on the
+    table as ``_fixed_point`` and the values are made read-only.
     """
     n = g.node_count
     cut_t, gamma = _narrowed(cut_t, start)
     rounds = 0
     while True:
         rounds += 1
-        new = np.minimum(gamma, _bellman_rhs(gamma, cut_t, n))
-        if np.array_equal(new, gamma):
-            return ResistanceTable(g, new.astype(np.uint16),
-                                   converged_rounds=rounds)
-        gamma = new
+        rhs = _bellman_rhs(gamma, cut_t, n)
+        if not (rhs < gamma).any():
+            break
+        # a new iterate rather than one written into rhs: it holds the
+        # same bytes, but the tables benchmark's peak RSS read 1.1-1.5 MB
+        # higher with the in-place form (2-core VM, glibc malloc)
+        gamma = np.minimum(gamma, rhs)
+        del rhs    # not held through the next round's operator
+    check = _fixed_point_check(gamma, rhs)
+    del rhs    # not held beside the uint16 copy
+    values = gamma.astype(np.uint16)
+    values.flags.writeable = False
+    table = ResistanceTable(g, values, converged_rounds=rounds)
+    table._fixed_point = (values, check)
+    return table
 
 
 def resistance_table(g: Graph) -> ResistanceTable:
     """gamma(A) for all 2^n bags by value iteration from the monotone
     table (n <= 20).  Both come from one cut table, and the returned table
-    keeps the monotone values (uint8) as its ``_monotone``."""
+    keeps the monotone values (uint8) as its ``_monotone``, and its own
+    ``check_bellman`` report; both arrays are read-only."""
     _require_cap(g.node_count, LATTICE_CAP, "resistance_table")
     cut_t = cut_table(g)
     mg = _monotone_values(g, cut_t)
     table = _value_iteration(g, mg, cut_t)
+    mg.flags.writeable = False
     table._monotone = mg
     return table
 
@@ -437,19 +457,28 @@ def brute_force_resistance_all(g: Graph) -> np.ndarray:
     return dist
 
 
+@dataclass(frozen=True)
 class BellmanCheck:
-    def __init__(self, passed: bool, witness_mask: int | None = None,
-                 lhs: int | None = None, rhs: int | None = None):
-        self.passed = passed
-        self.witness_mask = witness_mask
-        self.lhs = lhs
-        self.rhs = rhs
+    passed: bool
+    witness_mask: int | None = None
+    lhs: int | None = None
+    rhs: int | None = None
 
     def __repr__(self) -> str:
         if self.passed:
             return "BellmanCheck(passed)"
         return (f"BellmanCheck(failed at bag {self.witness_mask:#x}: "
                 f"table {self.lhs} vs operator {self.rhs})")
+
+
+def _fixed_point_check(values: np.ndarray, rhs: np.ndarray) -> BellmanCheck:
+    """The report on ``values`` whose operator output is ``rhs``: the first
+    bag in mask order where the two differ, with both sides."""
+    diff = rhs != values
+    if not diff.any():
+        return BellmanCheck(True)
+    first = int(diff.argmax())
+    return BellmanCheck(False, first, int(values[first]), int(rhs[first]))
 
 
 def check_bellman(g: Graph, table: ResistanceTable) -> BellmanCheck:
@@ -463,6 +492,13 @@ def check_bellman(g: Graph, table: ResistanceTable) -> BellmanCheck:
     table with entries above 255 or below 0 gets the same report as in
     int64.
 
+    A table from ``resistance_table`` is not recomputed: value iteration's
+    last round applied the operator to the values it returned and stored
+    this report as the table's ``_fixed_point``.  It is returned while the
+    table's ``values`` are still that read-only array; a table made
+    writable again, or given other values, is checked afresh, as is every
+    loaded, hand-built or copied table.
+
     The equation is a necessary condition only: the true table is its
     greatest fixed point, but smaller fixed points exist (the identically
     zero table is one, since every bag may step to the zero-cut full set).
@@ -473,17 +509,15 @@ def check_bellman(g: Graph, table: ResistanceTable) -> BellmanCheck:
     for another graph).
     """
     table.require_graph(g)
-    n = g.node_count
     gamma = table.values
     if gamma[0] != 0:
         return BellmanCheck(False, 0, int(gamma[0]), 0)
+    if table._fixed_point is not None:
+        certified, report = table._fixed_point
+        if certified is gamma and not gamma.flags.writeable:
+            return report
     cut_t, narrow = _narrowed(cut_table(g), gamma)
-    rhs = _bellman_rhs(narrow, cut_t, n)
-    bad = np.flatnonzero(rhs != narrow)
-    if bad.size:
-        first = int(bad[0])
-        return BellmanCheck(False, first, int(gamma[first]), int(rhs[first]))
-    return BellmanCheck(True)
+    return _fixed_point_check(narrow, _bellman_rhs(narrow, cut_t, g.node_count))
 
 
 # Bit-packed bag sets: bag m is bit m % 64 of uint64 word m // 64, so one

@@ -2,10 +2,12 @@
 
 Each function walks its masks one step at a time, in Python integers, and
 is what the package ran before its audits became numpy passes over one
-mask array: ``reference_cut_sequence`` for ``graph.cuts_along``, and the
+mask array: ``reference_cut_sequence`` for ``graph.cuts_along``,
+``reference_validate_crusade`` for ``crusade.validate_crusade``, and the
 three audits for ``crusade._bottleneck_audit``,
 ``analysis._recovery_audit`` and ``analysis._halving_scan``.  Masks are
-lists of Python ints.
+lists of Python ints, except the bags ``reference_validate_crusade``
+takes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from operator import and_, gt
 
 from erl import (CASE1, CASE2, NOT_APPLICABLE, ErlError, IntervalWitness,
                  LemmaViolationError, RecoveryBoundReport)
-from erl.crusade import BottleneckAudit, _check_unit_step
+from erl.crusade import BottleneckAudit, CrusadeCheck, _check_unit_step
 from erl.graph import toggle_delta
 
 
@@ -35,6 +37,22 @@ def reference_cut_sequence(g, masks) -> list[int]:
             flipped ^= low
         cuts.append(value)
     return cuts
+
+
+def reference_validate_crusade(seq, a, b) -> CrusadeCheck:
+    """The crusade check one step at a time, by ``Bag`` differences."""
+    if len(seq) == 0:
+        raise ErlError("empty sequence is not a crusade")
+    if seq[0] != a:
+        return CrusadeCheck(False, 0, f"starts at {seq[0]!r}, expected {a!r}")
+    if seq[-1] != b:
+        return CrusadeCheck(False, len(seq) - 1,
+                            f"ends at {seq[-1]!r}, expected {b!r}")
+    for i in range(len(seq) - 1):
+        removed = len(seq[i] - seq[i + 1])
+        if removed > 1:
+            return CrusadeCheck(False, i, f"step {i} removes {removed} nodes")
+    return CrusadeCheck(True, None, None)
 
 
 def reference_bottleneck_audit(g, masks: list[int],

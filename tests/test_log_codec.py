@@ -68,9 +68,29 @@ def test_bytes_and_round_trip_match_reference(log):
     assert all(type(t) is float for t in back.times)
     assert all(type(k) is str for k in back.kinds)
     assert all(type(v) is int for v in back.nodes)
-    if not any(math.isnan(t) for t in log.times):
-        assert back == log
+    assert back == log
     assert back.to_binary() == blob
+
+
+def test_nan_time_log_equals_its_round_trip():
+    log = event_log(Bag([0]), [(math.nan, RECOVERY, 0)], Bag())
+    back = EventLog.from_binary(log.to_binary())
+    assert back.times[0] is not log.times[0]
+    assert back == log and hash(back) == hash(log)
+
+
+def test_times_compare_by_value_or_bits():
+    def one(*times):
+        return event_log(Bag([0]), [(t, RECOVERY, 0) for t in times], Bag())
+
+    other_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    assert one(0.0) == one(-0.0)
+    # two NaN objects: the tuples differ, and the times compare one by one
+    assert one(float("nan"), 0.0) == one(float("nan"), -0.0)
+    assert one(math.nan) != one(other_nan)
+    assert one(math.nan) != one(math.inf)
+    assert one(1.0) != one(math.nan)
+    assert SPECIAL_LOG == EventLog.from_binary(SPECIAL_LOG.to_binary())
 
 
 def corruptions(log: EventLog, kind_byte: int, big_id: int):

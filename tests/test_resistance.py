@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import tracemalloc
@@ -10,14 +11,18 @@ from erl import (LATTICE_CAP, Bag, CapacityError, CompleteGraphResistance,
                  ErlError, Graph, ResistanceTable, brute_force_resistance,
                  brute_force_resistance_all, check_bellman, cut, cutwidth,
                  generate, monotone_resistance_table, resistance_table,
-                 validate_crusade, width, witness_crusade)
+                 validate_crusade, verify_table_invariants, width,
+                 witness_crusade)
 from erl.graph import cut_table
-from erl.resistance import (BLOCK_NODES, NO_STEP, UNREACHED, _bellman_rhs,
-                            _crusade_steps, _monotone_values, _reach_round,
-                            _removal_walk, _search_walk, step_min,
-                            superset_min)
+from erl.resistance import (BLOCK_NODES, NO_STEP, UNREACHED, BellmanCheck,
+                            _bellman_rhs, _crusade_steps, _monotone_values,
+                            _reach_round, _removal_walk, _search_walk,
+                            step_min, superset_min)
 
 from conftest import ZOO, random_bounded_graph, rng_for
+
+RANDOM_REGULAR = [(n, d, seed) for n in (6, 8, 10, 12, 14, 16)
+                  for d in (3, 4) for seed in (1, 2)]
 
 
 def ordering_cutwidth(g: Graph) -> int:
@@ -174,11 +179,12 @@ class TestTableShape:
         assert np.array_equal(start, before)
 
     def test_peak_memory(self):
-        """Under 9 bytes per bag at n = 18 (8.0 measured): value iteration
+        """Under 9 bytes per bag at n = 18 (7.1 measured): value iteration
         holds the cut table, the iterate, the operator's fold and its
         output in uint8 beside the uint16 cut table and the uint8 monotone
         values the table keeps; with a uint16 monotone table it peaked at
-        9.0, and on uint16 rounds at 12.2."""
+        9.0, on uint16 rounds at 12.2, and at 8.0 while two copies of the
+        last iterate were held beside its uint16 copy."""
         g = generate("random_regular", (18, 3), seed=1)
         tracemalloc.start()
         try:
@@ -259,9 +265,10 @@ class TestBellmanCheck:
     def test_peak_memory(self):
         """Under 7 bytes per bag at n = 18 (4.1 measured): the cut table
         is built in uint16 and dropped once narrowed, and the operator's
-        fold and output are uint8; on uint16 the check peaked at 8.2."""
+        fold and output are uint8; on uint16 the check peaked at 8.2.  The
+        table is a copy, which has no stored report, so the check runs."""
         g = generate("random_regular", (18, 3), seed=1)
-        table = resistance_table(g)
+        table = ResistanceTable(g, resistance_table(g).values.copy(), 1)
         tracemalloc.start()
         try:
             assert check_bellman(g, table).passed
@@ -278,6 +285,100 @@ class TestBellmanCheck:
         zeros = ResistanceTable(g, np.zeros(16, dtype=np.uint16), 1)
         assert check_bellman(g, zeros).passed
         assert not np.array_equal(brute_force_resistance_all(g), zeros.values)
+
+
+class TestStoredReport:
+    """A table from ``resistance_table`` carries value iteration's last
+    ``check_bellman`` report, which is returned while its values are the
+    read-only array it certifies; every other table is checked afresh."""
+
+    @staticmethod
+    def assert_same_as_a_copy(g, table):
+        copy = ResistanceTable(g, table.values.copy(), table.converged_rounds)
+        assert table._fixed_point[0] is table.values
+        assert check_bellman(g, table) is table._fixed_point[1]
+        assert repr(check_bellman(g, table)) == repr(check_bellman(g, copy))
+        assert verify_table_invariants(g, table).to_json_dict() == \
+            verify_table_invariants(g, copy).to_json_dict()
+
+    def test_zoo(self, zoo_graph):
+        self.assert_same_as_a_copy(zoo_graph, resistance_table(zoo_graph))
+
+    @pytest.mark.parametrize("n,d,seed", RANDOM_REGULAR,
+                             ids=[f"rr{n}_{d}s{s}" for n, d, s in RANDOM_REGULAR])
+    def test_random_regular(self, n, d, seed):
+        g = generate("random_regular", (n, d), seed=seed)
+        self.assert_same_as_a_copy(g, resistance_table(g))
+
+    def test_failed_report_is_stored(self):
+        """From a start that is not an upper bound (a zero punched into
+        the monotone table), the iteration stops where the operator lies
+        above the iterate, and the stored report names that bag."""
+        g = generate("random_regular", (10, 3), seed=1)
+        start = _monotone_values(g, cut_table(g))
+        start[0x155] = 0
+        table = erl.resistance._value_iteration(g, start, cut_table(g))
+        assert not table._fixed_point[1].passed
+        self.assert_same_as_a_copy(g, table)
+
+    def test_bellman_rhs_runs_only_on_other_tables(self, monkeypatch):
+        g = generate("random_regular", (12, 3), seed=1)
+        table = resistance_table(g)
+        copy = ResistanceTable(g, table.values.copy(), table.converged_rounds)
+        calls = []
+        real = erl.resistance._bellman_rhs
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(erl.resistance, "_bellman_rhs", counting)
+        for t, want in ((table, 0), (copy, 1)):
+            calls.clear()
+            assert check_bellman(g, t).passed
+            assert len(calls) == want
+            calls.clear()
+            assert verify_table_invariants(g, t, mode="sampled").ok
+            assert len(calls) == want
+
+    def test_values_are_read_only(self):
+        table = resistance_table(generate("cycle", (6,)))
+        with pytest.raises(ValueError):
+            table.values[-1] += 1
+        with pytest.raises(ValueError):
+            table._monotone[-1] = 0
+        with pytest.raises(ValueError):
+            table.values[:].flags.writeable = True
+
+    def test_writable_again_is_checked_afresh(self):
+        g = generate("random_regular", (10, 3), seed=1)
+        table = resistance_table(g)
+        stored = check_bellman(g, table)
+        table.values.flags.writeable = True
+        table.values[-1] += 1
+        bc = check_bellman(g, table)
+        assert stored is table._fixed_point[1] and stored.passed
+        assert (bc.passed, bc.witness_mask, bc.lhs) == \
+            (False, g.full_mask, table.cutwidth)
+
+    def test_other_values_are_checked_afresh(self):
+        g = generate("random_regular", (10, 3), seed=1)
+        table = resistance_table(g)
+        bumped = table.values.copy()
+        bumped[-1] += 1
+        bumped.flags.writeable = False
+        table.values = bumped
+        assert table._fixed_point[1].passed
+        assert not check_bellman(g, table).passed
+
+    def test_report_is_frozen(self):
+        bc = check_bellman(generate("line", (4,)),
+                           resistance_table(generate("line", (4,))))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bc.passed = False
+        assert repr(bc) == "BellmanCheck(passed)"
+        assert repr(BellmanCheck(False, 0x3ff, 4, 3)) == \
+            "BellmanCheck(failed at bag 0x3ff: table 4 vs operator 3)"
 
 
 class TestForeignTable:
@@ -735,10 +836,6 @@ class TestBlockedMonotone:
         finally:
             tracemalloc.stop()
         assert peak < 6 << 18
-
-
-RANDOM_REGULAR = [(n, d, seed) for n in (6, 8, 10, 12, 14, 16)
-                  for d in (3, 4) for seed in (1, 2)]
 
 
 class TestColdStartOracle:

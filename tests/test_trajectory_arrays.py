@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from erl import (Bag, CompleteGraphResistance, EpidemicConfig, ErlError,
                  ResistanceTable, audit_bottleneck, builtin_policy, generate,
-                 resistance_table, simulate)
+                 resistance_table, simulate, validate_crusade)
 from erl.analysis import _halving_scan, _recovery_audit
 from erl.epidemic import _trajectory
 from erl.graph import mask_array
@@ -27,7 +27,8 @@ from erl.graph import mask_array
 from conftest import random_unit_step_sequence, rng_for
 from reference_audits import (reference_bottleneck_audit,
                               reference_halving_scan,
-                              reference_recovery_audit)
+                              reference_recovery_audit,
+                              reference_validate_crusade)
 
 GRAPHS = {
     "line7": generate("line", (7,)),
@@ -131,6 +132,38 @@ def test_bottleneck_audit_matches_reference(name, length, seed):
     for theta in thetas(masks, n, rng).values():
         assert outcome(lambda: audit_bottleneck(g, seq, theta=bags(theta))) \
             == outcome(lambda: reference_bottleneck_audit(g, masks, theta))
+
+
+def jumpy_walk(n: int, length: int, rng) -> list[int]:
+    """Masks of nodes below ``n`` whose steps each remove up to three
+    members (more often none or one) and add up to three other nodes."""
+    mask = sum(1 << v for v in range(n) if rng.random() < 0.5)
+    masks = [mask]
+    for _ in range(length):
+        for _ in range(int(rng.choice(4, p=[0.3, 0.4, 0.2, 0.1]))):
+            if mask:
+                mask &= ~(1 << int(rng.choice(Bag.from_mask(mask).nodes())))
+        for v in rng.choice(n, size=min(n, int(rng.integers(4))), replace=False):
+            mask |= 1 << int(v)
+        masks.append(mask)
+    return masks
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from([1, 5, 16, 64, 70, 100]), st.integers(0, 40),
+       st.integers(0, 2**32 - 1))
+def test_validate_crusade_matches_reference(n, length, seed):
+    """Same check, message and first violation index; the endpoints are
+    the sequence's own or, a third of the time each, another bag."""
+    rng = rng_for(seed)
+    seq = bags(jumpy_walk(n, length, rng))[:length]
+    a, b = (seq[0], seq[-1]) if seq else (Bag(), Bag())
+    if rng.random() < 1 / 3:
+        a = Bag.from_mask(jumpy_walk(n, 0, rng)[0])
+    if rng.random() < 1 / 3:
+        b = Bag.from_mask(jumpy_walk(n, 0, rng)[0])
+    assert outcome(lambda: validate_crusade(seq, a, b)) == \
+        outcome(lambda: reference_validate_crusade(seq, a, b))
 
 
 def trajectory(name: str, kind: str, rng) -> tuple[list[float], list[int]]:
