@@ -9,13 +9,17 @@ later visit to the same bag within the run (within all replications of a
 sweep point, for sweeps), unless the call that produced it touched the
 policy stream, in which case the policy is queried again at each visit.
 The memo holds one value per bag, the table its simulator draws from.
+``simulate`` calls no ``allocate`` of a policy that declares node weights
+(``uniform``, ``degree_proportional``): it checks the weights once per run
+and draws the cured node from them, with the floats that the validated
+allocation would give, so the log is the same.
 Each healthy node's infection hazard is the infection rate times its
 infected-neighbor count, so the total infection hazard equals the infection
 rate times the cut of the infected set.  Every neighbour count in the
 package is a popcount of ``Graph.neighbor_masks`` against the infected
-mask; ``simulate`` keeps only that mask and its cut, updates the cut by one
-``toggle_delta`` per event and (in debug runs) re-derives it from scratch
-at every event.
+mask; ``simulate`` keeps only that mask and its cut, updates the cut by the
+toggled node's popcount at each event and (in debug runs) re-derives it
+from scratch at every event.
 
 ``simulate`` records each event's time, kind and node as the three
 columns of its event log, and is the reference.  Sweeps run the
@@ -34,10 +38,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import inf, lcm
 from numbers import Rational, Real
-from operator import index
+from operator import index, truediv
 from sys import float_info
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -45,8 +49,7 @@ import numpy as np
 
 from .errors import ErlError, PolicyViolationError, ReplayError
 from .graph import (GENERATE_CAP, Bag, Graph, _check_seed, _CounterRange,
-                    _is_int, _seeds, _stream, cut, mask_array, members,
-                    toggle_delta)
+                    _is_int, _seeds, _stream, cut, mask_array, members)
 
 INFECTION = "INFECTION"
 RECOVERY = "RECOVERY"
@@ -168,8 +171,11 @@ class EventLog:
 
     @property
     def events(self) -> tuple[Event, ...]:
-        """The events as rows, built at each read."""
-        return tuple(map(Event, self.times, self.kinds, self.nodes))
+        """The events as rows, built at each read: ``tuple.__new__`` makes
+        each ``Event`` from its zipped fields without a call of
+        ``Event.__new__``."""
+        return tuple(map(tuple.__new__, repeat(Event),
+                         zip(self.times, self.kinds, self.nodes)))
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -310,6 +316,13 @@ class Policy:
     process when pooled), so an allocation that did not touch ``rng`` is
     reused by every later replication too; only at a bag with no
     transition, which ends the run, is it asked again by each replication.
+
+    A policy whose rates follow a weight rule declares it through
+    ``weights``: at a nonempty bag A, node v of A gets budget·w(v)/W(A),
+    where W(A) sums the weights over A, and a uniform split when W(A) is
+    0.  ``allocate`` must still return exactly that allocation, since the
+    sweep engine and the exact chain call it, but ``simulate`` does not:
+    it checks the weights once per run and draws the cured node from them.
     """
 
     name = "abstract"
@@ -317,6 +330,11 @@ class Policy:
     def allocate(self, graph: Graph, infected: int, budget: Fraction,
                  rng: np.random.Generator) -> dict[int, Fraction]:
         raise NotImplementedError
+
+    def weights(self, graph: Graph) -> tuple[int, ...] | None:
+        """One nonnegative int weight per node of ``graph`` when the
+        allocation is the weight rule, else None."""
+        return None
 
 
 def _removal_deltas(graph: Graph,
@@ -379,6 +397,9 @@ class DegreeProportionalPolicy(Policy):
         rate = {d: unit * d for d in set(degrees)}
         return {v: rate[d] for v, d in zip(nodes, degrees)}
 
+    def weights(self, graph):
+        return tuple(map(len, graph.adjacency))
+
 
 class UniformPolicy(Policy):
     name = "uniform"
@@ -387,6 +408,9 @@ class UniformPolicy(Policy):
         nodes = members(infected)
         share = budget / len(nodes)
         return {v: share for v in nodes}
+
+    def weights(self, graph):
+        return (1,) * graph.node_count
 
 
 class RandomNodePolicy(Policy):
@@ -485,6 +509,75 @@ def _curing_table(alloc: dict[int, Fraction], infected: int,
     return num / den, nodes, list(accumulate(floats))
 
 
+class _WeightRule:
+    """The curing rates of a policy with node weights w, at budget p/q: at
+    a nonempty bag A of weight W = Σ_{v∈A} w(v), node v gets p·w(v)/(q·W),
+    or p/(q·|A|) when W = 0.
+
+    A rate's float is the int division of those two products, which rounds
+    the same rational as ``float(Fraction)``, and the total is ``float(p/q)``,
+    since the rule spends the whole budget.  So ``table`` is, float for
+    float, what ``_curing_table`` makes of the rule's allocation, and
+    ``pick`` cures the node that a bisection of its running sums finds.
+    """
+
+    __slots__ = ("weights", "rho", "den", "scaled", "even")
+
+    def __init__(self, weights: tuple[int, ...], budget: Fraction):
+        p = budget.numerator
+        self.weights = weights
+        self.rho = float(budget)
+        self.den = budget.denominator
+        self.scaled = [p * w for w in weights]
+        self.even = [p] * len(weights)
+
+    def _rates(self, infected: int, total: int) -> tuple[list[int], int]:
+        if total:
+            return self.scaled, self.den * total
+        return self.even, self.den * infected.bit_count()
+
+    def table(self, infected: int,
+              total: int) -> tuple[float, list[int], list[float]]:
+        """The curing table of the bag ``infected``, of weight ``total``."""
+        rates, den = self._rates(infected, total)
+        nodes = members(infected)
+        return self.rho, nodes, list(accumulate(
+            map(truediv, map(rates.__getitem__, nodes), repeat(den))))
+
+    def pick(self, infected: int, total: int, u: float) -> int:
+        """The member of ``infected`` (of weight ``total``) that the draw
+        ``u`` cures: the first in ascending order whose running sum exceeds
+        u, else the last, found without building the sums."""
+        rates, den = self._rates(infected, total)
+        acc = 0.0
+        while infected:
+            low = infected & -infected
+            infected ^= low
+            node = low.bit_length() - 1
+            acc += rates[node] / den
+            if acc > u:
+                break
+        return node
+
+
+def _weight_rule(policy: Policy, graph: Graph,
+                 budget: Fraction) -> _WeightRule | None:
+    """``policy``'s weight rule on ``graph`` at ``budget``, its weights
+    checked, or None when it declares no weights."""
+    weights = policy.weights(graph)
+    if weights is None:
+        return None
+    if not (isinstance(weights, tuple) and len(weights) == graph.node_count):
+        raise PolicyViolationError(
+            policy.name, f"weights must be a tuple of {graph.node_count} "
+            f"ints, one per node, got {weights!r:.80}")
+    for v, w in enumerate(weights):
+        if not (_is_int(w) and w >= 0):
+            raise PolicyViolationError(
+                policy.name, f"weight {w!r} of node {v} is not a nonnegative int")
+    return _WeightRule(weights, budget)
+
+
 class _StreamWatch:
     """The policy stream of one run, made by ``make()`` when a policy first
     touches it.
@@ -527,7 +620,10 @@ class _Allocations:
     next visit.  So is a bag that built to None (the engine's bag with no
     transition), at most once per replication since it ends the run.  The
     memo is emptied when a value is to be kept while it holds
-    ``_MEMO_CELLS`` // n, which changes no output.
+    ``_MEMO_CELLS`` // n, which changes no output.  Under a policy that
+    declares weights, ``simulate`` calls no ``entry`` and ``keep``s its
+    own values instead: () for a bag with one recovery so far, then the
+    bag's curing table.
     """
 
     __slots__ = ("graph", "policy", "budget", "build", "memo", "limit")
@@ -548,10 +644,13 @@ class _Allocations:
                                      self.budget)
         value = self.build(mask, _curing_table(alloc, mask, self.budget,
                                                self.policy.name))
-        if not touched:
-            if len(self.memo) >= self.limit:
-                self.memo.clear()
-            self.memo[mask] = value
+        return value if touched else self.keep(mask, value)
+
+    def keep(self, mask: int, value):
+        """Keep ``value`` as ``mask``'s, emptying a full memo first."""
+        if len(self.memo) >= self.limit:
+            self.memo.clear()
+        self.memo[mask] = value
         return value
 
 
@@ -561,24 +660,37 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
 
     Identical (config, policy, replication) produce a bit-identical event
     log.  Allocations follow ``_Allocations``' rule with a memo of the
-    run's own.  The state is the infected mask and its cut: an infection
-    takes the healthy end of the k-th cut edge, k uniform below the cut,
-    by scanning the healthy nodes in node order and counting their
-    infected neighbours from ``Graph.neighbor_masks``, and every event
-    updates the cut by one ``toggle_delta``.  ``debug`` re-derives the cut
-    from scratch at every event and asserts agreement (exact integer
-    comparison).
+    run's own.  A policy that declares weights is never called: its total
+    rate is the budget at every bag, and its ``_WeightRule`` finds the
+    cured node by walking the bag's members at the bag's first recovery;
+    the second builds the bag's curing table, which the memo keeps for
+    later recoveries to bisect.  The state is the infected mask and its
+    cut: an infection takes the healthy end of the k-th cut edge, k
+    uniform below the cut, by scanning the healthy nodes in node order and
+    counting their infected neighbours from ``Graph.neighbor_masks``, and
+    every event updates the cut by the toggled node's degree and its
+    neighbours in the bag, as ``toggle_delta`` does.  ``debug`` re-derives
+    the cut from scratch at every event and asserts agreement (exact
+    integer comparison); under a weight policy it also checks at every
+    event that the policy's allocation gives the weight rule's curing
+    table, and at every recovery that both cure the same node.
     """
     g = config.graph
     neighbors = g.neighbor_masks
+    degrees = list(map(len, g.adjacency))
     ev_rng = _stream(config.seed, replication, 0)
     watch = _StreamWatch(partial(_stream, config.seed, replication, 1))
     beta = float(config.infection_rate)
+    budget = config.budget
+    rule = _weight_rule(policy, g, budget)
+    if rule is not None:
+        rho, weights = rule.rho, rule.weights
+        weight = sum(map(weights.__getitem__,
+                         members(config.initial_infected.mask)))
 
     mask = config.initial_infected.mask
     cut_now = cut(g, config.initial_infected)
-    allocations = _Allocations(g, policy, config.budget,
-                               lambda mask, curing: curing)
+    allocations = _Allocations(g, policy, budget, lambda mask, curing: curing)
     memo_get = allocations.memo.get
 
     times: list[float] = []
@@ -595,10 +707,18 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
         if len(times) >= config.max_events:
             censored = MAX_EVENTS
             break
-        table = memo_get(mask)
-        if table is None:
-            table = allocations.entry(mask, watch)
-        rho, cured, cured_sums = table
+        if rule is None:
+            table = memo_get(mask)
+            if table is None:
+                table = allocations.entry(mask, watch)
+            rho = table[0]
+        elif debug:
+            alloc, _ = watch._call(policy, g, mask, budget)
+            want = _curing_table(alloc, mask, budget, policy.name)
+            if want != rule.table(mask, weight):
+                raise PolicyViolationError(
+                    policy.name, f"allocation at bag {mask:#x} is not the "
+                    "weight rule's")
         infection_hazard = beta * cut_now
         total = infection_hazard + rho
         if total == 0.0:
@@ -623,12 +743,37 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
             else:
                 raise ErlError("hazard bookkeeping drifted: cached cut "
                                f"{cut_now} exceeds boundary weight")
+            if rule is not None:
+                weight += weights[node]
             kind = INFECTION
         else:
-            i = bisect_right(cured_sums, ev_rng.random() * rho)
-            node = cured[i] if i < len(cured) else cured[-1]
+            u = ev_rng.random() * rho
+            if rule is not None:
+                table = memo_get(mask)
+                if table is None:
+                    # a bag's first recovery walks its members, its second
+                    # keeps the table that later ones bisect
+                    allocations.keep(mask, ())
+                elif not table:
+                    table = allocations.keep(mask, rule.table(mask, weight))
+            if table:
+                _, cured, cured_sums = table
+                i = bisect_right(cured_sums, u)
+                node = cured[i] if i < len(cured) else cured[-1]
+            else:
+                node = rule.pick(mask, weight, u)
+            if rule is not None:
+                if debug and node != want[1][min(bisect_right(want[2], u),
+                                                 len(want[1]) - 1)]:
+                    raise PolicyViolationError(
+                        policy.name, f"weight rule cured node {node} at "
+                        f"bag {mask:#x}, its allocation another")
+                weight -= weights[node]
             kind = RECOVERY
-        cut_now += toggle_delta(g, mask, node)
+        # the node's edges into the bag leave the cut as it joins, and its
+        # other edges enter it; the reverse as it leaves
+        delta = degrees[node] - 2 * (neighbors[node] & mask).bit_count()
+        cut_now += delta if kind is INFECTION else -delta
         mask ^= 1 << node
         times.append(t)
         kinds.append(kind)

@@ -1,6 +1,10 @@
+import sys
+from typing import Callable
+
 import numpy as np
 import pytest
 
+import erl.epidemic
 from erl import Bag, EventLog, Graph, generate
 
 ZOO = [
@@ -64,3 +68,22 @@ def rng_for(seed: int) -> np.random.Generator:
 def event_log(initial: Bag, events, final: Bag) -> EventLog:
     """The ``EventLog`` of ``Event`` rows: its three columns in row order."""
     return EventLog(initial, *(tuple(zip(*events)) or ((), (), ())), final)
+
+
+def count_event_rows(monkeypatch) -> Callable[[], int]:
+    """Stand a subclass of ``Event`` in for it in ``erl.epidemic`` and
+    return a count of the rows made of it so far.  Rows are made without a
+    call of ``Event`` (``EventLog.events`` uses ``tuple.__new__``), so the
+    count reads what every row leaves: a live one holds a reference to its
+    class, and a freed one has run ``__del__``."""
+    freed = []
+
+    class Counted(erl.epidemic.Event):
+        __slots__ = ()
+
+        def __del__(self):
+            freed.append(None)
+
+    monkeypatch.setattr(erl.epidemic, "Event", Counted)
+    base = sys.getrefcount(Counted)
+    return lambda: sys.getrefcount(Counted) - base + len(freed)

@@ -27,7 +27,8 @@ from erl.analysis import CheckResult, make_policy, mean_and_stderr
 from erl.epidemic import Event, _extinction_times
 from erl.graph import cuts_along, mask_array
 
-from conftest import ZOO, event_log, random_bounded_graph, rng_for
+from conftest import (ZOO, count_event_rows, event_log, random_bounded_graph,
+                      rng_for)
 from reference_audits import reference_cut_sequence
 from test_epidemic import GOLDEN_RUNS, golden_config
 
@@ -914,19 +915,13 @@ class TestReplayOnce:
 
     def test_verify_builds_no_event_rows(self, monkeypatch, capsys):
         # the audits read each log's columns, so no Event row is built
-        made = []
-
-        def counted(*fields):
-            made.append(fields)
-            return Event(*fields)
-
-        monkeypatch.setattr(erl.epidemic, "Event", counted)
+        made = count_event_rows(monkeypatch)
         assert erl.cli.main(["verify", "--gen", "line:9", "--trajectories",
                              "5", "--seed", "6"]) == 0
         assert "0 violations" in capsys.readouterr().out
-        assert made == []
+        assert made() == 0
         _, log = simulated_extinct_log("line", (5,), 4, 5)
-        assert len(log.events) == len(made) > 0
+        assert len(log.events) == made() > 0
 
 
 class TestCompleteExtinctionOracle:

@@ -102,6 +102,24 @@ class TestSimulateCommand:
         assert doc["extinction_time"] > 0
         assert doc["censored"] is None
 
+    @pytest.mark.parametrize("bad", [(1, 1), (1, -1, 1), (1, 1.0, 1)])
+    def test_bad_weights_exit_2(self, capsys, monkeypatch, tmp_path, bad):
+        """A policy's bad weights are its contract broken, an ``ErlError``
+        like any allocation it breaks: exit 2 with one ``error:`` line and
+        no output written."""
+        import erl.epidemic
+        monkeypatch.setattr(erl.epidemic.DegreeProportionalPolicy, "weights",
+                            lambda self, graph: bad)
+        out = tmp_path / "r.json"
+        code, stdout, err = run(capsys, "simulate", "--gen", "line:3",
+                                "--budget", "2", "--policy",
+                                "degree_proportional", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(
+            "error: policy 'degree_proportional' violated: weight")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_replicated_mean(self, capsys):
         code, out, _ = run(capsys, "simulate", "--gen", "line:1",
                            "--initial", "all", "--budget", "2",

@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -10,6 +11,8 @@ from operator import index
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erl import (GENERATE_CAP, HORIZON, MAX_EVENTS, RECOVERY, STALLED, Bag,
                  EpidemicConfig, ErlError, EventLog, Graph, Policy,
@@ -19,7 +22,7 @@ from erl import (GENERATE_CAP, HORIZON, MAX_EVENTS, RECOVERY, STALLED, Bag,
 from erl import epidemic
 from erl.epidemic import LOG_MAGIC, Event, INFECTION
 
-from conftest import event_log, rng_for
+from conftest import ZOO, count_event_rows, event_log, rng_for
 
 
 def isolated(n: int) -> Graph:
@@ -353,6 +356,187 @@ class TestAllocationMemo:
         with pytest.raises(PolicyViolationError):
             simulate(cfg, pol)
         assert pol.calls == 5
+
+
+def bits(xs) -> list[int]:
+    """Each float as its 64-bit pattern, so that a comparison is bit for
+    bit."""
+    return [struct.unpack("<Q", struct.pack("<d", x))[0] for x in xs]
+
+
+WEIGHT_KINDS = ["degree_proportional", "uniform"]
+WEIGHT_BUDGETS = [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(7, 3),
+                  Fraction(10**6)]
+
+
+def with_isolated() -> Graph:
+    """A path 0-1-2 beside isolated nodes 3, 4 and 5: a bag inside {3, 4, 5}
+    has degree weight 0, where degree_proportional splits uniformly."""
+    return Graph(6, [(0, 1), (1, 2)])
+
+
+class TestWeightRule:
+    """``simulate`` draws the cured node of a policy that declares weights
+    from the weights alone; every table and node must be the ones that
+    ``_curing_table`` gives the policy's allocation."""
+
+    @pytest.mark.parametrize("graph", [pytest.param(make, id=name)
+                                       for name, make in ZOO]
+                             + [pytest.param(with_isolated, id="isolated")])
+    def test_tables_match_curing_table_on_every_bag(self, graph):
+        g = graph()
+        assert g.node_count <= 10
+        for kind in WEIGHT_KINDS:
+            pol = builtin_policy(kind)
+            weights = pol.weights(g)
+            for budget in WEIGHT_BUDGETS:
+                rule = epidemic._weight_rule(pol, g, budget)
+                for mask in range(1, 1 << g.node_count):
+                    total = sum(weights[v] for v in Bag.from_mask(mask))
+                    want = epidemic._curing_table(
+                        pol.allocate(g, mask, budget, None), mask, budget,
+                        pol.name)
+                    rho, cured, sums = rule.table(mask, total)
+                    assert bits([rho]) == bits([want[0]]) == \
+                        bits([float(budget)])
+                    assert cured == want[1] == list(Bag.from_mask(mask).nodes())
+                    assert bits(sums) == bits(want[2])
+                    # the walk cures what a bisection of the sums cures, at
+                    # each sum, beside it and at the ends of [0, rho)
+                    probes = {0.0, np.nextafter(rho, 0.0)} | {
+                        x for s in sums for x in
+                        (s, np.nextafter(s, 0.0), np.nextafter(s, np.inf))
+                        if 0.0 <= x < rho}
+                    for u in probes:
+                        i = min(bisect_right(sums, u), len(cured) - 1)
+                        assert rule.pick(mask, total, u) == cured[i]
+
+    def test_isolated_bag_splits_uniformly(self):
+        g = with_isolated()
+        rule = epidemic._weight_rule(builtin_policy("degree_proportional"),
+                                     g, Fraction(7, 3))
+        rho, cured, sums = rule.table(Bag([3, 5]).mask, 0)
+        assert cured == [3, 5]
+        assert bits(sums) == bits([7 / 6, 7 / 6 + 7 / 6])
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from([name for name, _ in ZOO] + ["isolated"]),
+           st.sampled_from(WEIGHT_KINDS), st.integers(0, 2**64 - 1),
+           st.integers(0, 2**10 - 1), st.integers(0, 3),
+           st.sampled_from(WEIGHT_BUDGETS[:4] + [Fraction(9, 4)]),
+           st.sampled_from([None, 0.5, 4.0]), st.integers(1, 400))
+    def test_logs_match_the_allocation_path(self, name, kind, seed, start,
+                                            replication, budget, horizon,
+                                            cap):
+        g = dict(ZOO, isolated=with_isolated)[name]()
+        # a full start half the time, else a partial one
+        start = g.full_mask if start % 2 else start & g.full_mask
+        cfg = EpidemicConfig(graph=g, initial_infected=Bag.from_mask(start),
+                             budget=budget, seed=seed, horizon=horizon,
+                             max_events=cap)
+        forced = CountingPolicy(builtin_policy(kind))
+        want = simulate(cfg, forced, replication=replication)
+        got = simulate(cfg, builtin_policy(kind), replication=replication)
+        assert got.log.to_binary() == want.log.to_binary()
+        assert (got.extinction_time, got.censored) == \
+            (want.extinction_time, want.censored)
+        assert bool(forced.bags) == bool(start)
+
+    def test_logs_match_the_allocation_path_on_long_runs(self):
+        # revisited bags: walks, kept tables and bisections all cure
+        for spec in ("complete:6", "random_regular:10,3"):
+            cfg = golden_config(spec)
+            for kind in WEIGHT_KINDS:
+                want = simulate(cfg, CountingPolicy(builtin_policy(kind)),
+                                replication=3).log
+                assert simulate(cfg, builtin_policy(kind),
+                                replication=3).log == want
+
+    def test_no_policy_call_or_stream(self, monkeypatch):
+        made = []
+        real = epidemic._stream
+
+        def counting(seed, replication, k):
+            made.append(k)
+            return real(seed, replication, k)
+
+        def refuse(*args):
+            raise AssertionError("the weight rule called allocate")
+
+        monkeypatch.setattr(epidemic, "_stream", counting)
+        monkeypatch.setattr(epidemic, "_curing_table", refuse)
+        cfg = golden_config("complete:6")
+        for kind in WEIGHT_KINDS:
+            monkeypatch.setattr(type(builtin_policy(kind)), "allocate",
+                                refuse)
+            log = simulate(cfg, builtin_policy(kind), replication=3).log
+            assert sha256(log) == GOLDEN_LOGS["complete:6", kind]
+        assert made == [0, 0]
+
+    def test_weights_read_once_per_run(self, monkeypatch):
+        calls = []
+        real = epidemic.UniformPolicy.weights
+
+        def counted(self, graph):
+            calls.append(graph)
+            return real(self, graph)
+
+        monkeypatch.setattr(epidemic.UniformPolicy, "weights", counted)
+        cfg = golden_config("complete:6")
+        simulate(cfg, builtin_policy("uniform"), replication=3)
+        assert calls == [cfg.graph]
+
+    def test_debug_refuses_weights_that_disagree(self, monkeypatch):
+        g = generate("complete", (4,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(3), seed=2)
+        real = epidemic.UniformPolicy.weights
+
+        def bumped(self, graph):
+            weights = list(real(self, graph))
+            weights[2] += 1
+            return tuple(weights)
+
+        assert simulate(cfg, builtin_policy("uniform"), debug=True).extinct
+        monkeypatch.setattr(epidemic.UniformPolicy, "weights", bumped)
+        with pytest.raises(PolicyViolationError,
+                           match="'uniform' violated: allocation at bag 0xf"):
+            simulate(cfg, builtin_policy("uniform"), debug=True)
+        # without debug the run trusts the weights
+        assert simulate(cfg, builtin_policy("uniform")).extinct
+
+    def test_debug_refuses_a_walk_that_disagrees(self, monkeypatch):
+        g = generate("complete", (4,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(3), seed=2)
+        # the largest member instead of the one the draw picks
+        monkeypatch.setattr(epidemic._WeightRule, "pick",
+                            lambda self, mask, total, u: mask.bit_length() - 1)
+        with pytest.raises(PolicyViolationError, match="cured node"):
+            simulate(cfg, builtin_policy("degree_proportional"), debug=True)
+
+    @pytest.mark.parametrize("weights,message", [
+        ((1, 1), "weights must be a tuple of 3 ints"),
+        ((1, 1, 1, 1), "weights must be a tuple of 3 ints"),
+        ([1, 1, 1], "weights must be a tuple of 3 ints"),
+        ((1, -1, 1), "weight -1 of node 1 is not a nonnegative int"),
+        ((1, 1, 1.0), "weight 1.0 of node 2 is not a nonnegative int"),
+        ((True, 1, 1), "weight True of node 0 is not a nonnegative int"),
+        ((1, np.int64(1), 1), r"weight np\.int64\(1\) of node 1 is not"),
+        ((1, Fraction(1), 1), r"weight Fraction\(1, 1\) of node 1 is not")])
+    def test_bad_weights_refused_before_any_event(self, weights, message):
+        class Declares(epidemic.UniformPolicy):
+            name = "declares"
+
+            def weights(self, graph):
+                return weights
+
+        g = generate("line", (3,))
+        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
+                             budget=Fraction(1), seed=1)
+        with pytest.raises(PolicyViolationError,
+                           match=f"policy 'declares' violated: {message}"):
+            simulate(cfg, Declares())
 
 
 class TestStreams:
@@ -793,7 +977,7 @@ class TestSimulate:
             assert res.extinct == (res.log.final == Bag())
 
     def test_debug_bookkeeping_holds(self, zoo_graph):
-        """One ``toggle_delta`` updates the cut at infections and at the
+        """One update per event keeps the cut at infections and at the
         recoveries each builtin chooses; debug re-derives it every event."""
         g = zoo_graph
         cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
@@ -817,24 +1001,31 @@ class TestSimulate:
         assert doc["events"] == len(res.log.events) > 5
 
     def test_no_event_until_events_read(self, monkeypatch):
-        made = []
-
-        def counted(*fields):
-            made.append(fields)
-            return Event(*fields)
-
-        monkeypatch.setattr(epidemic, "Event", counted)
+        made = count_event_rows(monkeypatch)
         g = generate("cycle", (5,))
         cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
                              budget=Fraction(4), seed=9)
         log = simulate(cfg, builtin_policy("uniform")).log
-        assert made == [] and len(log.times) > 5
+        assert made() == 0 and len(log.times) > 5
         validate_log(log, g)
         EventLog.from_binary(log.to_binary())
-        assert made == []
+        assert made() == 0
         rows = log.events
-        assert made == list(zip(log.times, log.kinds, log.nodes))
-        assert rows == tuple(made)
+        assert made() == len(rows)
+        assert all(type(row) is epidemic.Event for row in rows)
+        assert rows == tuple(zip(log.times, log.kinds, log.nodes))
+        del rows
+        assert made() == len(log.times)
+
+    def test_event_rows_as_built_by_event(self):
+        cfg = golden_config("complete:6")
+        log = simulate(cfg, builtin_policy("uniform"), replication=3).log
+        rows = log.events
+        want = tuple(map(Event, log.times, log.kinds, log.nodes))
+        assert len(rows) == 4000 and rows == want
+        assert [type(row) for row in rows] == [Event] * len(rows)
+        assert [row._asdict() for row in rows] == \
+            [row._asdict() for row in want]
 
     def test_simulate_outputs_replay_clean(self, zoo_graph):
         g = zoo_graph
