@@ -17,9 +17,9 @@ Each healthy node's infection hazard is the infection rate times its
 infected-neighbor count, so the total infection hazard equals the infection
 rate times the cut of the infected set.  Every neighbour count in the
 package is a popcount of ``Graph.neighbor_masks`` against the infected
-mask; ``simulate`` keeps only that mask and its cut, updates the cut by the
-toggled node's popcount at each event and (in debug runs) re-derives it
-from scratch at every event.
+mask; ``simulate`` keeps only that mask and its cut, updates the cut by one
+``toggle_delta`` per event and (in debug runs) re-derives it from scratch
+at every event.
 
 ``simulate`` records each event's time, kind and node as the three
 columns of its event log, and is the reference.  Sweeps run the
@@ -49,7 +49,8 @@ import numpy as np
 
 from .errors import ErlError, PolicyViolationError, ReplayError
 from .graph import (GENERATE_CAP, Bag, Graph, _check_seed, _CounterRange,
-                    _is_int, _seeds, _stream, cut, mask_array, members)
+                    _is_int, _seeds, _stream, cut, mask_array, members,
+                    toggle_delta)
 
 INFECTION = "INFECTION"
 RECOVERY = "RECOVERY"
@@ -317,19 +318,30 @@ class Policy:
     reused by every later replication too; only at a bag with no
     transition, which ends the run, is it asked again by each replication.
 
-    A policy whose rates follow a weight rule declares it through
-    ``weights``: at a nonempty bag A, node v of A gets budget·w(v)/W(A),
-    where W(A) sums the weights over A, and a uniform split when W(A) is
-    0.  ``allocate`` must still return exactly that allocation, since the
-    sweep engine and the exact chain call it, but ``simulate`` does not:
-    it checks the weights once per run and draws the cured node from them.
+    A policy whose rates follow a weight rule declares only ``weights``:
+    the base ``allocate`` is the rule, which gives node v of a nonempty bag
+    A the rate budget·w(v)/W(A), where W(A) sums the weights over A, and
+    splits the budget uniformly when W(A) is 0.  The sweep engine and the
+    exact chain call that ``allocate``; ``simulate`` does not, but checks
+    the weights once per run and draws the cured node from them.
     """
 
     name = "abstract"
 
     def allocate(self, graph: Graph, infected: int, budget: Fraction,
                  rng: np.random.Generator) -> dict[int, Fraction]:
-        raise NotImplementedError
+        weights = self.weights(graph)
+        if weights is None:
+            raise NotImplementedError
+        nodes = members(infected)
+        node_weights = [weights[v] for v in nodes]
+        total = sum(node_weights)
+        if total == 0:
+            share = budget / len(nodes)
+            return {v: share for v in nodes}
+        unit = budget / total
+        rate = {w: unit * w for w in set(node_weights)}
+        return {v: rate[w] for v, w in zip(nodes, node_weights)}
 
     def weights(self, graph: Graph) -> tuple[int, ...] | None:
         """One nonnegative int weight per node of ``graph`` when the
@@ -386,28 +398,12 @@ class DegreeProportionalPolicy(Policy):
 
     name = "degree_proportional"
 
-    def allocate(self, graph, infected, budget, rng):
-        nodes = members(infected)
-        degrees = [graph.degree(v) for v in nodes]
-        total = sum(degrees)
-        if total == 0:
-            share = budget / len(nodes)
-            return {v: share for v in nodes}
-        unit = budget / total
-        rate = {d: unit * d for d in set(degrees)}
-        return {v: rate[d] for v, d in zip(nodes, degrees)}
-
     def weights(self, graph):
         return tuple(map(len, graph.adjacency))
 
 
 class UniformPolicy(Policy):
     name = "uniform"
-
-    def allocate(self, graph, infected, budget, rng):
-        nodes = members(infected)
-        share = budget / len(nodes)
-        return {v: share for v in nodes}
 
     def weights(self, graph):
         return (1,) * graph.node_count
@@ -574,7 +570,8 @@ def _weight_rule(policy: Policy, graph: Graph,
     for v, w in enumerate(weights):
         if not (_is_int(w) and w >= 0):
             raise PolicyViolationError(
-                policy.name, f"weight {w!r} of node {v} is not a nonnegative int")
+                policy.name,
+                f"weight {w!r} of node {v} is not a nonnegative int")
     return _WeightRule(weights, budget)
 
 
@@ -668,16 +665,14 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
     cut: an infection takes the healthy end of the k-th cut edge, k
     uniform below the cut, by scanning the healthy nodes in node order and
     counting their infected neighbours from ``Graph.neighbor_masks``, and
-    every event updates the cut by the toggled node's degree and its
-    neighbours in the bag, as ``toggle_delta`` does.  ``debug`` re-derives
-    the cut from scratch at every event and asserts agreement (exact
-    integer comparison); under a weight policy it also checks at every
-    event that the policy's allocation gives the weight rule's curing
-    table, and at every recovery that both cure the same node.
+    every event updates the cut by one ``toggle_delta``.  ``debug``
+    re-derives the cut from scratch at every event and asserts agreement
+    (exact integer comparison); under a weight policy it also checks at
+    every event that the policy's allocation gives the weight rule's
+    curing table, and at every recovery that both cure the same node.
     """
     g = config.graph
     neighbors = g.neighbor_masks
-    degrees = list(map(len, g.adjacency))
     ev_rng = _stream(config.seed, replication, 0)
     watch = _StreamWatch(partial(_stream, config.seed, replication, 1))
     beta = float(config.infection_rate)
@@ -770,10 +765,7 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
                         f"bag {mask:#x}, its allocation another")
                 weight -= weights[node]
             kind = RECOVERY
-        # the node's edges into the bag leave the cut as it joins, and its
-        # other edges enter it; the reverse as it leaves
-        delta = degrees[node] - 2 * (neighbors[node] & mask).bit_count()
-        cut_now += delta if kind is INFECTION else -delta
+        cut_now += toggle_delta(g, mask, node)
         mask ^= 1 << node
         times.append(t)
         kinds.append(kind)

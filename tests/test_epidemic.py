@@ -486,17 +486,37 @@ class TestWeightRule:
         simulate(cfg, builtin_policy("uniform"), replication=3)
         assert calls == [cfg.graph]
 
+    def test_allocate_is_the_weight_rule(self):
+        g = with_isolated()
+        degree = builtin_policy("degree_proportional")
+        assert degree.allocate(g, Bag([0, 1, 3]).mask, Fraction(3), None) \
+            == {0: 1, 1: 2, 3: 0}
+        assert degree.allocate(g, Bag([3, 5]).mask, Fraction(3), None) \
+            == {3: Fraction(3, 2), 5: Fraction(3, 2)}
+        assert builtin_policy("uniform").allocate(
+            g, Bag([0, 2, 4]).mask, Fraction(2), None) == \
+            {0: Fraction(2, 3), 2: Fraction(2, 3), 4: Fraction(2, 3)}
+        with pytest.raises(NotImplementedError):
+            epidemic.Policy().allocate(g, 1, Fraction(1), None)
+
     def test_debug_refuses_weights_that_disagree(self, monkeypatch):
         g = generate("complete", (4,))
         cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
                              budget=Fraction(3), seed=2)
         real = epidemic.UniformPolicy.weights
 
+        def even(self, graph, infected, budget, rng):
+            share = budget / infected.bit_count()
+            return {v: share for v in Bag.from_mask(infected)}
+
         def bumped(self, graph):
             weights = list(real(self, graph))
             weights[2] += 1
             return tuple(weights)
 
+        # an allocate of its own that keeps the even split: debug finds it
+        # agrees with the weights until one of them is bumped
+        monkeypatch.setattr(epidemic.UniformPolicy, "allocate", even)
         assert simulate(cfg, builtin_policy("uniform"), debug=True).extinct
         monkeypatch.setattr(epidemic.UniformPolicy, "weights", bumped)
         with pytest.raises(PolicyViolationError,
@@ -977,7 +997,7 @@ class TestSimulate:
             assert res.extinct == (res.log.final == Bag())
 
     def test_debug_bookkeeping_holds(self, zoo_graph):
-        """One update per event keeps the cut at infections and at the
+        """One ``toggle_delta`` updates the cut at infections and at the
         recoveries each builtin chooses; debug re-derives it every event."""
         g = zoo_graph
         cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
