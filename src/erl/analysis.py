@@ -564,8 +564,9 @@ def audit_recovery_bound(g: Graph, table, log: EventLog,
     return _recovery_audit(g, table, times, masks, t_from, t_to)
 
 
-def _recovery_audit(g: Graph, table, times: list[float], masks: np.ndarray,
-                    t_from: float, t_to: float) -> RecoveryBoundReport:
+def _recovery_audit(g: Graph, table, times: tuple[float, ...],
+                    masks: np.ndarray, t_from: float,
+                    t_to: float) -> RecoveryBoundReport:
     """:func:`audit_recovery_bound` on a trajectory already checked by
     ``_trajectory``: numpy passes over the segment's mask array."""
     # states after the events at or before each bound; times increase
@@ -652,7 +653,7 @@ def scan_halving_window(g: Graph, table, log: EventLog) -> IntervalWitness:
     return _halving_scan(g, table, times, masks)
 
 
-def _halving_scan(g: Graph, table, times: list[float],
+def _halving_scan(g: Graph, table, times: tuple[float, ...],
                   masks: np.ndarray) -> IntervalWitness:
     """:func:`scan_halving_window` on a trajectory already checked by
     ``_trajectory``: numpy passes over its mask array, where event e is a
@@ -984,8 +985,10 @@ def exact_extinction_times(g: Graph, policy: Policy, budget,
     result validated as in ``simulate``; the rates are read off the
     allocation itself.  The dense generator Q over the nonempty bags gives
     h from (−Q)h = 1, solved by ``numpy.linalg.solve``; entry 0 is 0.  An
-    independent oracle for the simulator and the sweep engine: it shares
-    the allocation check with them and nothing else.
+    independent oracle for the simulator and the sweep engine: it calls
+    every policy's ``allocate`` and shares with them only the allocation
+    check ``_curing_table``, which they run for user-written policies
+    with neither a target nor weights (the engine under weights too).
 
     Raises ErlError for a graph of more than ``CHAIN_CAP`` nodes, a budget
     or rate that ``EpidemicConfig`` refuses, a policy call that touches the
@@ -1006,7 +1009,7 @@ def exact_extinction_times(g: Graph, policy: Policy, budget,
     into = [[] for _ in range(size)]    # bag -> the bags with a step to it
     watch = _StreamWatch(partial(_stream, 0, 0, 1))
     for a in range(1, size):
-        alloc, touched = watch._call(policy, g, a, budget)
+        alloc, touched = watch._call(policy.allocate, g, a, budget)
         if touched:
             raise ErlError(f"policy {policy.name!r} touched its stream at "
                            f"bag {a:#x}; the exact chain needs a "

@@ -12,7 +12,10 @@ The memo holds one value per bag, the table its simulator draws from.
 ``simulate`` calls no ``allocate`` of a policy that declares node weights
 (``uniform``, ``degree_proportional``): it checks the weights once per run
 and draws the cured node from them, with the floats that the validated
-allocation would give, so the log is the same.
+allocation would give, so the log is the same.  Nor do ``simulate`` and
+the sweep engine call it for a policy that names one target node per bag
+(``max_cut_drop``, ``resistance_greedy``, ``random_node``): they check
+the node and give it the whole budget.
 Each healthy node's infection hazard is the infection rate times its
 infected-neighbor count, so the total infection hazard equals the infection
 rate times the cut of the infected set.  Every neighbour count in the
@@ -25,6 +28,8 @@ at every event.
 columns of its event log, and is the reference.  Sweeps run the
 τ-only engine ``_extinction_times``, which follows the same law with
 different draws from the same seed; ``graph._seeds`` lists every stream.
+A log keeps its checked trajectory for the graph object it was replayed
+against, so ``validate_log``, ``replay`` and the audits share one pass.
 
 Budget feasibility is checked in exact rational arithmetic; only the event
 sampling itself uses floating point.
@@ -318,18 +323,29 @@ class Policy:
     reused by every later replication too; only at a bag with no
     transition, which ends the run, is it asked again by each replication.
 
+    A policy that gives the whole budget to one infected node declares
+    only ``target(graph, infected, rng)``, that node's id, under the same
+    rules as ``allocate``, which then returns {target: budget}.
+    ``simulate`` and the sweep engine call ``target`` instead.
+
     A policy whose rates follow a weight rule declares only ``weights``:
     the base ``allocate`` is the rule, which gives node v of a nonempty bag
     A the rate budget·w(v)/W(A), where W(A) sums the weights over A, and
     splits the budget uniformly when W(A) is 0.  The sweep engine and the
     exact chain call that ``allocate``; ``simulate`` does not, but checks
-    the weights once per run and draws the cured node from them.
+    the weights once per run and draws the cured node from them.  A target
+    outranks weights.  At the empty bag the base ``allocate`` returns {}.
     """
 
     name = "abstract"
+    target = None
 
     def allocate(self, graph: Graph, infected: int, budget: Fraction,
                  rng: np.random.Generator) -> dict[int, Fraction]:
+        if not infected:
+            return {}
+        if self.target is not None:
+            return {self.target(graph, infected, rng): budget}
         weights = self.weights(graph)
         if weights is None:
             raise NotImplementedError
@@ -366,10 +382,10 @@ class MaxCutDropPolicy(Policy):
 
     name = "max_cut_drop"
 
-    def allocate(self, graph, infected, budget, rng):
+    def target(self, graph, infected, rng):
         nodes, deltas = _removal_deltas(graph, infected)
         # index finds the first of equal minima, the smallest id
-        return {nodes[deltas.index(min(deltas))]: budget}
+        return nodes[deltas.index(min(deltas))]
 
 
 class ResistanceGreedyPolicy(Policy):
@@ -384,12 +400,12 @@ class ResistanceGreedyPolicy(Policy):
     def __init__(self, table):
         self.table = table
 
-    def allocate(self, graph, infected, budget, rng):
+    def target(self, graph, infected, rng):
         gamma = self.table.gamma
         nodes, deltas = _removal_deltas(graph, infected)
         keys = [(gamma(infected & ~(1 << v)), d) for v, d in zip(nodes, deltas)]
         # index finds the first of equal minima, the smallest id
-        return {nodes[keys.index(min(keys))]: budget}
+        return nodes[keys.index(min(keys))]
 
 
 class DegreeProportionalPolicy(Policy):
@@ -414,11 +430,11 @@ class RandomNodePolicy(Policy):
 
     name = "random_node"
 
-    def allocate(self, graph, infected, budget, rng):
+    def target(self, graph, infected, rng):
         rest = infected
         for _ in range(int(rng.integers(infected.bit_count()))):
             rest &= rest - 1    # drop the smallest member
-        return {(rest & -rest).bit_length() - 1: budget}
+        return (rest & -rest).bit_length() - 1
 
 
 _POLICY_KINDS = {
@@ -439,6 +455,18 @@ def builtin_policy(kind: str, **params) -> Policy:
 
 # Stands for "no rate seen yet" in _curing_table; no allocation holds it.
 _NO_RATE = object()
+
+
+def _infected_node(v, infected: int, policy_name: str) -> int:
+    """``v`` as a node id, which must be a member of ``infected``."""
+    try:
+        node = index(v)
+    except TypeError:
+        node = -1
+    if node < 0 or not (infected >> node) & 1:
+        raise PolicyViolationError(policy_name,
+                                   f"allocated to non-infected node {v}")
+    return node
 
 
 def _curing_table(alloc: dict[int, Fraction], infected: int,
@@ -464,13 +492,7 @@ def _curing_table(alloc: dict[int, Fraction], infected: int,
     last = _NO_RATE
     nodes = []
     for v, rate in alloc.items():
-        try:
-            node = index(v)
-        except TypeError:
-            node = -1
-        if node < 0 or not (infected >> node) & 1:
-            raise PolicyViolationError(policy_name,
-                                       f"allocated to non-infected node {v}")
+        node = _infected_node(v, infected, policy_name)
         if rate is not last:
             if not isinstance(rate, Rational):
                 raise PolicyViolationError(
@@ -559,7 +581,9 @@ class _WeightRule:
 def _weight_rule(policy: Policy, graph: Graph,
                  budget: Fraction) -> _WeightRule | None:
     """``policy``'s weight rule on ``graph`` at ``budget``, its weights
-    checked, or None when it declares no weights."""
+    checked, or None when it declares no weights or has a target."""
+    if policy.target is not None:
+        return None
     weights = policy.weights(graph)
     if weights is None:
         return None
@@ -597,12 +621,11 @@ class _StreamWatch:
         self._touched = True
         return getattr(self._rng, name)
 
-    def _call(self, policy: Policy, graph: Graph, mask: int,
-              budget: Fraction) -> tuple[dict, bool]:
-        """The policy's allocation at ``mask`` with this watch standing in
-        for the stream, and whether the call touched it."""
+    def _call(self, method: Callable, *args) -> tuple[object, bool]:
+        """``method(*args, rng)``, a policy's ``allocate`` or ``target``,
+        with this watch as the rng, and whether the call touched it."""
         self._touched = False
-        return policy.allocate(graph, mask, budget, self), self._touched
+        return method(*args, self), self._touched
 
 
 class _Allocations:
@@ -617,13 +640,18 @@ class _Allocations:
     next visit.  So is a bag that built to None (the engine's bag with no
     transition), at most once per replication since it ends the run.  The
     memo is emptied when a value is to be kept while it holds
-    ``_MEMO_CELLS`` // n, which changes no output.  Under a policy that
+    ``_MEMO_CELLS`` // n, which changes no output.  A policy with a
+    target (read off the instance, so a forwarding wrapper is seen
+    through) is asked for its node, checked as ``_curing_table`` checks a
+    key; the curing table is (ρ, (node,), (ρ,)) with ρ = float(budget),
+    what ``_curing_table`` makes of {node: budget}.  Under a policy that
     declares weights, ``simulate`` calls no ``entry`` and ``keep``s its
     own values instead: () for a bag with one recovery so far, then the
     bag's curing table.
     """
 
-    __slots__ = ("graph", "policy", "budget", "build", "memo", "limit")
+    __slots__ = ("graph", "policy", "budget", "build", "memo", "limit",
+                 "target", "rho")
 
     def __init__(self, graph: Graph, policy: Policy, budget: Fraction,
                  build: Callable):
@@ -633,14 +661,21 @@ class _Allocations:
         self.build = build
         self.memo: dict = {}
         self.limit = max(1, _MEMO_CELLS // max(1, graph.node_count))
+        self.target = policy.target
+        self.rho = float(budget)
 
     def entry(self, mask: int, watch: _StreamWatch):
         """``mask``'s value built from a policy call, kept in the memo when
         the call did not touch the stream; callers look the memo up first."""
-        alloc, touched = watch._call(self.policy, self.graph, mask,
-                                     self.budget)
-        value = self.build(mask, _curing_table(alloc, mask, self.budget,
-                                               self.policy.name))
+        if self.target is None:
+            alloc, touched = watch._call(self.policy.allocate, self.graph,
+                                         mask, self.budget)
+            curing = _curing_table(alloc, mask, self.budget, self.policy.name)
+        else:
+            node, touched = watch._call(self.target, self.graph, mask)
+            node = _infected_node(node, mask, self.policy.name)
+            curing = self.rho, (node,), (self.rho,)
+        value = self.build(mask, curing)
         return value if touched else self.keep(mask, value)
 
     def keep(self, mask: int, value):
@@ -657,15 +692,16 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
 
     Identical (config, policy, replication) produce a bit-identical event
     log.  Allocations follow ``_Allocations``' rule with a memo of the
-    run's own.  A policy that declares weights is never called: its total
-    rate is the budget at every bag, and its ``_WeightRule`` finds the
-    cured node by walking the bag's members at the bag's first recovery;
-    the second builds the bag's curing table, which the memo keeps for
-    later recoveries to bisect.  The state is the infected mask and its
-    cut: an infection takes the healthy end of the k-th cut edge, k
-    uniform below the cut, by scanning the healthy nodes in node order and
-    counting their infected neighbours from ``Graph.neighbor_masks``, and
-    every event updates the cut by one ``toggle_delta``.  ``debug``
+    run's own, so a policy with a target is asked for its node, not its
+    allocation.  A policy that declares weights is never called: its
+    total rate is the budget at every bag, and its ``_WeightRule`` finds
+    the cured node by walking the bag's members at the bag's first
+    recovery; the second builds the bag's curing table, which the memo
+    keeps for later recoveries to bisect.  The state is the infected mask
+    and its cut: an infection takes the healthy end of the k-th cut edge,
+    k uniform below the cut, by scanning the healthy nodes in node order
+    and counting their infected neighbours from ``Graph.neighbor_masks``,
+    and every event updates the cut by one ``toggle_delta``.  ``debug``
     re-derives the cut from scratch at every event and asserts agreement
     (exact integer comparison); under a weight policy it also checks at
     every event that the policy's allocation gives the weight rule's
@@ -708,7 +744,7 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
                 table = allocations.entry(mask, watch)
             rho = table[0]
         elif debug:
-            alloc, _ = watch._call(policy, g, mask, budget)
+            alloc, _ = watch._call(policy.allocate, g, mask, budget)
             want = _curing_table(alloc, mask, budget, policy.name)
             if want != rule.table(mask, weight):
                 raise PolicyViolationError(
@@ -882,21 +918,38 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
     return [run(j) for j in replications]
 
 
-def _trajectory(log: EventLog, g: Graph) -> tuple[list[float], np.ndarray]:
+def _trajectory(log: EventLog, g: Graph) -> tuple[tuple[float, ...],
+                                                  np.ndarray]:
     """Check a log against ``g`` and reconstruct its trajectory.
 
     Returns the state times (0.0, then each event's time) and the infected
-    masks as one ``mask_array``, so entry i is the state after i events;
-    each event flips exactly one node, so consecutive masks differ in one
-    bit.  Raises ReplayError with the offending event index on any
+    masks as one read-only ``mask_array``, so entry i is the state after i
+    events; each event flips exactly one node, so consecutive masks differ
+    in one bit.  Raises ReplayError with the offending event index on any
     inconsistency, and InvalidBagError when the initial bag lies outside
     ``g``.
+
+    The log keeps the result for the graph object ``g``, in an attribute
+    that no field, ``==``, ``hash`` or serialization reads, and later
+    calls with ``g`` return it; another graph object gets a new pass, and
+    a pass that raises keeps nothing.
     """
+    kept = log.__dict__.get("_replayed")
+    if kept is not None and kept[0] is g:
+        return kept[1], kept[2]
+    times, masks = _replay_pass(log, g)
+    masks.flags.writeable = False
+    object.__setattr__(log, "_replayed", (g, times, masks))
+    return times, masks
+
+
+def _replay_pass(log: EventLog, g: Graph) -> tuple[tuple[float, ...],
+                                                   np.ndarray]:
+    """One pass of ``_trajectory`` over the log, nothing kept."""
     g.check_bag(log.initial_infected)
     n = g.node_count
     neighbors = g.neighbor_masks
     mask = log.initial_infected.mask
-    times = [0.0]
     masks = [mask]
     prev_t = 0.0
     for i, (t, kind, node) in enumerate(zip(log.times, log.kinds, log.nodes)):
@@ -918,13 +971,12 @@ def _trajectory(log: EventLog, g: Graph) -> tuple[list[float], np.ndarray]:
         else:
             raise ReplayError(f"unknown event kind {kind!r}", i)
         mask ^= bit
-        times.append(t)
         masks.append(mask)
     if mask != log.final.mask:
         raise ReplayError(
             f"final state {Bag.from_mask(mask)!r} does not match recorded "
-            f"{log.final!r}", len(times) - 1)
-    return times, mask_array(masks, n)
+            f"{log.final!r}", len(masks) - 1)
+    return (0.0, *log.times), mask_array(masks, n)
 
 
 def replay(log: EventLog, g: Graph) -> Iterator[tuple[float, Bag]]:

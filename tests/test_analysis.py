@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,9 +17,10 @@ import erl.analysis
 import erl.cli
 from erl import (CASE1, CASE2, NOT_APPLICABLE, Bag, CompleteGraphResistance,
                  EpidemicConfig, ErlError, EventLog, Graph, LemmaViolationError,
-                 Policy, PolicyViolationError, RECOVERY, ResistanceTable,
-                 audit_bottleneck, audit_recovery_bound, bottleneck_sequence,
-                 builtin_policy, complete_extinction_mean, cut_table,
+                 Policy, PolicyViolationError, RECOVERY, ReplayError,
+                 ResistanceTable, audit_bottleneck, audit_recovery_bound,
+                 bottleneck_sequence, builtin_policy,
+                 complete_extinction_mean, cut_table,
                  exact_extinction_times, extinction_sweep, generate,
                  poisson_ld_exponent, SAMPLE_CAP, poisson_tail_probability,
                  replay, resistance_table, scan_halving_window, simulate,
@@ -924,6 +926,91 @@ class TestReplayOnce:
         assert len(log.events) == made() > 0
 
 
+class TestKeptTrajectory:
+    """A log keeps its checked trajectory for the graph object it was
+    checked against, so its readers share one pass."""
+
+    def count(self, monkeypatch):
+        passes = []
+        real = erl.epidemic._replay_pass
+
+        def counted(log, g):
+            passes.append(g)
+            return real(log, g)
+
+        monkeypatch.setattr(erl.epidemic, "_replay_pass", counted)
+        return passes
+
+    def test_readers_share_one_pass(self, monkeypatch):
+        cfg, table = audit_config("random_regular:16,3@17")
+        res = simulate(cfg, builtin_policy("max_cut_drop"))
+        assert res.extinct
+        log, g = res.log, cfg.graph
+        passes = self.count(monkeypatch)
+        erl.epidemic.validate_log(log, g)
+        states = list(replay(log, g))
+        audit_recovery_bound(g, table, log, 0.0, res.extinction_time)
+        scan_halving_window(g, table, log)
+        assert passes == [g]
+        assert [t for t, _ in states] == [0.0, *log.times]
+        assert states[-1][1] == log.final
+
+    def test_kept_arrays_are_read_only(self):
+        cfg, _ = audit_config("random_regular:16,3@17")
+        log = simulate(cfg, builtin_policy("uniform")).log
+        times, masks = erl.epidemic._trajectory(log, cfg.graph)
+        assert isinstance(times, tuple)
+        assert not masks.flags.writeable
+        with pytest.raises(ValueError):
+            masks[0] = 0
+        again = erl.epidemic._trajectory(log, cfg.graph)
+        assert again[0] is times and again[1] is masks
+
+    def test_another_graph_object_checks_again(self, monkeypatch):
+        g = generate("line", (3,))
+        log = event_log(Bag([0]), [Event(1.0, "INFECTION", 1),
+                                   Event(2.0, "RECOVERY", 0)], Bag([1]))
+        passes = self.count(monkeypatch)
+        erl.epidemic.validate_log(log, g)
+        twin = generate("line", (3,))
+        assert twin == g and twin is not g
+        erl.epidemic.validate_log(log, twin)
+        assert passes == [g, twin]
+        # node 1 has no neighbour on the edgeless graph: its infection
+        # is refused though the log was kept for the line
+        with pytest.raises(ReplayError, match="no infected neighbor"):
+            erl.epidemic.validate_log(log, Graph(3, []))
+        erl.epidemic.validate_log(log, twin)
+        assert len(passes) == 3
+
+    def test_bad_log_raises_at_every_call(self, monkeypatch):
+        cfg, table = audit_config("random_regular:16,3@17")
+        good = simulate(cfg, builtin_policy("uniform")).log
+        log = EventLog(good.initial_infected, good.times, good.kinds,
+                       good.nodes, Bag([0]))
+        passes = self.count(monkeypatch)
+        readers = [lambda: erl.epidemic.validate_log(log, cfg.graph),
+                   lambda: list(replay(log, cfg.graph)),
+                   lambda: audit_recovery_bound(cfg.graph, table, log, 0.0,
+                                                math.inf),
+                   lambda: scan_halving_window(cfg.graph, table, log)]
+        for read in readers + readers:
+            with pytest.raises(ReplayError, match="final state"):
+                read()
+        assert len(passes) == 2 * len(readers)
+
+    def test_log_identity_unchanged(self):
+        cfg, table = audit_config("random_regular:16,3@17")
+        log = simulate(cfg, builtin_policy("random_node")).log
+        fresh = EventLog.from_binary(log.to_binary())
+        before = (log.to_binary(), log.to_csv(), hash(log), repr(log))
+        scan_halving_window(cfg.graph, table, log)
+        assert (log.to_binary(), log.to_csv(), hash(log), repr(log)) == before
+        assert log == fresh and fresh == log
+        assert hash(log) == hash(fresh)
+        assert dataclasses.asdict(log) == dataclasses.asdict(fresh)
+
+
 class TestCompleteExtinctionOracle:
     def test_closed_form_recurrence(self):
         # n = 2, r = 1: h_2 = 1, h_1 = (1 + 1*1)/1 = 2, total 3
@@ -980,6 +1067,17 @@ def engine_mean(cfg, policy, reps):
 
 
 class TestExactChain:
+    # recorded when max_cut_drop and resistance_greedy overrode allocate,
+    # before they declared a target
+    @pytest.mark.parametrize("kind,mean", [
+        ("max_cut_drop", 5.2477647922070325),
+        ("resistance_greedy", 5.178982535281965)])
+    def test_one_node_policy_means_unchanged(self, kind, mean):
+        g = generate("grid", (2, 3))
+        pol = make_policy(kind, g)
+        h = exact_extinction_times(g, pol, Fraction(5, 2), 0.75)
+        assert math.isclose(h[-1], mean, rel_tol=1e-12)
+
     def test_two_isolated_nodes_by_hand(self):
         # one node cured at rate 1 at a time: 1 + 1 from the full bag
         h = exact_extinction_times(Graph(2, []), builtin_policy("max_cut_drop"),

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 from erl import (GENERATE_CAP, HORIZON, MAX_EVENTS, RECOVERY, STALLED, Bag,
                  EpidemicConfig, ErlError, EventLog, Graph, Policy,
                  PolicyViolationError, ReplayError, builtin_policy, cut,
-                 derive_seed, event_streams, generate, replay, resistance_table, simulate,
-                 validate_log, verify_table_invariants)
+                 derive_seed, event_streams, extinction_sweep, generate, replay,
+                 resistance_table, simulate, validate_log,
+                 verify_table_invariants)
 from erl import epidemic
+from erl.analysis import make_policy
 from erl.epidemic import LOG_MAGIC, Event, INFECTION
 
 from conftest import ZOO, count_event_rows, event_log, rng_for
@@ -100,6 +102,23 @@ class TestPolicies:
     def test_unknown_kind(self):
         with pytest.raises(ErlError):
             builtin_policy("psychic")
+
+    @pytest.mark.parametrize("kind", sorted(epidemic._POLICY_KINDS))
+    def test_allocate_at_the_empty_bag(self, kind):
+        g = generate("line", (3,))
+        assert make_policy(kind, g).allocate(g, 0, Fraction(2),
+                                             rng_for(1)) == {}
+
+    def test_one_node_policies_allocate_their_target(self):
+        g = generate("grid", (2, 3))
+        for kind in TARGET_KINDS:
+            pol = make_policy(kind, g)
+            for mask in range(1, 1 << g.node_count):
+                node = pol.target(g, mask, rng_for(mask))
+                assert (mask >> node) & 1
+                assert pol.allocate(g, mask, Fraction(5, 2), rng_for(mask)) \
+                    == {node: Fraction(5, 2)}
+        assert Policy.target is None
 
 
 class BadPolicy(Policy):
@@ -557,6 +576,144 @@ class TestWeightRule:
         with pytest.raises(PolicyViolationError,
                            match=f"policy 'declares' violated: {message}"):
             simulate(cfg, Declares())
+
+
+TARGET_KINDS = ["max_cut_drop", "random_node", "resistance_greedy"]
+
+
+class Forwards:
+    """Forwards every attribute to a policy, as a tracing probe does, and
+    counts its ``allocate`` calls; not a ``Policy``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = 0
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
+
+    def allocate(self, *args):
+        self.calls += 1
+        return self._inner.allocate(*args)
+
+
+class Aims(Policy):
+    """All budget on the node ``pick(infected)`` names."""
+
+    name = "aims"
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def target(self, graph, infected, rng):
+        return self.pick(infected)
+
+
+class TestTarget:
+    """``simulate`` and the sweep engine ask a one-node policy for its
+    target, not its allocation; tables, draws and logs must be the ones
+    its allocation {target: budget} gives through ``_curing_table``."""
+
+    @pytest.mark.parametrize("spec", ["complete:6", "random_regular:10,3"])
+    def test_no_allocate_or_curing_table(self, spec, monkeypatch):
+        cfg = golden_config(spec)
+        pols = {kind: make_policy(kind, cfg.graph) for kind in TARGET_KINDS}
+        sweep = {"family": "line", "sizes": [4, 6], "budget": 3,
+                 "replications": 30, "seed": 5}
+        want = {kind: extinction_sweep(dict(sweep, policy=kind))
+                for kind in TARGET_KINDS}
+        want_engine = {kind: epidemic._extinction_times(cfg, pol, range(8))
+                       for kind, pol in pols.items()}
+
+        def refuse(*args):
+            raise AssertionError("a one-node policy was asked to allocate")
+
+        monkeypatch.setattr(epidemic.Policy, "allocate", refuse)
+        monkeypatch.setattr(epidemic, "_curing_table", refuse)
+        for kind, pol in pols.items():
+            if (spec, kind) in GOLDEN_LOGS:
+                assert sha256(simulate(cfg, pol, replication=3).log) == \
+                    GOLDEN_LOGS[spec, kind]
+            assert epidemic._extinction_times(cfg, pol, range(8)) == \
+                want_engine[kind]
+            assert extinction_sweep(dict(sweep, policy=kind)) == want[kind]
+
+    @pytest.mark.parametrize("kind", TARGET_KINDS)
+    @pytest.mark.parametrize("budget", [Fraction(0), Fraction(7, 3),
+                                        Fraction(1, 10**30), Fraction(3)])
+    def test_same_draws_as_the_allocation_path(self, kind, budget):
+        g = generate("grid", (3, 4))
+        cfg = EpidemicConfig(graph=g, initial_infected=Bag([0, 5, 6]),
+                             budget=budget, infection_rate=0.7, seed=4243,
+                             max_events=2000)
+        pol = make_policy(kind, g)
+        forced = CountingPolicy(pol)
+        for replication in range(3):
+            got = simulate(cfg, pol, replication=replication)
+            want = simulate(cfg, forced, replication=replication)
+            assert got.log.to_binary() == want.log.to_binary()
+            assert (got.extinction_time, got.censored) == \
+                (want.extinction_time, want.censored)
+        assert forced.bags
+        assert epidemic._extinction_times(cfg, pol, range(6)) == \
+            epidemic._extinction_times(cfg, forced, range(6))
+
+    @pytest.mark.parametrize("pick", [
+        lambda infected: 2, lambda infected: -1, lambda infected: "0",
+        lambda infected: 0.0, lambda infected: None,
+        lambda infected: 1 << 20],
+        ids=["healthy", "negative", "str", "float", "none", "beyond"])
+    def test_bad_target_refused_as_curing_table_refuses(self, pick):
+        g = generate("line", (3,))
+        cfg = EpidemicConfig(graph=g, initial_infected=Bag([0, 1]),
+                             budget=Fraction(1), seed=5, max_events=50)
+        with pytest.raises(PolicyViolationError) as want:
+            epidemic._curing_table({pick(0b011): cfg.budget}, 0b011,
+                                   cfg.budget, "aims")
+        for run in (lambda pol: simulate(cfg, pol),
+                    lambda pol: epidemic._extinction_times(cfg, pol,
+                                                           range(2))):
+            with pytest.raises(PolicyViolationError) as got:
+                run(Aims(pick))
+            assert str(got.value) == str(want.value)
+
+    def test_numpy_and_bool_ids_accepted_as_curing_table_accepts(self):
+        g = generate("line", (3,))
+        cfg = EpidemicConfig(graph=g, initial_infected=Bag([1]),
+                             budget=Fraction(1), seed=5, max_events=1)
+        for node in (np.int64(1), True):
+            res = simulate(cfg, Aims(lambda infected: node))
+            assert res.log.nodes == (1,)
+            assert type(res.log.nodes[0]) is int
+
+    @pytest.mark.parametrize("kind", TARGET_KINDS + WEIGHT_KINDS)
+    def test_forwarding_wrapper_takes_the_same_path(self, kind):
+        cfg = golden_config("complete:6")
+        pol = make_policy(kind, cfg.graph)
+        wrapped = Forwards(pol)
+        assert not isinstance(wrapped, Policy)
+        log = simulate(cfg, wrapped, replication=3).log
+        assert sha256(log) == GOLDEN_LOGS["complete:6", kind]
+        assert epidemic._extinction_times(cfg, wrapped, range(6)) == \
+            epidemic._extinction_times(cfg, pol, range(6))
+        # a weight policy's sweep engine still calls allocate
+        assert (wrapped.calls == 0) == (kind in TARGET_KINDS)
+
+    def test_target_outranks_weights(self):
+        class Both(epidemic.UniformPolicy):
+            name = "both"
+
+            def target(self, graph, infected, rng):
+                return infected.bit_length() - 1
+
+        cfg = golden_config("complete:6")
+        forced = CountingPolicy(Both())
+        assert Both().allocate(cfg.graph, 0b101, cfg.budget, None) == \
+            {2: cfg.budget}
+        assert simulate(cfg, Both(), replication=3).log == \
+            simulate(cfg, forced, replication=3).log
+        assert epidemic._extinction_times(cfg, Both(), range(4)) == \
+            epidemic._extinction_times(cfg, forced, range(4))
 
 
 class TestStreams:
