@@ -21,9 +21,9 @@ from sys import float_info
 
 import numpy as np
 
-from .epidemic import (_POLICY_KINDS, EpidemicConfig, EventLog,
-                       Policy, _curing_table, _extinction_times,
-                       _StreamWatch, _trajectory, builtin_policy, derive_seed)
+from .epidemic import (_POLICY_KINDS, EpidemicConfig, EventLog, Policy,
+                       _curing_table, _extinction_times, _StreamWatch,
+                       _trajectory, _weight_rule, builtin_policy, derive_seed)
 from .errors import CapacityError, ErlError, LemmaViolationError
 from .graph import (SHORT_ROW_BYTES, Graph, _is_int, _stream, cut_table,
                     cuts_along, generate, halves, rowwise, transposed)
@@ -984,11 +984,13 @@ def exact_extinction_times(g: Graph, policy: Policy, budget,
     allocates it.  ``allocate`` is called once per nonempty bag and its
     result validated as in ``simulate``; the rates are read off the
     allocation itself.  The dense generator Q over the nonempty bags gives
-    h from (−Q)h = 1, solved by ``numpy.linalg.solve``; entry 0 is 0.  An
-    independent oracle for the simulator and the sweep engine: it calls
-    every policy's ``allocate`` and shares with them only the allocation
-    check ``_curing_table``, which they run for user-written policies
-    with neither a target nor weights (the engine under weights too).
+    h from (−Q)h = 1, solved by ``numpy.linalg.solve``; entry 0 is 0.  The
+    independent oracle of the target and weight rules that the simulator
+    and the sweep engine follow: it calls every policy's ``allocate``, the
+    only caller of a builtin's outside ``simulate(debug=True)``, and shares
+    with them only the allocation check ``_curing_table``, which they run
+    for user-written policies with neither a target nor weights, and the
+    weights check, so it refuses the weights that ``simulate`` refuses.
 
     Raises ErlError for a graph of more than ``CHAIN_CAP`` nodes, a budget
     or rate that ``EpidemicConfig`` refuses, a policy call that touches the
@@ -1008,6 +1010,7 @@ def exact_extinction_times(g: Graph, policy: Policy, budget,
     minus_q = np.zeros((size - 1, size - 1))
     into = [[] for _ in range(size)]    # bag -> the bags with a step to it
     watch = _StreamWatch(partial(_stream, 0, 0, 1))
+    _weight_rule(policy, g, budget)     # refuses what simulate refuses
     for a in range(1, size):
         alloc, touched = watch._call(policy.allocate, g, a, budget)
         if touched:

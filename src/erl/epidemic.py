@@ -9,13 +9,13 @@ later visit to the same bag within the run (within all replications of a
 sweep point, for sweeps), unless the call that produced it touched the
 policy stream, in which case the policy is queried again at each visit.
 The memo holds one value per bag, the table its simulator draws from.
-``simulate`` calls no ``allocate`` of a policy that declares node weights
-(``uniform``, ``degree_proportional``): it checks the weights once per run
-and draws the cured node from them, with the floats that the validated
-allocation would give, so the log is the same.  Nor do ``simulate`` and
-the sweep engine call it for a policy that names one target node per bag
-(``max_cut_drop``, ``resistance_greedy``, ``random_node``): they check
-the node and give it the whole budget.
+Neither ``simulate`` nor the sweep engine calls a builtin's ``allocate``.
+A policy that declares node weights (``uniform``, ``degree_proportional``)
+has its weights checked once per run and its curing tables built from
+them, with the floats that the validated allocation would give, so logs
+and times are the same.  A policy that names one target node per bag
+(``max_cut_drop``, ``resistance_greedy``, ``random_node``) has the node
+checked and given the whole budget.
 Each healthy node's infection hazard is the infection rate times its
 infected-neighbor count, so the total infection hazard equals the infection
 rate times the cut of the infected set.  Every neighbour count in the
@@ -331,9 +331,9 @@ class Policy:
     A policy whose rates follow a weight rule declares only ``weights``:
     the base ``allocate`` is the rule, which gives node v of a nonempty bag
     A the rate budget·w(v)/W(A), where W(A) sums the weights over A, and
-    splits the budget uniformly when W(A) is 0.  The sweep engine and the
-    exact chain call that ``allocate``; ``simulate`` does not, but checks
-    the weights once per run and draws the cured node from them.  A target
+    splits the budget uniformly when W(A) is 0.  Only the exact chain
+    calls that ``allocate``; ``simulate`` and the sweep engine check the
+    weights once per run and take the curing tables from them.  A target
     outranks weights.  At the empty bag the base ``allocate`` returns {}.
     """
 
@@ -453,10 +453,6 @@ def builtin_policy(kind: str, **params) -> Policy:
     return _POLICY_KINDS[kind](**params)
 
 
-# Stands for "no rate seen yet" in _curing_table; no allocation holds it.
-_NO_RATE = object()
-
-
 def _infected_node(v, infected: int, policy_name: str) -> int:
     """``v`` as a node id, which must be a member of ``infected``."""
     try:
@@ -477,54 +473,30 @@ def _curing_table(alloc: dict[int, Fraction], infected: int,
     Returns the total rate as a float, the allocated nodes in ascending
     order and the running float sums of their rates in that order; the node
     cured by a uniform draw u in [0, total) is the first whose sum exceeds u.
-    The total is summed over a common denominator, in integers.
-
-    Entries are checked in dict order and the first bad one is reported.
-    Consecutive entries that hold the same rate object form a run, whose
-    rate is checked, rescaled and converted to float once: a uniform split
-    over k nodes costs one rate check, not k.  Each node still gets its own
-    float, converted after the budget check, and the running sums add them
-    in node order, so the floats do not depend on how the entries group.
+    The total is summed over a common denominator, in integers.  Entries
+    are checked in dict order and the first bad one is reported; the rates
+    are converted to floats after the budget check.
     """
     den = 1
-    runs = []       # (rate, entries) for each run of one rate object
-    count = 0       # entries so far in the run of ``last``
-    last = _NO_RATE
-    nodes = []
+    pairs = []
     for v, rate in alloc.items():
         node = _infected_node(v, infected, policy_name)
-        if rate is not last:
-            if not isinstance(rate, Rational):
-                raise PolicyViolationError(
-                    policy_name, f"rate {rate!r} at node {v} is not rational")
-            if rate.numerator < 0:
-                raise PolicyViolationError(policy_name,
-                                           f"negative rate at node {v}")
-            if count:
-                runs.append((last, count))
-            den = lcm(den, rate.denominator)
-            last = rate
-            count = 0
-        count += 1
-        nodes.append(node)
-    if count:
-        runs.append((last, count))
-    num = 0
-    for rate, entries in runs:
-        num += rate.numerator * (den // rate.denominator) * entries
+        if not isinstance(rate, Rational):
+            raise PolicyViolationError(
+                policy_name, f"rate {rate!r} at node {v} is not rational")
+        if rate.numerator < 0:
+            raise PolicyViolationError(policy_name,
+                                       f"negative rate at node {v}")
+        den = lcm(den, rate.denominator)
+        pairs.append((node, rate))
+    num = sum(rate.numerator * (den // rate.denominator) for _, rate in pairs)
     if num * budget.denominator > budget.numerator * den:
         raise PolicyViolationError(
             policy_name,
             f"total rate {Fraction(num, den)} exceeds budget {budget}")
-    floats = []
-    for rate, entries in runs:
-        floats += [float(rate)] * entries
-    if nodes != sorted(nodes):
-        # node ids are distinct, so the floats are never compared
-        pairs = sorted(zip(nodes, floats))
-        nodes = [node for node, _ in pairs]
-        floats = [f for _, f in pairs]
-    return num / den, nodes, list(accumulate(floats))
+    pairs.sort()
+    return (num / den, [node for node, _ in pairs],
+            list(accumulate(float(rate) for _, rate in pairs)))
 
 
 class _WeightRule:
@@ -644,14 +616,16 @@ class _Allocations:
     target (read off the instance, so a forwarding wrapper is seen
     through) is asked for its node, checked as ``_curing_table`` checks a
     key; the curing table is (ρ, (node,), (ρ,)) with ρ = float(budget),
-    what ``_curing_table`` makes of {node: budget}.  Under a policy that
-    declares weights, ``simulate`` calls no ``entry`` and ``keep``s its
-    own values instead: () for a bag with one recovery so far, then the
-    bag's curing table.
+    what ``_curing_table`` makes of {node: budget}.  A policy that declares
+    weights gets its checked ``_WeightRule``, ``rule``, once; the curing
+    table is ``rule.table``, which calls no policy and so is always kept.
+    Only a policy with neither is asked to ``allocate``.  Under weights,
+    ``simulate`` calls no ``entry`` and ``keep``s its own values instead:
+    () for a bag with one recovery so far, then the bag's curing table.
     """
 
     __slots__ = ("graph", "policy", "budget", "build", "memo", "limit",
-                 "target", "rho")
+                 "target", "rule", "rho")
 
     def __init__(self, graph: Graph, policy: Policy, budget: Fraction,
                  build: Callable):
@@ -662,19 +636,26 @@ class _Allocations:
         self.memo: dict = {}
         self.limit = max(1, _MEMO_CELLS // max(1, graph.node_count))
         self.target = policy.target
+        self.rule = _weight_rule(policy, graph, budget)
         self.rho = float(budget)
 
     def entry(self, mask: int, watch: _StreamWatch):
-        """``mask``'s value built from a policy call, kept in the memo when
-        the call did not touch the stream; callers look the memo up first."""
-        if self.target is None:
-            alloc, touched = watch._call(self.policy.allocate, self.graph,
-                                         mask, self.budget)
-            curing = _curing_table(alloc, mask, self.budget, self.policy.name)
-        else:
+        """``mask``'s value built from its curing table, kept in the memo
+        unless a policy call touched the stream; callers look the memo up
+        first."""
+        if self.target is not None:
             node, touched = watch._call(self.target, self.graph, mask)
             node = _infected_node(node, mask, self.policy.name)
             curing = self.rho, (node,), (self.rho,)
+        elif self.rule is not None:
+            weights = self.rule.weights
+            curing = self.rule.table(mask, sum(map(weights.__getitem__,
+                                                   members(mask))))
+            touched = False
+        else:
+            alloc, touched = watch._call(self.policy.allocate, self.graph,
+                                         mask, self.budget)
+            curing = _curing_table(alloc, mask, self.budget, self.policy.name)
         value = self.build(mask, curing)
         return value if touched else self.keep(mask, value)
 
@@ -694,7 +675,8 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
     log.  Allocations follow ``_Allocations``' rule with a memo of the
     run's own, so a policy with a target is asked for its node, not its
     allocation.  A policy that declares weights is never called: its
-    total rate is the budget at every bag, and its ``_WeightRule`` finds
+    total rate is the budget at every bag, and its ``_WeightRule``
+    (``_Allocations.rule``) finds
     the cured node by walking the bag's members at the bag's first
     recovery; the second builds the bag's curing table, which the memo
     keeps for later recoveries to bisect.  The state is the infected mask
@@ -713,16 +695,14 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
     watch = _StreamWatch(partial(_stream, config.seed, replication, 1))
     beta = float(config.infection_rate)
     budget = config.budget
-    rule = _weight_rule(policy, g, budget)
-    if rule is not None:
-        rho, weights = rule.rho, rule.weights
-        weight = sum(map(weights.__getitem__,
-                         members(config.initial_infected.mask)))
-
-    mask = config.initial_infected.mask
-    cut_now = cut(g, config.initial_infected)
     allocations = _Allocations(g, policy, budget, lambda mask, curing: curing)
     memo_get = allocations.memo.get
+    rule = allocations.rule
+    mask = config.initial_infected.mask
+    if rule is not None:
+        rho, weights = rule.rho, rule.weights
+        weight = sum(map(weights.__getitem__, members(mask)))
+    cut_now = cut(g, config.initial_infected)
 
     times: list[float] = []
     kinds: list[str] = []
@@ -842,11 +822,13 @@ def _extinction_times(config: EpidemicConfig, policy: Policy,
     then a bag with no transition, then the horizon.
 
     All replications share one ``_Allocations`` memo of step tables, built
-    from the curing tables: the total rate, the running rates of the
-    next bags (each healthy node u in node order, at β·|N(u) ∩ A| as
-    running integer counts times β, so the infection part ends at exactly
-    β·cut(A); then each cure, from the curing table) and the next bags,
-    with the last one repeated for a uniform that rounds past the end.
+    from the curing tables that it takes from a target, a weight rule or,
+    for a policy with neither, the checked allocation: the total rate,
+    the running rates of the next bags (each healthy node u in node order,
+    at β·|N(u) ∩ A| as running integer counts times β, so the infection
+    part ends at exactly β·cut(A); then each cure, from the curing table)
+    and the next bags, with the last one repeated for a uniform that
+    rounds past the end.
     Transitions of rate 0 are left out.  A bag whose policy call touched
     the policy stream gets a fresh step table at every visit, and a bag
     with none (no transition) a fresh policy call.

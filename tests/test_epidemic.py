@@ -20,8 +20,8 @@ from erl import (GENERATE_CAP, HORIZON, MAX_EVENTS, RECOVERY, STALLED, Bag,
                  derive_seed, event_streams, extinction_sweep, generate, replay,
                  resistance_table, simulate, validate_log,
                  verify_table_invariants)
-from erl import epidemic
-from erl.analysis import make_policy
+from erl import analysis, epidemic
+from erl.analysis import exact_extinction_times, make_policy
 from erl.epidemic import LOG_MAGIC, Event, INFECTION
 
 from conftest import ZOO, count_event_rows, event_log, rng_for
@@ -395,9 +395,9 @@ def with_isolated() -> Graph:
 
 
 class TestWeightRule:
-    """``simulate`` draws the cured node of a policy that declares weights
-    from the weights alone; every table and node must be the ones that
-    ``_curing_table`` gives the policy's allocation."""
+    """``simulate`` and the sweep engine take the curing table of a policy
+    that declares weights from the weights alone; every table and node must
+    be the ones that ``_curing_table`` gives the policy's allocation."""
 
     @pytest.mark.parametrize("graph", [pytest.param(make, id=name)
                                        for name, make in ZOO]
@@ -492,6 +492,25 @@ class TestWeightRule:
             assert sha256(log) == GOLDEN_LOGS["complete:6", kind]
         assert made == [0, 0]
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from([name for name, _ in ZOO] + ["isolated"]),
+           st.sampled_from(WEIGHT_KINDS), st.integers(0, 2**64 - 1),
+           st.integers(0, 2**10 - 1), st.sampled_from(WEIGHT_BUDGETS),
+           st.sampled_from([None, 0.5, 4.0]), st.integers(1, 400))
+    def test_engine_matches_the_allocation_path(self, name, kind, seed, start,
+                                                budget, horizon, cap):
+        g = dict(ZOO, isolated=with_isolated)[name]()
+        # a full start half the time, else a partial one
+        start = g.full_mask if start % 2 else start & g.full_mask
+        cfg = EpidemicConfig(graph=g, initial_infected=Bag.from_mask(start),
+                             budget=budget, seed=seed, horizon=horizon,
+                             max_events=cap)
+        forced = CountingPolicy(builtin_policy(kind))
+        want = epidemic._extinction_times(cfg, forced, range(4))
+        got = epidemic._extinction_times(cfg, builtin_policy(kind), range(4))
+        assert got == want
+        assert bool(forced.bags) == bool(start)
+
     def test_weights_read_once_per_run(self, monkeypatch):
         calls = []
         real = epidemic.UniformPolicy.weights
@@ -504,6 +523,25 @@ class TestWeightRule:
         cfg = golden_config("complete:6")
         simulate(cfg, builtin_policy("uniform"), replication=3)
         assert calls == [cfg.graph]
+        epidemic._extinction_times(cfg, builtin_policy("uniform"), range(8))
+        assert calls == [cfg.graph] * 2
+
+    def test_weight_rule_made_once_per_call(self, monkeypatch):
+        made = []
+        real = epidemic._weight_rule
+
+        def counted(policy, graph, budget):
+            made.append(policy.name)
+            return real(policy, graph, budget)
+
+        monkeypatch.setattr(epidemic, "_weight_rule", counted)
+        monkeypatch.setattr(analysis, "_weight_rule", counted)
+        cfg = golden_config("complete:6")
+        for kind in WEIGHT_KINDS:
+            simulate(cfg, builtin_policy(kind), replication=3)
+            epidemic._extinction_times(cfg, builtin_policy(kind), range(8))
+            exact_extinction_times(cfg.graph, builtin_policy(kind), cfg.budget)
+        assert made == [kind for kind in WEIGHT_KINDS for _ in range(3)]
 
     def test_allocate_is_the_weight_rule(self):
         g = with_isolated()
@@ -573,9 +611,12 @@ class TestWeightRule:
         g = generate("line", (3,))
         cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
                              budget=Fraction(1), seed=1)
-        with pytest.raises(PolicyViolationError,
-                           match=f"policy 'declares' violated: {message}"):
-            simulate(cfg, Declares())
+        for run in (lambda pol: simulate(cfg, pol),
+                    lambda pol: epidemic._extinction_times(cfg, pol, range(2)),
+                    lambda pol: exact_extinction_times(g, pol, cfg.budget)):
+            with pytest.raises(PolicyViolationError,
+                               match=f"policy 'declares' violated: {message}"):
+                run(Declares())
 
 
 TARGET_KINDS = ["max_cut_drop", "random_node", "resistance_greedy"]
@@ -616,17 +657,19 @@ class TestTarget:
 
     @pytest.mark.parametrize("spec", ["complete:6", "random_regular:10,3"])
     def test_no_allocate_or_curing_table(self, spec, monkeypatch):
+        # weight policies take neither in either simulator too
         cfg = golden_config(spec)
-        pols = {kind: make_policy(kind, cfg.graph) for kind in TARGET_KINDS}
+        kinds = TARGET_KINDS + WEIGHT_KINDS
+        pols = {kind: make_policy(kind, cfg.graph) for kind in kinds}
         sweep = {"family": "line", "sizes": [4, 6], "budget": 3,
                  "replications": 30, "seed": 5}
         want = {kind: extinction_sweep(dict(sweep, policy=kind))
-                for kind in TARGET_KINDS}
+                for kind in kinds}
         want_engine = {kind: epidemic._extinction_times(cfg, pol, range(8))
                        for kind, pol in pols.items()}
 
         def refuse(*args):
-            raise AssertionError("a one-node policy was asked to allocate")
+            raise AssertionError("a builtin was asked to allocate")
 
         monkeypatch.setattr(epidemic.Policy, "allocate", refuse)
         monkeypatch.setattr(epidemic, "_curing_table", refuse)
@@ -696,8 +739,7 @@ class TestTarget:
         assert sha256(log) == GOLDEN_LOGS["complete:6", kind]
         assert epidemic._extinction_times(cfg, wrapped, range(6)) == \
             epidemic._extinction_times(cfg, pol, range(6))
-        # a weight policy's sweep engine still calls allocate
-        assert (wrapped.calls == 0) == (kind in TARGET_KINDS)
+        assert wrapped.calls == 0
 
     def test_target_outranks_weights(self):
         class Both(epidemic.UniformPolicy):
