@@ -21,8 +21,8 @@ from .crusade import (Crusade, audit_bottleneck, bottleneck_sequence,
                       width)
 from .epidemic import (HORIZON, INFECTION, MAX_EVENTS, RECOVERY, STALLED,
                        EpidemicConfig, Event, EventLog, Policy,
-                       SimulationResult, builtin_policy, derive_seed,
-                       event_streams, replay, simulate, validate_log)
+                       SimulationResult, builtin_policy, derive_seed, replay,
+                       simulate, validate_log)
 from .errors import (CapacityError, ErlError, GenerationError, GraphParseError,
                      InvalidBagError, LemmaViolationError, PolicyViolationError,
                      ReplayError)

@@ -870,9 +870,11 @@ def extinction_sweep(spec: dict, threads: int = 1) -> list[SweepRecord]:
     first point that runs: each point's replications are split into
     contiguous chunks, one per worker, each with its own memo, as many as
     the least of ``threads``, the replications and the cores.  The output
-    is the same for a given spec whatever ``threads`` is; it must be at
-    least 1.
+    is the same for a given spec whatever ``threads`` is; it must be an
+    int of at least 1.
     """
+    if not _is_int(threads):
+        raise ErlError(f"threads must be an int, got {threads!r}")
     if threads < 1:
         raise ErlError(f"threads must be at least 1, got {threads}")
     validate_sweep_spec(spec)
@@ -987,10 +989,10 @@ def exact_extinction_times(g: Graph, policy: Policy, budget,
     h from (−Q)h = 1, solved by ``numpy.linalg.solve``; entry 0 is 0.  The
     independent oracle of the target and weight rules that the simulator
     and the sweep engine follow: it calls every policy's ``allocate``, the
-    only caller of a builtin's outside ``simulate(debug=True)``, and shares
-    with them only the allocation check ``_curing_table``, which they run
-    for user-written policies with neither a target nor weights, and the
-    weights check, so it refuses the weights that ``simulate`` refuses.
+    package's only caller of a builtin's, and shares with them only the
+    allocation check ``_curing_table``, which they run for user-written
+    policies with neither a target nor weights, and the weights check, so
+    it refuses the weights that ``simulate`` refuses.
 
     Raises ErlError for a graph of more than ``CHAIN_CAP`` nodes, a budget
     or rate that ``EpidemicConfig`` refuses, a policy call that touches the

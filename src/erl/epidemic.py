@@ -20,9 +20,8 @@ Each healthy node's infection hazard is the infection rate times its
 infected-neighbor count, so the total infection hazard equals the infection
 rate times the cut of the infected set.  Every neighbour count in the
 package is a popcount of ``Graph.neighbor_masks`` against the infected
-mask; ``simulate`` keeps only that mask and its cut, updates the cut by one
-``toggle_delta`` per event and (in debug runs) re-derives it from scratch
-at every event.
+mask; ``simulate`` keeps only that mask and its cut, and updates the cut
+by one ``toggle_delta`` per event.
 
 ``simulate`` records each event's time, kind and node as the three
 columns of its event log, and is the reference.  Sweeps run the
@@ -85,12 +84,6 @@ class Event(NamedTuple):
     time: float
     kind: str
     node: int
-
-
-def event_streams(seed: int, replication: int = 0):
-    """Two independent Philox streams (events, policy) for one ``simulate``
-    run, on the keys ``graph._seeds`` lists for it."""
-    return _stream(seed, replication, 0), _stream(seed, replication, 1)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -526,11 +519,11 @@ class _WeightRule:
             return self.scaled, self.den * total
         return self.even, self.den * infected.bit_count()
 
-    def table(self, infected: int,
-              total: int) -> tuple[float, list[int], list[float]]:
-        """The curing table of the bag ``infected``, of weight ``total``."""
-        rates, den = self._rates(infected, total)
+    def table(self, infected: int) -> tuple[float, list[int], list[float]]:
+        """The curing table of the bag ``infected``."""
         nodes = members(infected)
+        rates, den = self._rates(infected,
+                                 sum(map(self.weights.__getitem__, nodes)))
         return self.rho, nodes, list(accumulate(
             map(truediv, map(rates.__getitem__, nodes), repeat(den))))
 
@@ -648,9 +641,7 @@ class _Allocations:
             node = _infected_node(node, mask, self.policy.name)
             curing = self.rho, (node,), (self.rho,)
         elif self.rule is not None:
-            weights = self.rule.weights
-            curing = self.rule.table(mask, sum(map(weights.__getitem__,
-                                                   members(mask))))
+            curing = self.rule.table(mask)
             touched = False
         else:
             alloc, touched = watch._call(self.policy.allocate, self.graph,
@@ -667,8 +658,8 @@ class _Allocations:
         return value
 
 
-def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
-             debug: bool = False) -> SimulationResult:
+def simulate(config: EpidemicConfig, policy: Policy,
+             replication: int = 0) -> SimulationResult:
     """Run one trajectory to extinction, horizon, or the event cap.
 
     Identical (config, policy, replication) produce a bit-identical event
@@ -676,26 +667,26 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
     run's own, so a policy with a target is asked for its node, not its
     allocation.  A policy that declares weights is never called: its
     total rate is the budget at every bag, and its ``_WeightRule``
-    (``_Allocations.rule``) finds
-    the cured node by walking the bag's members at the bag's first
-    recovery; the second builds the bag's curing table, which the memo
-    keeps for later recoveries to bisect.  The state is the infected mask
-    and its cut: an infection takes the healthy end of the k-th cut edge,
-    k uniform below the cut, by scanning the healthy nodes in node order
-    and counting their infected neighbours from ``Graph.neighbor_masks``,
-    and every event updates the cut by one ``toggle_delta``.  ``debug``
-    re-derives the cut from scratch at every event and asserts agreement
-    (exact integer comparison); under a weight policy it also checks at
-    every event that the policy's allocation gives the weight rule's
-    curing table, and at every recovery that both cure the same node.
+    (``_Allocations.rule``) finds the cured node by walking the bag's
+    members at the bag's first recovery; the second builds the bag's
+    curing table, which the memo keeps for later recoveries to bisect.
+    The state is the infected mask and its cut: an infection takes the
+    healthy end of the k-th cut edge, k uniform below the cut, by scanning
+    the healthy nodes in node order and counting their infected
+    neighbours from ``Graph.neighbor_masks``, and every event updates the
+    cut by one ``toggle_delta``.  ``replication`` must be a nonnegative
+    int.  The test suite holds every log, bit for bit, to a plain loop
+    (``tests/reference_simulate.py``) that asks the policy to allocate and
+    recounts the cut at every event.
     """
+    _check_seed(replication, "replication")
     g = config.graph
     neighbors = g.neighbor_masks
     ev_rng = _stream(config.seed, replication, 0)
     watch = _StreamWatch(partial(_stream, config.seed, replication, 1))
     beta = float(config.infection_rate)
-    budget = config.budget
-    allocations = _Allocations(g, policy, budget, lambda mask, curing: curing)
+    allocations = _Allocations(g, policy, config.budget,
+                               lambda mask, curing: curing)
     memo_get = allocations.memo.get
     rule = allocations.rule
     mask = config.initial_infected.mask
@@ -723,13 +714,6 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
             if table is None:
                 table = allocations.entry(mask, watch)
             rho = table[0]
-        elif debug:
-            alloc, _ = watch._call(policy.allocate, g, mask, budget)
-            want = _curing_table(alloc, mask, budget, policy.name)
-            if want != rule.table(mask, weight):
-                raise PolicyViolationError(
-                    policy.name, f"allocation at bag {mask:#x} is not the "
-                    "weight rule's")
         infection_hazard = beta * cut_now
         total = infection_hazard + rho
         if total == 0.0:
@@ -766,7 +750,7 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
                     # keeps the table that later ones bisect
                     allocations.keep(mask, ())
                 elif not table:
-                    table = allocations.keep(mask, rule.table(mask, weight))
+                    table = allocations.keep(mask, rule.table(mask))
             if table:
                 _, cured, cured_sums = table
                 i = bisect_right(cured_sums, u)
@@ -774,11 +758,6 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
             else:
                 node = rule.pick(mask, weight, u)
             if rule is not None:
-                if debug and node != want[1][min(bisect_right(want[2], u),
-                                                 len(want[1]) - 1)]:
-                    raise PolicyViolationError(
-                        policy.name, f"weight rule cured node {node} at "
-                        f"bag {mask:#x}, its allocation another")
                 weight -= weights[node]
             kind = RECOVERY
         cut_now += toggle_delta(g, mask, node)
@@ -786,12 +765,6 @@ def simulate(config: EpidemicConfig, policy: Policy, replication: int = 0,
         times.append(t)
         kinds.append(kind)
         nodes.append(node)
-        if debug:
-            fresh = cut(g, Bag.from_mask(mask))
-            if fresh != cut_now:
-                raise ErlError(
-                    f"hazard bookkeeping drifted: cached cut {cut_now}, "
-                    f"recomputed {fresh} after event {len(times) - 1}")
 
     return SimulationResult(extinction_time, censored, EventLog(
         config.initial_infected, tuple(times), tuple(kinds), tuple(nodes),

@@ -340,12 +340,13 @@ def cut_table(g: Graph) -> np.ndarray:
     return table
 
 
-def _check_seed(seed) -> None:
-    """Refuse, with ``ErlError``, a seed that is not a nonnegative int."""
+def _check_seed(seed, name: str = "seed") -> None:
+    """Refuse, with ``ErlError`` naming it ``name``, a seed or stream key
+    that is not a nonnegative int."""
     if not _is_int(seed):
-        raise ErlError(f"seed must be an int, got {seed!r}")
+        raise ErlError(f"{name} must be an int, got {seed!r}")
     if seed < 0:
-        raise ErlError(f"seed must be nonnegative, got {seed}")
+        raise ErlError(f"{name} must be nonnegative, got {seed}")
 
 
 def _seeds(seed: int, *key: int) -> np.random.SeedSequence:
@@ -358,12 +359,12 @@ def _seeds(seed: int, *key: int) -> np.random.SeedSequence:
     generator on one (``_stream``, ``_CounterRange``).  The keys:
     ``(seed)`` for ``generate``, the Poisson sampler and the invariant
     audit; ``(seed, j, 0)`` and ``(seed, j, 1)`` for the events and policy
-    draws of ``simulate``'s replication j (``event_streams``); ``(seed,
-    index)`` for a sweep point's seed (``derive_seed``); ``(seed)`` once
-    per sweep engine call, whose replication j takes its events and its
-    policy draws from counter ranges 0 and 1 on it, so they depend on j
-    alone and differ from ``simulate``'s; ``(0, 0, 1)`` for the exact
-    chain's policy stream, which must stay untouched.
+    draws of ``simulate``'s replication j; ``(seed, index)`` for a sweep
+    point's seed (``derive_seed``); ``(seed)`` once per sweep engine call,
+    whose replication j takes its events and its policy draws from counter
+    ranges 0 and 1 on it, so they depend on j alone and differ from
+    ``simulate``'s; ``(0, 0, 1)`` for the exact chain's policy stream,
+    which must stay untouched.
     """
     _check_seed(seed)
     return np.random.SeedSequence(entropy=seed, spawn_key=key)

@@ -24,6 +24,7 @@ from erl import (CASE2, NOT_APPLICABLE, RECOVERY, Bag, CompleteGraphResistance,
 from erl.epidemic import Event
 
 from conftest import event_log, random_bounded_graph, random_unit_step_sequence, rng_for
+from reference_simulate import reference_simulate
 
 
 @contextmanager
@@ -248,12 +249,15 @@ def test_07_simulator_calibration():
         se2 = math.sqrt(2) / math.sqrt(k2)   # sum of two exp(1): var = 2
         assert abs(mean2 - 2.0) <= 3 * se2, f"mean {mean2}"
 
-        # hazard bookkeeping is re-derived from scratch at every event
+        # hazard bookkeeping: each run is the one drawn by a loop that
+        # recounts the cut and asks the policy at every event
         g = generate("random_regular", (12, 3), seed=12)
         cfg3 = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
                               budget=Fraction(8), seed=7003)
         for j in range(20):
-            assert simulate(cfg3, pol, replication=j, debug=True).extinct
+            res = simulate(cfg3, pol, replication=j)
+            assert res.extinct
+            assert res == reference_simulate(cfg3, pol, j)
 
 
 def test_08_phase_transition():

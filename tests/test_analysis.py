@@ -1250,6 +1250,12 @@ class TestSweep:
             extinction_sweep(self.BASE, threads=threads)
         assert ran == []
 
+    @pytest.mark.parametrize("threads", ["2", 2.5, True, None])
+    def test_threads_not_an_int_refused(self, threads):
+        with pytest.raises(ErlError,
+                           match=f"threads must be an int, got {threads!r}"):
+            extinction_sweep(self.BASE, threads=threads)
+
     def test_threads_do_not_change_results(self):
         # random_node also draws from each replication's policy range
         for policy in ("max_cut_drop", "random_node"):

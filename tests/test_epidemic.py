@@ -4,6 +4,7 @@ import struct
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import lcm
 from numbers import Rational
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from erl import (GENERATE_CAP, HORIZON, MAX_EVENTS, RECOVERY, STALLED, Bag,
                  EpidemicConfig, ErlError, EventLog, Graph, Policy,
                  PolicyViolationError, ReplayError, builtin_policy, cut,
-                 derive_seed, event_streams, extinction_sweep, generate, replay,
+                 derive_seed, extinction_sweep, generate, replay,
                  resistance_table, simulate, validate_log,
                  verify_table_invariants)
 from erl import analysis, epidemic
@@ -25,6 +26,7 @@ from erl.analysis import exact_extinction_times, make_policy
 from erl.epidemic import LOG_MAGIC, Event, INFECTION
 
 from conftest import ZOO, count_event_rows, event_log, rng_for
+from reference_simulate import reference_simulate
 
 
 def isolated(n: int) -> Graph:
@@ -383,6 +385,19 @@ def bits(xs) -> list[int]:
     return [struct.unpack("<Q", struct.pack("<d", x))[0] for x in xs]
 
 
+def assert_matches_reference(cfg, policy, replication=0):
+    """``simulate``'s run is ``reference_simulate``'s: the same log bytes,
+    extinction time bits and censor reason.  Returns the run."""
+    got = simulate(cfg, policy, replication=replication)
+    want = reference_simulate(cfg, policy, replication)
+    assert got.log.to_binary() == want.log.to_binary()
+    assert got.censored == want.censored
+    taus = [None if r.extinction_time is None else bits([r.extinction_time])
+            for r in (got, want)]
+    assert taus[0] == taus[1]
+    return got
+
+
 WEIGHT_KINDS = ["degree_proportional", "uniform"]
 WEIGHT_BUDGETS = [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(7, 3),
                   Fraction(10**6)]
@@ -415,7 +430,7 @@ class TestWeightRule:
                     want = epidemic._curing_table(
                         pol.allocate(g, mask, budget, None), mask, budget,
                         pol.name)
-                    rho, cured, sums = rule.table(mask, total)
+                    rho, cured, sums = rule.table(mask)
                     assert bits([rho]) == bits([want[0]]) == \
                         bits([float(budget)])
                     assert cured == want[1] == list(Bag.from_mask(mask).nodes())
@@ -434,7 +449,7 @@ class TestWeightRule:
         g = with_isolated()
         rule = epidemic._weight_rule(builtin_policy("degree_proportional"),
                                      g, Fraction(7, 3))
-        rho, cured, sums = rule.table(Bag([3, 5]).mask, 0)
+        rho, cured, sums = rule.table(Bag([3, 5]).mask)
         assert cured == [3, 5]
         assert bits(sums) == bits([7 / 6, 7 / 6 + 7 / 6])
 
@@ -555,42 +570,6 @@ class TestWeightRule:
             {0: Fraction(2, 3), 2: Fraction(2, 3), 4: Fraction(2, 3)}
         with pytest.raises(NotImplementedError):
             epidemic.Policy().allocate(g, 1, Fraction(1), None)
-
-    def test_debug_refuses_weights_that_disagree(self, monkeypatch):
-        g = generate("complete", (4,))
-        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
-                             budget=Fraction(3), seed=2)
-        real = epidemic.UniformPolicy.weights
-
-        def even(self, graph, infected, budget, rng):
-            share = budget / infected.bit_count()
-            return {v: share for v in Bag.from_mask(infected)}
-
-        def bumped(self, graph):
-            weights = list(real(self, graph))
-            weights[2] += 1
-            return tuple(weights)
-
-        # an allocate of its own that keeps the even split: debug finds it
-        # agrees with the weights until one of them is bumped
-        monkeypatch.setattr(epidemic.UniformPolicy, "allocate", even)
-        assert simulate(cfg, builtin_policy("uniform"), debug=True).extinct
-        monkeypatch.setattr(epidemic.UniformPolicy, "weights", bumped)
-        with pytest.raises(PolicyViolationError,
-                           match="'uniform' violated: allocation at bag 0xf"):
-            simulate(cfg, builtin_policy("uniform"), debug=True)
-        # without debug the run trusts the weights
-        assert simulate(cfg, builtin_policy("uniform")).extinct
-
-    def test_debug_refuses_a_walk_that_disagrees(self, monkeypatch):
-        g = generate("complete", (4,))
-        cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
-                             budget=Fraction(3), seed=2)
-        # the largest member instead of the one the draw picks
-        monkeypatch.setattr(epidemic._WeightRule, "pick",
-                            lambda self, mask, total, u: mask.bit_length() - 1)
-        with pytest.raises(PolicyViolationError, match="cured node"):
-            simulate(cfg, builtin_policy("degree_proportional"), debug=True)
 
     @pytest.mark.parametrize("weights,message", [
         ((1, 1), "weights must be a tuple of 3 ints"),
@@ -759,9 +738,9 @@ class TestTarget:
 
 
 class TestStreams:
-    @pytest.mark.parametrize("make", [event_streams,
-                                      lambda seed: derive_seed(seed, 0)],
-                             ids=["event_streams", "derive_seed"])
+    @pytest.mark.parametrize("make", [
+        lambda seed: epidemic._stream(seed, 0, 0),
+        lambda seed: derive_seed(seed, 0)], ids=["stream", "derive_seed"])
     def test_negative_seed_refused(self, make):
         with pytest.raises(ErlError, match="seed must be nonnegative, got -1"):
             make(-1)
@@ -781,8 +760,10 @@ class TestStreams:
     @pytest.mark.parametrize("seed,replication", [(0, 0), (4242, 3),
                                                   (2**63 + 5, 17)])
     def test_same_streams_as_spawned_children(self, seed, replication):
+        # simulate's event (k = 0) and policy (k = 1) streams
         root = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
-        for got, child in zip(event_streams(seed, replication), root.spawn(2)):
+        for k, child in enumerate(root.spawn(2)):
+            got = epidemic._stream(seed, replication, k)
             want = np.random.Generator(np.random.Philox(child))
             assert got.random(100).tolist() == want.random(100).tolist()
             assert got.integers(1 << 62, size=100).tolist() == \
@@ -1197,15 +1178,25 @@ class TestSimulate:
 
     def test_debug_bookkeeping_holds(self, zoo_graph):
         """One ``toggle_delta`` updates the cut at infections and at the
-        recoveries each builtin chooses; debug re-derives it every event."""
+        recoveries each builtin chooses: every run is the one that
+        ``reference_simulate`` draws with the cut recounted at each event."""
         g = zoo_graph
         cfg = EpidemicConfig(graph=g, initial_infected=g.all_nodes(),
                              budget=Fraction(2 * g.degree_bound + 2), seed=8)
         for kind in sorted(epidemic._POLICY_KINDS):
-            pol = (builtin_policy(kind, table=resistance_table(g))
-                   if kind == "resistance_greedy" else builtin_policy(kind))
-            res = simulate(cfg, pol, debug=True)
+            res = assert_matches_reference(cfg, make_policy(kind, g))
             assert res.extinct, kind
+
+    @pytest.mark.parametrize("replication,message", [
+        (-1, "replication must be nonnegative, got -1"),
+        (1.5, "replication must be an int, got 1.5"),
+        (True, "replication must be an int, got True"),
+        ("0", "replication must be an int, got '0'")])
+    def test_bad_replication_refused(self, replication, message):
+        cfg = EpidemicConfig(graph=isolated(1), initial_infected=Bag([0]),
+                             budget=1, seed=2)
+        with pytest.raises(ErlError, match=message):
+            simulate(cfg, builtin_policy("uniform"), replication=replication)
 
     def test_counts_match_log(self):
         g = generate("cycle", (5,))
@@ -1336,16 +1327,71 @@ PARTIAL_GOLDEN_RUNS = {
 }
 
 
-@pytest.mark.parametrize("spec,kind", sorted(PARTIAL_GOLDEN_LOGS))
-def test_partial_start_logs_bit_identical(spec, kind):
+def partial_config(spec: str) -> EpidemicConfig:
     family, params, initial, budget, cap = PARTIAL_GOLDEN_RUNS[spec]
     g = generate(family, params)
-    cfg = EpidemicConfig(graph=g, initial_infected=Bag(initial),
-                         budget=budget, infection_rate=0.7, seed=4243,
-                         max_events=cap)
-    res = simulate(cfg, builtin_policy(kind), replication=2)
+    return EpidemicConfig(graph=g, initial_infected=Bag(initial),
+                          budget=budget, infection_rate=0.7, seed=4243,
+                          max_events=cap)
+
+
+@pytest.mark.parametrize("spec,kind", sorted(PARTIAL_GOLDEN_LOGS))
+def test_partial_start_logs_bit_identical(spec, kind):
+    res = simulate(partial_config(spec), builtin_policy(kind), replication=2)
     assert sha256(res.log) == PARTIAL_GOLDEN_LOGS[spec, kind]
     assert res.extinct == (spec == "star:5")
+
+
+# policies run against the reference: the builtins, the allocation path
+# under weights, and policies that draw from or only touch their stream
+REFERENCE_POLICIES = {
+    **{kind: partial(make_policy, kind)
+       for kind in sorted(epidemic._POLICY_KINDS)},
+    "counting":
+        lambda g: CountingPolicy(builtin_policy("degree_proportional")),
+    "always_draws": lambda g: AlwaysDraws(),
+    "touches_integers": lambda g: TouchesOnly("integers"),
+    "touches_bit_generator": lambda g: TouchesOnly("bit_generator"),
+}
+
+
+class TestReferenceSimulate:
+    """``reference_simulate`` asks the policy to allocate and recounts the
+    cut at every event.  It must give the recorded golden logs itself, and
+    ``simulate``, with its memo, weight walk, kept tables and one
+    ``toggle_delta`` per event, must give its runs bit for bit."""
+
+    @pytest.mark.parametrize("spec,kind", sorted(GOLDEN_LOGS))
+    def test_golden_logs(self, spec, kind):
+        cfg = golden_config(spec)
+        log = reference_simulate(cfg, make_policy(kind, cfg.graph), 3).log
+        assert sha256(log) == GOLDEN_LOGS[spec, kind]
+
+    @pytest.mark.parametrize("spec,kind", sorted(PARTIAL_GOLDEN_LOGS))
+    def test_partial_start_golden_logs(self, spec, kind):
+        log = reference_simulate(partial_config(spec), builtin_policy(kind),
+                                 2).log
+        assert sha256(log) == PARTIAL_GOLDEN_LOGS[spec, kind]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from([name for name, _ in ZOO] + ["isolated"]),
+           st.sampled_from(sorted(REFERENCE_POLICIES)),
+           st.integers(0, 2**64 - 1),
+           st.sampled_from(["full", "partial", "empty"]),
+           st.integers(0, 2**10 - 1), st.sampled_from(WEIGHT_BUDGETS),
+           st.sampled_from([0.7, 1.0, 2.5]),
+           st.sampled_from([None, 0.5, 4.0]), st.integers(1, 400),
+           st.integers(0, 5))
+    def test_simulate_matches(self, name, kind, seed, start, bag, budget,
+                              beta, horizon, cap, replication):
+        g = dict(ZOO, isolated=with_isolated)[name]()
+        mask = {"full": g.full_mask, "partial": bag & g.full_mask,
+                "empty": 0}[start]
+        cfg = EpidemicConfig(graph=g, initial_infected=Bag.from_mask(mask),
+                             budget=budget, infection_rate=beta, seed=seed,
+                             horizon=horizon, max_events=cap)
+        assert_matches_reference(cfg, REFERENCE_POLICIES[kind](g),
+                                 replication)
 
 
 class TestReplay:
