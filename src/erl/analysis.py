@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import repeat
+from numbers import Real
 from operator import index
 from sys import float_info
 
@@ -41,8 +42,10 @@ def poisson_ld_exponent(lam: float, lam_prime: float) -> float:
     are both bounded by exp(-eps*n) with eps = l'*ln(l'/l) - l' + l.
     Positive iff the arguments differ.
     """
-    if lam <= 0 or lam_prime <= 0:
-        raise ValueError("poisson_ld_exponent needs positive rates")
+    # written so that NaN fails the test
+    if not (0 < lam < math.inf and 0 < lam_prime < math.inf):
+        raise ErlError("poisson_ld_exponent needs positive finite rates, "
+                       f"got lam={lam!r}, lam_prime={lam_prime!r}")
     return lam_prime * math.log(lam_prime / lam) - lam_prime + lam
 
 
@@ -118,11 +121,12 @@ def slow_regime_constants(c_gamma, delta: int) -> SlowRegimeConstants:
     c_r < c_gamma^2/(40*delta), c_r*t_bar < c_gamma/(5*delta), and
     (c_gamma/4)*t_bar > 2.  Exact rational arithmetic throughout.
     """
+    if not _is_int(delta) or delta < 1:
+        raise ErlError(f"delta must be a positive int, got {delta!r}")
+    # written so that NaN fails the test
+    if not (isinstance(c_gamma, Real) and 0 < c_gamma <= delta):
+        raise ErlError(f"c_gamma must lie in (0, delta], got {c_gamma!r}")
     cg = Fraction(c_gamma)
-    if not isinstance(delta, int) or delta < 1:
-        raise ValueError("delta must be a positive integer")
-    if not 0 < cg <= delta:
-        raise ValueError(f"c_gamma must lie in (0, delta], got {cg}")
     c_r = cg * cg / (80 * delta)
     t_bar = Fraction(12) / cg
     if not c_r < cg * cg / (40 * delta):

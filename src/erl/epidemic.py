@@ -21,12 +21,17 @@ infected-neighbor count, so the total infection hazard equals the infection
 rate times the cut of the infected set.  Every neighbour count in the
 package is a popcount of ``Graph.neighbor_masks`` against the infected
 mask; ``simulate`` keeps only that mask and its cut, and updates the cut
-by one ``toggle_delta`` per event.
+from the toggled node's degree and infected-neighbour count.
 
 ``simulate`` records each event's time, kind and node as the three
-columns of its event log, and is the reference.  Sweeps run the
-τ-only engine ``_extinction_times``, which follows the same law with
-different draws from the same seed; ``graph._seeds`` lists every stream.
+columns of its event log, and is the reference.  Its uniforms and the
+cut edge an infection takes are computed from raw Philox words by
+numpy's own algorithms (``graph._raw_draws``), so they are the draws of
+``Generator.random`` and ``Generator.integers``; its exponentials and
+``random_node``'s policy draws are still ``Generator`` method calls.
+Sweeps run the τ-only engine ``_extinction_times``, which follows the
+same law with different draws from the same seed; ``graph._seeds`` lists
+every stream.
 A log keeps its checked trajectory for the graph object it was replayed
 against, so ``validate_log``, ``replay`` and the audits share one pass.
 
@@ -53,8 +58,8 @@ import numpy as np
 
 from .errors import ErlError, PolicyViolationError, ReplayError
 from .graph import (GENERATE_CAP, Bag, Graph, _check_seed, _CounterRange,
-                    _is_int, _seeds, _stream, cut, mask_array, members,
-                    toggle_delta)
+                    _is_int, _raw_draws, _seeds, _stream, cut, mask_array,
+                    members)
 
 INFECTION = "INFECTION"
 RECOVERY = "RECOVERY"
@@ -385,7 +390,9 @@ class ResistanceGreedyPolicy(Policy):
     """All budget on the infected node whose removal leaves the smallest
     resistance; ties by smaller resulting cut, then smaller id.
 
-    Heuristic baseline only; carries no optimality claim.
+    Heuristic baseline only; carries no optimality claim.  ``table`` is
+    any table with ``gammas`` (``ResistanceTable``,
+    ``CompleteGraphResistance``), read once per call for all members.
     """
 
     name = "resistance_greedy"
@@ -394,9 +401,10 @@ class ResistanceGreedyPolicy(Policy):
         self.table = table
 
     def target(self, graph, infected, rng):
-        gamma = self.table.gamma
         nodes, deltas = _removal_deltas(graph, infected)
-        keys = [(gamma(infected & ~(1 << v)), d) for v, d in zip(nodes, deltas)]
+        gammas = self.table.gammas(mask_array(
+            [infected ^ 1 << v for v in nodes], graph.node_count))
+        keys = list(zip(gammas.tolist(), deltas))
         # index finds the first of equal minima, the smallest id
         return nodes[keys.index(min(keys))]
 
@@ -673,16 +681,23 @@ def simulate(config: EpidemicConfig, policy: Policy,
     The state is the infected mask and its cut: an infection takes the
     healthy end of the k-th cut edge, k uniform below the cut, by scanning
     the healthy nodes in node order and counting their infected
-    neighbours from ``Graph.neighbor_masks``, and every event updates the
-    cut by one ``toggle_delta``.  ``replication`` must be a nonnegative
-    int.  The test suite holds every log, bit for bit, to a plain loop
-    (``tests/reference_simulate.py``) that asks the policy to allocate and
-    recounts the cut at every event.
+    neighbours from ``Graph.neighbor_masks``, and every event adds to the
+    cut the toggled node's degree less twice its neighbours on the side it
+    joins.  The uniforms and k come from raw words (``_raw_draws``),
+    the times from ``Generator.standard_exponential``.  ``replication``
+    must be a nonnegative int.  The test suite holds every log, bit for
+    bit, to a plain loop
+    (``tests/reference_simulate.py``) that draws by ``Generator``
+    methods, asks the policy to allocate and recounts the cut at every
+    event.
     """
     _check_seed(replication, "replication")
     g = config.graph
     neighbors = g.neighbor_masks
+    degrees = tuple(map(len, g.adjacency))
     ev_rng = _stream(config.seed, replication, 0)
+    random, below = _raw_draws(ev_rng)
+    exponential = ev_rng.standard_exponential
     watch = _StreamWatch(partial(_stream, config.seed, replication, 1))
     beta = float(config.infection_rate)
     allocations = _Allocations(g, policy, config.budget,
@@ -695,6 +710,8 @@ def simulate(config: EpidemicConfig, policy: Policy,
         weight = sum(map(weights.__getitem__, members(mask)))
     cut_now = cut(g, config.initial_infected)
 
+    horizon = inf if config.horizon is None else config.horizon
+    max_events, full = config.max_events, g.full_mask
     times: list[float] = []
     kinds: list[str] = []
     nodes: list[int] = []
@@ -706,7 +723,7 @@ def simulate(config: EpidemicConfig, policy: Policy,
         if not mask:
             extinction_time = t
             break
-        if len(times) >= config.max_events:
+        if len(times) >= max_events:
             censored = MAX_EVENTS
             break
         if rule is None:
@@ -719,30 +736,33 @@ def simulate(config: EpidemicConfig, policy: Policy,
         if total == 0.0:
             censored = STALLED
             break
-        dt = ev_rng.exponential(1.0 / total)
-        if config.horizon is not None and t + dt > config.horizon:
+        # what ev_rng.exponential(1.0 / total) draws
+        dt = (1.0 / total) * exponential()
+        if t + dt > horizon:
             censored = HORIZON
             break
         t += dt
-        if ev_rng.random() * total < infection_hazard:
+        if random() * total < infection_hazard:
             # the healthy end of the k-th cut edge, in node order
-            k = int(ev_rng.integers(cut_now))
-            rest = g.full_mask & ~mask
+            k = below(cut_now)
+            rest = full & ~mask
             while rest:
                 low = rest & -rest
                 rest ^= low
                 node = low.bit_length() - 1
-                k -= (neighbors[node] & mask).bit_count()
+                inside = (neighbors[node] & mask).bit_count()
+                k -= inside
                 if k < 0:
                     break
             else:
                 raise ErlError("hazard bookkeeping drifted: cached cut "
                                f"{cut_now} exceeds boundary weight")
+            cut_now += degrees[node] - 2 * inside
             if rule is not None:
                 weight += weights[node]
             kind = INFECTION
         else:
-            u = ev_rng.random() * rho
+            u = random() * rho
             if rule is not None:
                 table = memo_get(mask)
                 if table is None:
@@ -759,8 +779,8 @@ def simulate(config: EpidemicConfig, policy: Policy,
                 node = rule.pick(mask, weight, u)
             if rule is not None:
                 weight -= weights[node]
+            cut_now += 2 * (neighbors[node] & mask).bit_count() - degrees[node]
             kind = RECOVERY
-        cut_now += toggle_delta(g, mask, node)
         mask ^= 1 << node
         times.append(t)
         kinds.append(kind)

@@ -4,7 +4,8 @@ Bags are canonically encoded as integer bitmasks (bit v set = node v is a
 member).  Python integers are arbitrary precision, so the same encoding
 serves every graph size; full-lattice tables elsewhere in the package are
 what carry size caps, not the encoding.  Every module imports this one,
-so it also owns the rule that turns a seed into draws (``_seeds``).
+so it also owns the rule that turns a seed into draws (``_seeds``) and
+the draws taken from raw Philox words (``_raw_draws``).
 """
 
 from __future__ import annotations
@@ -364,7 +365,9 @@ def _seeds(seed: int, *key: int) -> np.random.SeedSequence:
     whose replication j takes its events and its policy draws from counter
     ranges 0 and 1 on it, so they depend on j alone and differ from
     ``simulate``'s; ``(0, 0, 1)`` for the exact chain's policy stream,
-    which must stay untouched.
+    which must stay untouched.  Only ``simulate``'s uniforms and bounded
+    ints are read from raw words (``_raw_draws``); every other draw is a
+    ``Generator`` method's.
     """
     _check_seed(seed)
     return np.random.SeedSequence(entropy=seed, spawn_key=key)
@@ -373,6 +376,50 @@ def _seeds(seed: int, *key: int) -> np.random.SeedSequence:
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """The Philox stream on ``_seeds(seed, *key)``."""
     return np.random.Generator(np.random.Philox(_seeds(seed, *key)))
+
+
+def _raw_draws(rng: np.random.Generator):
+    """``(random, below)``: ``rng.random()`` and ``int(rng.integers(k))``
+    for 1 <= k < 2^63, computed from ``rng``'s raw Philox words by numpy's
+    own algorithms, so they draw what those methods draw, bit for bit,
+    and leave the stream where those would.
+
+    A uniform is a word's top 53 bits times 2^-53.  ``below`` is numpy's
+    ``random_bounded_uint64_fill``: no draw for k = 1, else Lemire's
+    multiply-and-reject (ACM TOMACS 29(1), 2019) of b-bit draws, whose
+    threshold (2^b - k) mod k is below k; at b = 32 it is computed only
+    when the low 32 bits of the product are.  For k <= 2^32, b = 32: the
+    low half of a word first and the high half, kept, at the next such
+    draw, as Philox's ``next_uint32`` does; at k = 2^32 the draw is the
+    half itself, numpy's special case.  Above, b = 64: whole words.
+    ``below`` keeps that word itself, so ``rng`` may draw whole words
+    between calls (``standard_exponential``) but no halves (``integers``).
+    """
+    raw = rng.bit_generator.random_raw
+    spare = None
+
+    def random() -> float:
+        return (raw() >> 11) * 2.0 ** -53
+
+    def below(k: int) -> int:
+        nonlocal spare
+        if k == 1:
+            return 0
+        while k > 1 << 32:
+            m = raw() * k
+            if m & 0xFFFFFFFFFFFFFFFF >= ((1 << 64) - k) % k:
+                return m >> 64
+        while True:
+            if spare is None:
+                spare = raw()
+                m = (spare & 0xFFFFFFFF) * k
+            else:
+                m, spare = (spare >> 32) * k, None
+            low = m & 0xFFFFFFFF
+            if low >= k or low >= ((1 << 32) - k) % k:
+                return m >> 32
+
+    return random, below
 
 
 class _CounterRange:

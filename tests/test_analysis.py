@@ -51,10 +51,10 @@ class TestPoissonExponent:
         assert math.isclose(poisson_ld_exponent(2, 1), math.log(0.5) + 1)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            poisson_ld_exponent(0, 1)
-        with pytest.raises(ValueError):
-            poisson_ld_exponent(1, -2)
+        for lam, lam_prime in [(0, 1), (1, -2), (math.nan, 1), (1, math.nan),
+                               (math.inf, 1), (1, math.inf)]:
+            with pytest.raises(ErlError, match="needs positive finite rates"):
+                poisson_ld_exponent(lam, lam_prime)
 
     def test_continuity_near_diagonal(self):
         base = poisson_ld_exponent(1.0, 1.0)
@@ -136,12 +136,17 @@ class TestSlowRegimeConstants:
                 assert (c.c_gamma / 4) * c.t_bar > 2
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            slow_regime_constants(0, 2)
-        with pytest.raises(ValueError):
-            slow_regime_constants(3, 2)  # above the degree bound
-        with pytest.raises(ValueError):
-            slow_regime_constants(1, 0)
+        for c_gamma, delta, match in [
+                (0, 2, "c_gamma must lie in"),
+                (3, 2, "c_gamma must lie in"),    # above the degree bound
+                (math.nan, 3, "c_gamma must lie in"),
+                (math.inf, 3, "c_gamma must lie in"),
+                ("1", 3, "c_gamma must lie in"),
+                (1, 0, "delta must be a positive int, got 0"),
+                (1, True, "delta must be a positive int, got True"),
+                (1, 2.0, "delta must be a positive int, got 2.0")]:
+            with pytest.raises(ErlError, match=match):
+                slow_regime_constants(c_gamma, delta)
 
     def test_derived_thresholds(self):
         c = slow_regime_constants(1, 2)

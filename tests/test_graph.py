@@ -537,3 +537,35 @@ class TestSeededStreams:
             np.random.SeedSequence(seed)))
         got = erl.graph._stream(seed)
         assert got.random(50).tolist() == want.random(50).tolist()
+
+    def test_first_raw_words_are_pinned(self):
+        """``simulate``'s event stream at seed 0, as raw Philox words; a
+        change of numpy that moved them would move every draw."""
+        raw = erl.graph._stream(0, 0, 0).bit_generator.random_raw
+        assert [raw() for _ in range(4)] == [
+            0xCF6C1E6A4FFD2AEF, 0x8BCEEB4DDE6A1D0F,
+            0x7B50C368FE3C2836, 0x76146B163206439E]
+        random, below = erl.graph._raw_draws(erl.graph._stream(0, 0, 0))
+        assert random() == float.fromhex("0x1.9ed83cd49ffa5p-1")
+        assert [below(37), below(37), below(2**40 + 3)] == [32, 20, 529635961087]
+
+    # every branch of numpy's bounded-int rule: no draw (1), 32-bit Lemire
+    # (2 .. 2^32 - 1), one half (2^32) and 64-bit Lemire (above); 3·2^30
+    # and 2^62 + 1 reject about a quarter of their draws
+    BOUNDS = (1, 2, 3, 2**31, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1,
+              2**40 + 3, 2**62 + 1, 2**63 - 1)
+
+    def test_raw_draws_are_the_generator_draws(self):
+        want = erl.graph._stream(0, 0, 0)
+        stream = erl.graph._stream(0, 0, 0)
+        random, below = erl.graph._raw_draws(stream)
+        for k in self.BOUNDS * 3:
+            # two bounded draws share a word's halves; a uniform between
+            # them does not take the kept half
+            for _ in range(100):
+                assert below(k) == int(want.integers(k))
+                assert random() == want.random()
+                assert below(k) == int(want.integers(k))
+            assert stream.standard_exponential() == want.standard_exponential()
+        assert (stream.bit_generator.random_raw()
+                == want.bit_generator.random_raw())
