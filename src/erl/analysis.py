@@ -273,81 +273,72 @@ class _Steps:
                                                    order[:w] + order[w + 1:])
 
 
+def _first_pairs(bad: np.ndarray, **pairs: np.ndarray) -> list[dict]:
+    """The first bad entries of pair arrays, in their order, as witnesses
+    keyed as ``pairs`` is."""
+    return [{key: int(p[i]) for key, p in pairs.items()}
+            for i in np.flatnonzero(bad)[:_MAX_WITNESSES]]
+
+
 def _pair_checks(cut_t: np.ndarray, gam: np.ndarray, delta: int,
                  all_pairs: bool, all_subsets: bool, rng,
                  samples: int) -> tuple[dict, dict]:
     """The invariant checks on bag pairs beyond single-node steps, on the
-    mask-ordered tables: each check's literal enumeration when its branch
-    covers the whole lattice, as a ``CheckResult``, and otherwise the bags
-    of its bad random pairs, drawn in check order.  Its arrays are freed
-    on return, before the steps' buffers exist."""
+    mask-ordered tables.  Each check is one violation expression over pair
+    arrays: every pair in enumeration order when its branch covers the
+    whole lattice, reported as a ``CheckResult``, and otherwise its random
+    pairs, drawn in check order, whose bad bags are returned.  Its arrays
+    are freed on return, before the steps' buffers exist."""
     size = len(cut_t)
     whole: dict[str, CheckResult] = {}
     sampled: dict[str, np.ndarray] = {}
 
-    # |f(A) - f(B)| <= delta * |A xor B| for f in {cut, resistance}
+    # |f(A) - f(B)| <= delta * |A xor B| for f in {cut, resistance}; every
+    # pair runs B ascending, then A ascending
+    if all_pairs:
+        b, a = np.divmod(np.arange(size * size), size)
     for name, vals in (("cut_lipschitz", cut_t), ("resistance_smooth", gam)):
-        if all_pairs:
-            viols: list = []
-            masks = np.arange(size, dtype=np.int64)
-            pops = np.bitwise_count(masks).astype(np.int64)
-            for bm in range(size):
-                bad = np.nonzero(np.abs(vals - vals[bm])
-                                 > delta * pops[masks ^ bm])[0]
-                _collect(viols, bad, lambda m, bm=bm: {"other": bm})
-            whole[name] = CheckResult(size * size, "all_pairs", viols)
-        else:
+        if not all_pairs:
             a = rng.integers(0, size, samples)
-            bm = rng.integers(0, size, samples)
-            dist = np.bitwise_count(a ^ bm).astype(np.int64)
-            sampled[name] = a[np.abs(vals[a] - vals[bm]) > delta * dist]
+            b = rng.integers(0, size, samples)
+        dist = np.bitwise_count(a ^ b).astype(np.int64)
+        bad = np.abs(vals[a] - vals[b]) > delta * dist
+        if all_pairs:
+            whole[name] = CheckResult(bad.size, "all_pairs",
+                                      _first_pairs(bad, bag=a, other=b))
+        else:
+            sampled[name] = a[bad]
 
-    # resistance is monotone under set inclusion
+    # resistance is monotone under set inclusion; every subset pair runs B
+    # ascending, then A descending through the subsets of B
     if all_subsets:
-        viols = []
-        checked = 0
-        gl = gam.tolist()
-        for bm in range(size):
-            gb = gl[bm]
-            s = bm
-            while True:
-                checked += 1
-                if gl[s] > gb and len(viols) < _MAX_WITNESSES:
-                    viols.append({"bag": s, "superset": bm})
-                if s == 0:
-                    break
-                s = (s - 1) & bm
-        whole["resistance_monotone"] = CheckResult(checked, "all_subset_pairs",
-                                                   viols)
+        masks = np.arange(size, dtype=np.uint16)
+        sup, sub = np.divmod(
+            np.flatnonzero((masks[::-1] & ~masks[:, None]) == 0), size)
+        sub = size - 1 - sub
     else:
         sup = rng.integers(0, size, samples)
         sub = sup & rng.integers(0, size, samples)
-        sampled["resistance_monotone"] = sub[gam[sub] > gam[sup]]
+    bad = gam[sub] > gam[sup]
+    if all_subsets:
+        whole["resistance_monotone"] = CheckResult(
+            bad.size, "all_subset_pairs", _first_pairs(bad, bag=sub,
+                                                       superset=sup))
+    else:
+        sampled["resistance_monotone"] = sub[bad]
 
     # cut submodularity: dropping v hurts a small bag at most as much as a
-    # containing one: cut(A-v) - cut(A) <= cut(B-v) - cut(B) for A <= B
+    # containing one: cut(A-v) - cut(A) <= cut(B-v) - cut(B) for A <= B;
+    # every triple runs through the subset pairs above, then v ascending
     if all_pairs:
-        viols = []
-        checked = 0
-        cl = cut_t.tolist()
-        for bm in range(size):
-            s = bm
-            while True:
-                if s:
-                    t = s
-                    while t:
-                        vbit = t & -t
-                        t ^= vbit
-                        checked += 1
-                        if (cl[s & ~vbit] - cl[s] > cl[bm & ~vbit] - cl[bm]
-                                and len(viols) < _MAX_WITNESSES):
-                            viols.append({"bag": s, "superset": bm,
-                                          "node": vbit.bit_length() - 1})
-                if s == 0:
-                    break
-                s = (s - 1) & bm
-        whole["cut_submodular"] = CheckResult(checked, "all_subset_pairs",
-                                              viols)
+        n = size.bit_length() - 1
+        pair, v = np.divmod(np.flatnonzero(sub[:, None] >> np.arange(n) & 1),
+                            n)
+        s, bm, drop = sub[pair], sup[pair], ~(1 << v)
+        bad = cut_t[s & drop] - cut_t[s] > cut_t[bm & drop] - cut_t[bm]
+        whole["cut_submodular"] = CheckResult(
+            bad.size, "all_subset_pairs", _first_pairs(bad, bag=s, superset=bm,
+                                                       node=v))
     return whole, sampled
 
 
@@ -371,6 +362,15 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     the pair checks run over all single-node steps plus ``samples`` random
     pairs, at most ``SAMPLE_CAP``.  The fixed-point and cut-at-drop checks
     are always complete.
+
+    Each pair check is one array pass (``_pair_checks``): its violation
+    expression over pair arrays, which hold either every pair in
+    enumeration order or the random pairs.  The exhaustive pairs come from
+    mask grids: every (B, A) for the Lipschitz checks; B's subsets A for
+    monotonicity, read from a 2^n x 2^n subset test (uint16 masks and
+    their booleans, 3 MB at n = 10, the largest grid); and those pairs
+    times A's members for submodularity.  Witnesses are the first bad
+    pairs in that order, so reports match a literal enumeration.
 
     Single-node steps run one node at a time (``_Steps``).  Three passes
     over the ``graph.halves`` views of the two tables give node v's cut
@@ -412,9 +412,9 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     Values are compared in the narrowest signed dtype that holds every
     cut, every table entry, the degree bound and every difference of two
     of them exactly: int8 for any valid table up to n = 22, wider only for
-    tables with larger entries.  Full-size int64 mask arrays exist only in
-    the n <= 8 and n <= 10 exhaustive branches, which run with the random
-    pairs on the mask-ordered tables before the steps (``_pair_checks``).
+    tables with larger entries.  The mask grids exist only in the n <= 8
+    and n <= 10 exhaustive branches, which run with the random pairs on
+    the mask-ordered tables before the steps.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ErlError(f"unknown mode {mode!r}")
@@ -468,43 +468,35 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
 
     checks: dict[str, CheckResult] = {}
     for name in ("cut_lipschitz", "resistance_smooth"):
-        if name in whole:
-            checks[name] = whole[name]
-            continue
         viols = []
         for v, bags in enumerate(steps.hits[name]):
             # both bags of a bad step are witnesses, in mask order
             _collect(viols, np.sort(np.concatenate([bags, bags | 1 << v])),
                      lambda m, v=v: {"other": m ^ (1 << v)})
-        _collect(viols, sampled[name], lambda m: {})
+        _collect(viols, sampled.get(name, _NO_HITS), lambda m: {})
         checks[name] = CheckResult(n * size + samples,
                                    "single_steps+sampled_pairs", viols)
 
-    if all_subsets:
-        checks["resistance_monotone"] = whole["resistance_monotone"]
-    else:
-        viols = []
-        for v, bags in enumerate(steps.hits["resistance_monotone"]):
-            _collect(viols, bags | 1 << v,
-                     lambda m, v=v: {"bag": m & ~(1 << v), "superset": m})
-        _collect(viols, sampled["resistance_monotone"], lambda m: {})
-        checks["resistance_monotone"] = CheckResult(
-            n * size + samples, "single_steps+sampled_pairs", viols)
+    viols = []
+    for v, bags in enumerate(steps.hits["resistance_monotone"]):
+        _collect(viols, bags | 1 << v,
+                 lambda m, v=v: {"bag": m & ~(1 << v), "superset": m})
+    _collect(viols, sampled.get("resistance_monotone", _NO_HITS),
+             lambda m: {})
+    checks["resistance_monotone"] = CheckResult(
+        n * size + samples, "single_steps+sampled_pairs", viols)
 
-    if all_pairs:
-        checks["cut_submodular"] = whole["cut_submodular"]
-    else:
-        # pair (v, u) reports its squares' bags holding v, in mask order
-        viols = []
-        for v in range(n):
-            for u in range(n):
-                if u != v:
-                    bags = steps.squares[min(u, v), max(u, v)] | 1 << v
-                    _collect(viols, bags,
-                             lambda m, u=u, v=v: {"superset": m | (1 << u),
-                                                  "node": v})
-        checks["cut_submodular"] = CheckResult(n * (n - 1) * (size >> 2),
-                                               "single_steps", viols)
+    # pair (v, u) reports its squares' bags holding v, in mask order
+    viols = []
+    for v in range(n):
+        for u in range(n):
+            if u != v:
+                bags = steps.squares[min(u, v), max(u, v)] | 1 << v
+                _collect(viols, bags,
+                         lambda m, u=u, v=v: {"superset": m | (1 << u),
+                                              "node": v})
+    checks["cut_submodular"] = CheckResult(n * (n - 1) * (size >> 2),
+                                           "single_steps", viols)
 
     # whenever removing a node lowers the resistance, the cut it leaves
     # behind is at least the resistance it left; a witness has
@@ -520,7 +512,8 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     viols = [] if bc.passed else [{"bag": bc.witness_mask, "table": bc.lhs,
                                    "operator": bc.rhs}]
     checks["fixed_point"] = CheckResult(size, "all_bags", viols)
-
+    # the enumerated checks' reports replace the steps' in place
+    checks.update(whole)
     return InvariantReport(n, mode, checks)
 
 

@@ -351,9 +351,9 @@ def _check_seed(seed, name: str = "seed") -> None:
 
 
 def _seeds(seed: int, *key: int) -> np.random.SeedSequence:
-    """``SeedSequence(entropy=seed, spawn_key=key)``, refusing a seed
-    ``_check_seed`` refuses: the one rule by which the package turns a seed
-    into draws.
+    """``SeedSequence(entropy=seed, spawn_key=key)``, refusing a seed or a
+    key word ``_check_seed`` refuses: the one rule by which the package
+    turns a seed into draws.
 
     It is the child at ``key[-1]`` of ``(seed, *key[:-1])``'s sequence, and
     ``SeedSequence(seed)`` with no key.  Every stream is a Philox4x64
@@ -370,6 +370,8 @@ def _seeds(seed: int, *key: int) -> np.random.SeedSequence:
     ``Generator`` method's.
     """
     _check_seed(seed)
+    for word in key:
+        _check_seed(word, "stream key")
     return np.random.SeedSequence(entropy=seed, spawn_key=key)
 
 

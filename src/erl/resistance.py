@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crusade import Crusade
-from .errors import CapacityError, ErlError
+from .errors import CapacityError, ErlError, InvalidBagError
 from .graph import (Bag, Graph, cut, cut_table, halves, members, rowwise,
                     toggle_delta)
 
@@ -102,6 +102,18 @@ def _narrowed(cut_t: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     return cut_t.astype(work), values.astype(work)
 
 
+def _lookup_mask(bag, n: int) -> int:
+    """The mask of ``bag``, a ``Bag`` or an int mask (numpy ints too), on a
+    graph of n nodes; anything else, and any mask outside 0..2^n - 1, is
+    refused with InvalidBagError."""
+    mask = bag.mask if isinstance(bag, Bag) else bag
+    if (not isinstance(mask, (int, np.integer)) or isinstance(mask, bool)
+            or not 0 <= mask < 1 << n):
+        raise InvalidBagError(f"gamma needs a Bag or an int mask in "
+                              f"0..2^{n} - 1, got {bag!r}")
+    return int(mask)
+
+
 class ResistanceTable:
     """gamma(A) for every bag of a graph, indexed by bag bitmask.
 
@@ -140,8 +152,7 @@ class ResistanceTable:
             raise ErlError("table was built for a different graph")
 
     def gamma(self, bag) -> int:
-        mask = bag.mask if isinstance(bag, Bag) else int(bag)
-        return int(self.values[mask])
+        return int(self.values[_lookup_mask(bag, self.node_count)])
 
     def gammas(self, masks: np.ndarray) -> np.ndarray:
         """gamma of every bag of a mask array (``graph.mask_array``)."""
@@ -742,8 +753,7 @@ class CompleteGraphResistance:
             raise ErlError("table was built for a different graph")
 
     def gamma(self, bag) -> int:
-        mask = bag.mask if isinstance(bag, Bag) else int(bag)
-        return self.by_size[mask.bit_count()]
+        return self.by_size[_lookup_mask(bag, self.node_count).bit_count()]
 
     def gammas(self, masks: np.ndarray) -> np.ndarray:
         """gamma of every bag of a mask array (``graph.mask_array``)."""

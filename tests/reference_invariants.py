@@ -9,6 +9,11 @@ difference once and reads nodes below ``TRANSPOSE_NODES`` from transposed
 copies; its reports must match these by ``repr``.  The cut table and the
 Bellman check are read through ``erl.analysis``, so a test that patches
 ``erl.analysis.cut_table`` feeds both versions the same cuts.
+
+Its exhaustive branches' loops over bags, subsets and nodes are the only
+enumerations of the pair checks left: the package runs each as one array
+pass over every pair, and its witness order and cap are checked against
+these loops.
 """
 
 from __future__ import annotations

@@ -531,6 +531,16 @@ class TestSeededStreams:
                      "SeedSequence(", "Philox(", "np.random.Generator("))]
         assert found == []
 
+    @pytest.mark.parametrize("word,error", [
+        (-1, "stream key must be nonnegative, got -1"),
+        (1.5, "stream key must be an int, got 1.5"),
+        (True, "stream key must be an int, got True")])
+    def test_bad_key_word_refused(self, word, error):
+        with pytest.raises(erl.ErlError, match=error):
+            erl.derive_seed(0, word)
+        with pytest.raises(erl.ErlError, match=error):
+            erl.graph._stream(0, 0, word)
+
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
     def test_keyless_stream_is_the_plain_seed_sequence(self, seed):
         want = np.random.Generator(np.random.Philox(

@@ -1,7 +1,10 @@
 """The node-at-a-time invariant audit against its check-at-a-time form in
 ``reference_invariants``: the same report, by ``repr``, on clean and on
 edited tables, and every step and square it finds against a literal
-enumeration in mask order, on both sides of ``TRANSPOSE_NODES``."""
+enumeration in mask order, on both sides of ``TRANSPOSE_NODES``.  The
+exhaustive pair checks' array passes are held to the reference's
+enumerations, witness order and cap included, and each check's verdict is
+the same with every pair, random pairs or none."""
 
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import erl.analysis
+import reference_invariants
 from erl import (ResistanceTable, generate, resistance_table,
                  verify_table_invariants)
 from erl.analysis import TRANSPOSE_NODES, _MAX_WITNESSES
@@ -41,8 +45,8 @@ def bumped(values: np.ndarray, pairs, points) -> np.ndarray:
 
 
 @st.composite
-def audit_cases(draw):
-    n = draw(st.integers(1, 14))
+def audit_cases(draw, sizes=st.integers(1, 14)):
+    n = draw(sizes)
     node = st.integers(0, n - 1)
     bump = st.integers(-6, 6)
     point = st.tuples(st.integers(0, (1 << n) - 1), st.integers(-130, 300))
@@ -58,20 +62,25 @@ def audit_cases(draw):
         seed=draw(st.integers(0, 2**32)))
 
 
-def both_reports(case):
+def audits(case, *runs):
+    """Each of ``runs``, an audit function and its keywords, on the case's
+    graph, with its bumped table and bumped cuts."""
     n = case["n"]
     g = random_bounded_graph(n, 4, rng_for(case["graph_seed"]))
     table = resistance_table(g)
     table = ResistanceTable(g, bumped(table.values, case["gamma_pairs"],
                                       case["gamma_points"]), 1)
     cuts = bumped(cut_table(g), case["cut_pairs"], case["cut_points"])
-    kwargs = dict(mode=case["mode"], samples=case["samples"],
-                  seed=case["seed"])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(erl.analysis, "cut_table", lambda _g: cuts.copy())
-        got = verify_table_invariants(g, table, **kwargs)
-        want = reference_verify_table_invariants(g, table, **kwargs)
-    return got, want
+        return [audit(g, table, **kwargs) for audit, kwargs in runs]
+
+
+def both_reports(case):
+    kwargs = dict(mode=case["mode"], samples=case["samples"],
+                  seed=case["seed"])
+    return audits(case, (verify_table_invariants, kwargs),
+                  (reference_verify_table_invariants, kwargs))
 
 
 def case(n, mode="sampled", cut_pairs=(), gamma_pairs=(), cut_points=(),
@@ -94,6 +103,46 @@ def case(n, mode="sampled", cut_pairs=(), gamma_pairs=(), cut_points=(),
 def test_report_matches_reference(case):
     got, want = both_reports(case)
     assert repr(got) == repr(want)
+
+
+# point bumps give a witness or two in each of many rows (B ascending, then
+# A), and the node bump several in one row (A descending through B's
+# subsets); at n = 10 only monotonicity enumerates its pairs
+@pytest.mark.parametrize("n,pair_checks", [
+    (8, {"cut_lipschitz", "resistance_smooth", "resistance_monotone",
+         "cut_submodular"}),
+    (10, {"resistance_monotone"})])
+def test_exhaustive_witness_order_and_cap(n, pair_checks, monkeypatch):
+    bumps = case(n, "exhaustive", cut_points=[(37, 20), (200, 20)],
+                 gamma_points=[(6, 20), (131, 20)], gamma_pairs=[(0, 0, -3)])
+    got, want = both_reports(bumps)
+    assert repr(got) == repr(want)
+    monkeypatch.setattr(reference_invariants, "_MAX_WITNESSES", 1 << 30)
+    _, uncapped = both_reports(bumps)
+    enumerated = {name for name, check in got.checks.items()
+                  if check.strategy in ("all_pairs", "all_subset_pairs")}
+    assert enumerated == pair_checks
+    for name in pair_checks:
+        everyone = uncapped.checks[name].violations
+        assert len(everyone) > _MAX_WITNESSES
+        assert got.checks[name].violations == everyone[:_MAX_WITNESSES]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(audit_cases(st.integers(2, 10)))
+def test_pair_checks_only_add_witnesses(case):
+    """A pair violation implies a single-node one: a pair is |A xor B|
+    steps apart, a subset is reached by removals, and submodularity
+    follows from its squares.  So every check's verdict is the same with
+    every pair enumerated, with no random pairs and with some."""
+    reports = audits(case, *[
+        (verify_table_invariants, dict(mode=mode, samples=samples,
+                                       seed=case["seed"]))
+        for mode, samples in (("exhaustive", 100), ("sampled", 0),
+                              ("sampled", 300))])
+    verdicts = [{name: check.ok for name, check in report.checks.items()}
+                for report in reports]
+    assert verdicts[0] == verdicts[1] == verdicts[2]
 
 
 def literal_steps(cuts, gam, delta: int, n: int) -> dict:

@@ -8,7 +8,8 @@ import pytest
 
 import erl.resistance
 from erl import (LATTICE_CAP, Bag, CapacityError, CompleteGraphResistance,
-                 ErlError, Graph, ResistanceTable, brute_force_resistance,
+                 ErlError, Graph, InvalidBagError, ResistanceTable,
+                 brute_force_resistance,
                  brute_force_resistance_all, check_bellman, cut, cutwidth,
                  generate, monotone_resistance_table, resistance_table,
                  validate_crusade, verify_table_invariants, width,
@@ -705,6 +706,33 @@ class TestCompleteGraphClosedForm:
         assert cg.cutwidth == 16 * 16
         assert cg.gamma(Bag([0])) == 0
         assert cg.gamma(Bag([0, 1])) == 31
+
+
+class TestGammaArgument:
+    """Both tables read gamma of a Bag or an int mask, numpy ints included,
+    and refuse anything else and any mask outside 0..2^n - 1."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: resistance_table(generate("line", (4,))),
+        lambda: CompleteGraphResistance(generate("complete", (4,)))],
+        ids=["table", "complete"])
+    def test_masks_and_bags_read(self, make):
+        table = make()
+        for mask in range(16):
+            want = table.gamma(Bag.from_mask(mask))
+            assert table.gamma(mask) == want
+            assert table.gamma(np.int64(mask)) == want
+            assert table.gamma(np.uint8(mask)) == want
+
+    @pytest.mark.parametrize("bag", [-1, 16, 2**70, Bag([4]), Bag([7]), "5",
+                                     5.9, True, np.float64(5), None])
+    @pytest.mark.parametrize("make", [
+        lambda: resistance_table(generate("line", (4,))),
+        lambda: CompleteGraphResistance(generate("complete", (4,)))],
+        ids=["table", "complete"])
+    def test_bad_bag_refused(self, make, bag):
+        with pytest.raises(InvalidBagError):
+            make().gamma(bag)
 
 
 class TestStepMin:
