@@ -14,9 +14,9 @@ import os
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import repeat
-from numbers import Real
+from numbers import Number, Real
 from operator import index
 from sys import float_info
 
@@ -745,28 +745,12 @@ def _halving_scan(g: Graph, table, times: tuple[float, ...],
 SWEEP_FAMILIES = ("line", "cycle", "star", "complete", "hypercube",
                   "random_regular")
 
-SWEEP_SCHEMA = {
-    "type": "object",
-    "required": ["family", "sizes", "budget", "policy", "replications", "seed"],
-    "additionalProperties": False,
-    "properties": {
-        "family": {"enum": list(SWEEP_FAMILIES)},
-        "sizes": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "budget": {"oneOf": [
-            {"type": "number", "minimum": 0},
-            {"type": "object", "required": ["per_node"],
-             "additionalProperties": False,
-             "properties": {"per_node": {"type": "number", "minimum": 0}}},
-        ]},
-        "policy": {"enum": list(_POLICY_KINDS)},
-        "replications": {"type": "integer", "minimum": 0},
-        "seed": {"type": "integer", "minimum": 0},
-        "horizon": {"type": ["number", "null"]},
-        "max_events": {"type": "integer", "minimum": 1},
-        "degree": {"type": "integer", "minimum": 0},
-        "graph_seed": {"type": "integer", "minimum": 0},
-    },
-}
+_SPEC_REQUIRED = ("family", "sizes", "budget", "policy", "replications", "seed")
+# the integer fields and their minima; each entry of "sizes" has minimum 1
+_SPEC_INTS = {"replications": 0, "seed": 0, "max_events": 1, "degree": 0,
+              "graph_seed": 0}
+_SPEC_ENUMS = {"family": list(SWEEP_FAMILIES), "policy": list(_POLICY_KINDS)}
+_SPEC_FIELDS = {*_SPEC_REQUIRED, *_SPEC_INTS, "horizon"}
 
 
 @dataclass
@@ -785,25 +769,69 @@ class SweepRecord:
     error: str | None = None
 
 
-@cache
-def _sweep_validator():
-    """The validator of ``SWEEP_SCHEMA``, built at the first call; only
-    sweeps import jsonschema, so ``import erl`` does not.  Its integers are
-    ``graph._is_int``'s: jsonschema would also take 4.0."""
-    from jsonschema import Draft202012Validator, validators
-    checker = Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: _is_int(x))
-    return validators.extend(Draft202012Validator,
-                             type_checker=checker)(SWEEP_SCHEMA)
+def _number(x) -> bool:
+    """A JSON Schema number: any ``Number`` but a bool."""
+    return isinstance(x, Number) and not isinstance(x, bool)
+
+
+def _int_error(x, minimum: int) -> str | None:
+    if not _is_int(x):
+        return f"{x!r} is not of type 'integer'"
+    return f"{x!r} is less than the minimum of {minimum}" if x < minimum else None
+
+
+def _spec_error(spec) -> tuple[str, str] | None:
+    """The spec's first breach of the sweep schema, by path, as (path,
+    message) in jsonschema's words; None if it has none."""
+    if not isinstance(spec, dict):
+        return "(top level)", f"{spec!r} is not of type 'object'"
+    for key in _SPEC_REQUIRED:
+        if key not in spec:
+            return "(top level)", f"{key!r} is a required property"
+    if extras := sorted((k for k in spec if k not in _SPEC_FIELDS), key=str):
+        listed = ", ".join(map(repr, extras))
+        verb = "was" if len(extras) == 1 else "were"
+        return "(top level)", ("Additional properties are not allowed "
+                               f"({listed} {verb} unexpected)")
+    # "sizes" is the last key by path, and its entries follow it
+    for key in sorted(spec.keys() - {"sizes"}):
+        x = spec[key]
+        if key in _SPEC_INTS:
+            error = _int_error(x, _SPEC_INTS[key])
+        elif key in _SPEC_ENUMS:
+            error = (None if x in _SPEC_ENUMS[key]
+                     else f"{x!r} is not one of {_SPEC_ENUMS[key]!r}")
+        elif key == "horizon":
+            error = (None if x is None or _number(x)
+                     else f"{x!r} is not of type 'number', 'null'")
+        else:
+            # a budget is a number, or an object of the one key "per_node"
+            # holding one
+            rate = (x["per_node"] if isinstance(x, dict)
+                    and x.keys() == {"per_node"} else x)
+            error = (None if _number(rate) and not rate < 0 else
+                     f"{x!r} is not valid under any of the given schemas")
+        if error:
+            return key, error
+    sizes = spec["sizes"]
+    if not isinstance(sizes, list):
+        return "sizes", f"{sizes!r} is not of type 'array'"
+    return next(((f"sizes/{i}", error) for i, size in enumerate(sizes)
+                 if (error := _int_error(size, 1))), None)
 
 
 def validate_sweep_spec(spec: dict) -> None:
-    errors = sorted(_sweep_validator().iter_errors(spec),
-                    key=lambda e: list(e.path))
-    if errors:
-        e = errors[0]
-        where = "/".join(str(p) for p in e.path) or "(top level)"
-        raise ErlError(f"sweep spec invalid at {where}: {e.message}")
+    """Refuse, with ``ErlError``, a sweep spec that README's sweep-spec
+    paragraph does not allow, naming the first offending path.
+
+    The schema rules (``_spec_error``) are JSON Schema's, with its messages,
+    except that an integer is ``graph._is_int``'s: 4.0 is none.  Then a
+    ``random_regular`` spec needs a degree, the budget's rate must be a
+    finite float, and a horizon must be null or a positive number, not
+    NaN.  Nothing is imported for it.
+    """
+    if error := _spec_error(spec):
+        raise ErlError("sweep spec invalid at %s: %s" % error)
     if spec["family"] == "random_regular" and "degree" not in spec:
         raise ErlError("sweep spec invalid at degree: required for random_regular")
     budget = spec["budget"]
@@ -814,6 +842,11 @@ def validate_sweep_spec(spec: dict) -> None:
     if not rate <= float_info.max:
         raise ErlError(f"sweep spec invalid at {where}: {rate!r} is not a "
                        "finite float")
+    horizon = spec.get("horizon")
+    # written so that NaN fails the test
+    if horizon is not None and not (isinstance(horizon, Real) and horizon > 0):
+        raise ErlError(f"sweep spec invalid at horizon: {horizon!r} is not a "
+                       "positive number")
 
 
 def _sweep_graph(family: str, size: int, spec: dict) -> Graph:
@@ -868,7 +901,8 @@ def extinction_sweep(spec: dict, threads: int = 1) -> list[SweepRecord]:
     contiguous chunks, one per worker, each with its own memo, as many as
     the least of ``threads``, the replications and the cores.  The output
     is the same for a given spec whatever ``threads`` is; it must be an
-    int of at least 1.
+    int of at least 1.  The spec is checked whole by ``validate_sweep_spec``
+    before any point runs, and the core count is read only for a pool.
     """
     if not _is_int(threads):
         raise ErlError(f"threads must be an int, got {threads!r}")
@@ -878,7 +912,7 @@ def extinction_sweep(spec: dict, threads: int = 1) -> list[SweepRecord]:
     reps = spec["replications"]
     if reps == 0:
         return []
-    parts = min(threads, reps, os.cpu_count() or 1)
+    parts = min(threads, reps, os.cpu_count() or 1) if threads > 1 else 1
     chunks = [range(reps * k // parts, reps * (k + 1) // parts)
               for k in range(parts)]
     pool = None

@@ -1203,6 +1203,40 @@ class TestExactChain:
         assert abs(mean - exact) <= 4 * se, (mean, exact, se)
 
 
+class TestSweepGolden:
+    """Digests of ``sweep_to_csv`` output: a change to the engine's draws,
+    memo or records shows here first."""
+
+    SPECS = {
+        "line-max_cut_drop": (
+            {"family": "line", "sizes": [4, 6, 8], "budget": 3,
+             "policy": "max_cut_drop", "replications": 40, "seed": 11},
+            "4c3ef65fda54e8bde94c620b502cafde73b3ef20583bf91d18937c7b546e071d"),
+        "complete-uniform": (
+            {"family": "complete", "sizes": [4, 5, 6],
+             "budget": {"per_node": 0.5}, "policy": "uniform",
+             "replications": 30, "seed": 12},
+            "9262ec94caa073e743c59ab23d103e2a5dbb34d587c6899b6cae62ea07db1ba9"),
+        "random_regular-random_node": (
+            {"family": "random_regular", "sizes": [6, 8], "degree": 3,
+             "graph_seed": 2, "budget": 4, "policy": "random_node",
+             "replications": 30, "seed": 13},
+            "a1a56a182b03fc838eb78411978f50cd0303ecb5e4467525739d1e177cf75fe2"),
+        # both censor reasons: the horizon and the event cap
+        "complete-horizon-max_events": (
+            {"family": "complete", "sizes": [4, 5, 6], "budget": 4,
+             "policy": "max_cut_drop", "replications": 20, "seed": 14,
+             "horizon": 3.0, "max_events": 150},
+            "91b6abb12a488a89d76ef68b743950754f93da1fab99df83ed9537df1532c97f"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_csv_digest(self, name):
+        spec, digest = self.SPECS[name]
+        text = sweep_to_csv(extinction_sweep(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestSweep:
     BASE = {"family": "line", "sizes": [4, 6], "budget": 3,
             "policy": "max_cut_drop", "replications": 40, "seed": 5}
@@ -1234,7 +1268,9 @@ class TestSweep:
         ("degree", 3.0, "degree"), ("budget", math.nan, "budget"),
         ("budget", math.inf, "budget"),
         ("budget", {"per_node": math.nan}, "budget/per_node"),
-        ("budget", {"per_node": math.inf}, "budget/per_node")])
+        ("budget", {"per_node": math.inf}, "budget/per_node"),
+        ("horizon", -1, "horizon"), ("horizon", 0, "horizon"),
+        ("horizon", math.nan, "horizon")])
     def test_malformed_number_refused_before_any_point(self, field, value,
                                                        where, monkeypatch):
         ran = []

@@ -392,7 +392,7 @@ class TestSweepCommand:
         assert "budget" in err
 
     # json writes and reads NaN and Infinity; a float of integral value is
-    # an integer to jsonschema unless told otherwise
+    # an integer to JSON Schema, but not to the spec check
     @pytest.mark.parametrize("field,value,where", [
         ("sizes", [4.0], "sizes/0"), ("replications", 3.0, "replications"),
         ("seed", 1.0, "seed"), ("seed", -1, "seed"),
@@ -403,7 +403,9 @@ class TestSweepCommand:
         ("budget", {"per_node": math.inf}, "budget/per_node"),
         pytest.param("budget", 10**400, "budget", id="budget-huge-budget"),
         pytest.param("budget", {"per_node": 10**400}, "budget/per_node",
-                     id="budget-huge_per_node-budget/per_node")])
+                     id="budget-huge_per_node-budget/per_node"),
+        ("horizon", -1, "horizon"), ("horizon", 0, "horizon"),
+        ("horizon", math.nan, "horizon")])
     def test_malformed_number_refused_before_any_point(self, field, value,
                                                        where, tmp_path,
                                                        capsys):
