@@ -26,8 +26,9 @@ from .epidemic import (_POLICY_KINDS, EpidemicConfig, EventLog, Policy,
                        _curing_table, _extinction_times, _StreamWatch,
                        _trajectory, _weight_rule, builtin_policy, derive_seed)
 from .errors import CapacityError, ErlError, LemmaViolationError
-from .graph import (SHORT_ROW_BYTES, Graph, _is_int, _stream, cut_table,
-                    cuts_along, generate, halves, rowwise, transposed)
+from .graph import (SHORT_ROW_BYTES, Graph, _is_int, _narrow_cut_table,
+                    _stream, cuts_along, generate, halves, rowwise,
+                    transposed)
 from .resistance import ResistanceTable, check_bellman, resistance_table
 
 
@@ -429,7 +430,7 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     n = g.node_count
     size = 1 << n
     delta = g.degree_bound
-    cut_t = cut_table(g)
+    cut_t = _narrow_cut_table(g)
     # values in [lo, hi] differ by at most hi - lo, which the signed dtype
     # holding lo - hi - 1 also holds
     lo = min(0, int(cut_t.min()), int(table.values.min()))
@@ -573,9 +574,9 @@ def _recovery_audit(g: Graph, table, times: tuple[float, ...],
     seg = masks[first:last + 1]
     theta = np.bitwise_and.accumulate(seg)
     theta_cuts = cuts_along(g, theta)
-    gam = table.gammas(theta)
+    gam = table._gammas(theta)
 
-    half = int(table.gammas(masks[:1])[0]) // 2
+    half = int(table._gammas(masks[:1])[0]) // 2
     crossing_index = crossing_cut = crossing_gamma_before = None
     crossed = np.flatnonzero((gam[1:] <= half) & (gam[:-1] > half))
     if crossed.size:
@@ -657,7 +658,7 @@ def _halving_scan(g: Graph, table, times: tuple[float, ...],
     recovery exactly when it lowers the mask."""
     if masks[-1] != 0:
         raise ErlError("scan_halving_window needs a log that ends in extinction")
-    gam = table.gammas(masks)
+    gam = table._gammas(masks)
     gamma0 = int(gam[0])
     delta = g.degree_bound
     # with no edge every cut and every gamma is 0: the vacuous case

@@ -391,8 +391,9 @@ class ResistanceGreedyPolicy(Policy):
     resistance; ties by smaller resulting cut, then smaller id.
 
     Heuristic baseline only; carries no optimality claim.  ``table`` is
-    any table with ``gammas`` (``ResistanceTable``,
-    ``CompleteGraphResistance``), read once per call for all members.
+    a ``ResistanceTable`` or ``CompleteGraphResistance``, read once per
+    call for all members through ``_gammas``, since the masks are of
+    checked bags.
     """
 
     name = "resistance_greedy"
@@ -402,7 +403,7 @@ class ResistanceGreedyPolicy(Policy):
 
     def target(self, graph, infected, rng):
         nodes, deltas = _removal_deltas(graph, infected)
-        gammas = self.table.gammas(mask_array(
+        gammas = self.table._gammas(mask_array(
             [infected ^ 1 << v for v in nodes], graph.node_count))
         keys = list(zip(gammas.tolist(), deltas))
         # index finds the first of equal minima, the smallest id

@@ -326,7 +326,27 @@ def cut_table(g: Graph) -> np.ndarray:
     v on any table that fits in memory); no mask array is built, and the
     upper half is written in place.
     """
-    table = np.zeros(1 << g.node_count, dtype=np.uint16)
+    return _cut_table(g, np.uint16)
+
+
+# Most nodes whose cut table ``_narrow_cut_table`` builds in uint8: a cut
+# of n nodes is at most floor(n^2 / 4), and the build adds at most
+# Delta < n to one before it subtracts, so every entry stays below 256 up
+# to n = 30.
+CUT8_NODES = 30
+
+
+def _narrow_cut_table(g: Graph) -> np.ndarray:
+    """``cut_table(g)`` built in uint8, half its bytes, for the table
+    builders that read their cuts in uint8 anyway; uint16 above
+    CUT8_NODES nodes."""
+    return _cut_table(g, np.uint8 if g.node_count <= CUT8_NODES else np.uint16)
+
+
+def _cut_table(g: Graph, dtype) -> np.ndarray:
+    """``cut_table``'s build in ``dtype``, which must hold every cut plus
+    the largest degree."""
+    table = np.zeros(1 << g.node_count, dtype=dtype)
     for v, adj in enumerate(g.adjacency):
         half = 1 << v
         lower = [u for u in adj if u < v]

@@ -23,6 +23,7 @@ everywhere needs n + 1; the round count is recorded but nothing relies on it.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import struct
 from dataclasses import dataclass
@@ -31,8 +32,8 @@ import numpy as np
 
 from .crusade import Crusade
 from .errors import CapacityError, ErlError, InvalidBagError
-from .graph import (Bag, Graph, cut, cut_table, halves, members, rowwise,
-                    toggle_delta)
+from .graph import (Bag, Graph, _narrow_cut_table, cut, cut_table, halves,
+                    members, rowwise, toggle_delta)
 
 LATTICE_CAP = 20    # full 2^n tables
 ORACLE_CAP = 10     # literal state-graph search
@@ -91,15 +92,33 @@ def _bellman_rhs(values: np.ndarray, cut_t: np.ndarray, n: int) -> np.ndarray:
 
 
 def _narrowed(cut_t: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """New copies of ``cut_t`` and ``values`` in the narrowest integer dtype
-    that holds every entry of both, their minimum and their maximum: uint8
-    for every table value iteration builds, since a cut and a resistance
-    are at most floor(n^2 / 4), 100 at n = 20."""
+    """``cut_t`` and ``values`` in the narrowest integer dtype that holds
+    every entry of both, their minimum and their maximum: uint8 for every
+    table value iteration builds, since a cut and a resistance are at most
+    floor(n^2 / 4), 100 at n = 20.  An array already in that dtype is
+    returned as it is, not copied; the callers only read them."""
     lo = min(int(cut_t.min()), int(values.min()))
     hi = max(int(cut_t.max()), int(values.max()))
     # the signed dtype holding -1 - hi also holds hi
     work = np.min_scalar_type(hi if lo >= 0 else min(lo, -1 - hi))
-    return cut_t.astype(work), values.astype(work)
+    return cut_t.astype(work, copy=False), values.astype(work, copy=False)
+
+
+def _lookup_masks(masks: np.ndarray, n: int) -> np.ndarray:
+    """``masks`` as an array, if every entry is an int mask in 0..2^n - 1:
+    an integer dtype, or an object array of ints as ``graph.mask_array``
+    makes above 64 nodes.  Anything else is refused with InvalidBagError,
+    as ``_lookup_mask`` refuses a single bag."""
+    masks = np.asarray(masks)
+    if masks.dtype == object:
+        ints = all(isinstance(m, (int, np.integer)) and not isinstance(m, bool)
+                   for m in masks.flat)
+    else:
+        ints = masks.dtype.kind in "iu"
+    if not ints or masks.size and (masks.min() < 0 or masks.max() >> n):
+        raise InvalidBagError(f"gammas needs an integer array of masks in "
+                              f"0..2^{n} - 1, got {masks!r}")
+    return masks.astype(np.uint64) if masks.dtype == object and n <= 64 else masks
 
 
 def _lookup_mask(bag, n: int) -> int:
@@ -156,6 +175,10 @@ class ResistanceTable:
 
     def gammas(self, masks: np.ndarray) -> np.ndarray:
         """gamma of every bag of a mask array (``graph.mask_array``)."""
+        return self._gammas(_lookup_masks(masks, self.node_count))
+
+    def _gammas(self, masks: np.ndarray) -> np.ndarray:
+        """``gammas`` without its check, for masks already checked."""
         return self.values[masks]
 
     @property
@@ -163,8 +186,10 @@ class ResistanceTable:
         return int(self.values[-1])
 
     def dump_binary(self) -> bytes:
-        return MAGIC + struct.pack("<I", self.node_count) + \
-            self.values.astype("<u2").tobytes()
+        """``RGT1``, n as little-endian uint32, then the values as
+        little-endian uint16, with one copy of a uint16 table's values."""
+        body = np.ascontiguousarray(self.values, dtype="<u2")
+        return MAGIC + struct.pack("<I", self.node_count) + memoryview(body)
 
     @classmethod
     def load_binary(cls, data: bytes, graph: Graph | None = None) -> "ResistanceTable":
@@ -229,16 +254,17 @@ def _value_iteration(g: Graph, start: np.ndarray,
     """Apply the fixed-point operator from ``start`` until nothing changes.
 
     ``start`` must bound gamma from above with ``start[0] == 0``; it is not
-    modified, and the returned table never shares its array.  ``cut_t`` is
-    ``cut_table(g)``.
+    modified, and the returned table never shares its array.  ``cut_t``
+    holds ``g``'s cuts in any integer dtype; it is not modified either.
 
-    The rounds run on copies of both in the dtype ``_narrowed`` picks
-    (uint8 for every start this module passes), and the fixed point is
-    returned as uint16, like every table.  Each round holds the cut table,
-    the iterate, the operator's fold and its one-removal output, one byte
-    per bag each on uint8.  The last round applied the operator to the
-    values it returns, so its ``check_bellman`` report is kept on the
-    table as ``_fixed_point`` and the values are made read-only.
+    The rounds run on both in the dtype ``_narrowed`` picks (uint8 for
+    every start this module passes), copied only where they are not in it
+    already, and the fixed point is returned as uint16, like every table.
+    Each round holds the cut table, the iterate, the operator's fold and
+    its one-removal output, one byte per bag each on uint8.  The last
+    round applied the operator to the values it returns, so its
+    ``check_bellman`` report is kept on the table as ``_fixed_point`` and
+    the values are made read-only.
     """
     n = g.node_count
     cut_t, gamma = _narrowed(cut_t, start)
@@ -264,11 +290,11 @@ def _value_iteration(g: Graph, start: np.ndarray,
 
 def resistance_table(g: Graph) -> ResistanceTable:
     """gamma(A) for all 2^n bags by value iteration from the monotone
-    table (n <= 20).  Both come from one cut table, and the returned table
+    table (n <= 20).  Both read one uint8 cut table, and the returned table
     keeps the monotone values (uint8) as its ``_monotone``, and its own
     ``check_bellman`` report; both arrays are read-only."""
     _require_cap(g.node_count, LATTICE_CAP, "resistance_table")
-    cut_t = cut_table(g)
+    cut_t = _narrow_cut_table(g)
     mg = _monotone_values(g, cut_t)
     table = _value_iteration(g, mg, cut_t)
     mg.flags.writeable = False
@@ -278,39 +304,52 @@ def resistance_table(g: Graph) -> ResistanceTable:
 
 # Nodes below BLOCK_NODES index the columns of the monotone DP's blocks
 # and the others its rows.  Milliseconds for the DP on random_regular:n,3
-# (seed 1) at each width w, the fastest of 15 calls (5 at n = 22, 3 at
-# n = 24) taken in turn, on 2 cores of a shared VM with numpy 2.4:
+# (seed 1) from its uint8 cut table at each width w, the fastest of 15
+# calls (5 at n = 22, 3 at n = 24) taken in turn, on 2 cores of a shared
+# VM with numpy 2.4:
 #
 #     n     w=6    w=7    w=8    w=9    w=10
-#     16    3.3    3.3    3.5    3.9    4.5
-#     18    6.2    5.6    5.6    6.1    6.9
-#     20   19.0   13.8   13.4   13.9   14.4
-#     22     85     59     52     46     47
-#     24    489    369    322    343    302
+#     16    1.0    1.0    1.0    1.2    1.4
+#     18    2.1    1.8    1.9    2.1    2.5
+#     20    5.6    4.7    4.3    4.6    5.7
+#     22     26     22     19     19     20
+#     24    202    123    113    100    102
 #
-# (n = 22 and 24 with LATTICE_CAP patched.)  Narrower blocks add row
+# (The DP called directly at n = 22 and 24.)  Narrower blocks add row
 # layers and shorten the whole-row gathers; wider ones add column layers.
-# w = 8 is the fastest at n = 18 and 20, the sizes the pipeline runs most.
+# w = 7 edges ahead at n = 18, but w = 8 is the fastest at n = 20, the
+# size whose DP costs most in the pipeline, and within noise at 16 and 18.
 BLOCK_NODES = 8
 UNREACHED8 = int(np.iinfo(np.uint8).max)    # the monotone DP's "unreached"
+# Bytes of a layer's rows the monotone DP transposes into its block at a
+# time: a (924, 256) uint8 transpose took 0.29 ms whole and 0.09 ms in
+# tiles of 128 rows, whose 32 kB stay in the core's first-level cache
+# while their columns are written out.
+TILE_BYTES = 1 << 15
 
 
-def _popcount_steps(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The m-bit masks by popcount k = 0..m, each as (layer, preds).
+@functools.cache
+def _popcount_steps(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The m-bit masks by popcount k = 0..m, each as (layer, reads).
 
-    ``layer`` holds the masks with k bits set, ascending, and ``preds`` is
-    a (k, len(layer)) array whose row j holds each of them with its j-th
-    lowest set bit cleared: its predecessors one removal down.
+    ``layer`` holds the masks with k bits set, ascending.  ``reads`` is a
+    (k + 1, len(layer)) array: row 0 is ``layer + 2^m``, and row j >= 1
+    holds each mask with its j-th lowest set bit cleared, its
+    predecessors one removal down.  So ``reads[1:]`` indexes a table of
+    2^m lines, and all of ``reads`` one of 2^(m + 1) lines whose upper
+    half stands beside the lower.  Built once per width and shared by
+    every caller, so both arrays are read-only.
     """
-    masks = np.arange(1 << m)
-    pops = np.bitwise_count(masks)
+    pops = np.bitwise_count(np.arange(1 << m))
     steps = []
     for k in range(m + 1):
         layer = np.flatnonzero(pops == k)
         i, v = np.nonzero(layer[:, None] >> np.arange(m) & 1)
         preds = (layer[i] ^ (1 << v)).reshape(len(layer), k).T
-        steps.append((layer, preds))
-    return steps
+        reads = np.concatenate([layer[None] + (1 << m), preds])
+        layer.flags.writeable = reads.flags.writeable = False
+        steps.append((layer, reads))
+    return tuple(steps)
 
 
 def monotone_resistance_table(g: Graph) -> ResistanceTable:
@@ -325,52 +364,57 @@ def monotone_resistance_table(g: Graph) -> ResistanceTable:
     ``best``, the minimum over high v of the whole rows of h without v,
     takes one contiguous 2^w-byte gather per row and predecessor.  Inside
     the layer the low nodes run the same recurrence one column popcount
-    layer at a time, vectorised over the layer's rows: a column reads its
-    own ``best`` and h of the finished columns one low node smaller.  The
-    layer's block is held transposed, (2^w, rows), so that a column is a
-    contiguous line.  Both orders visit every A - v before A, so each
-    entry is the exact minimum over all n removals.
+    layer at a time, vectorised over the layer's rows.  The layer's block
+    is held transposed, h of its columns in 2^w lines and their running
+    minimum (first ``best``, then mg) in 2^w more, so that a column is a
+    contiguous line, and a column layer reads its own running minimum
+    and h of all its predecessors one low node smaller in one gather and
+    one ``np.minimum.reduce``.  Rows go into the block in tiles of
+    TILE_BYTES.  Both orders visit every A - v before A, so each entry is
+    the exact minimum over all n removals.
 
     Work arrays are uint8, with UNREACHED8 = 255 left only in the empty
     high bag's row, which has no high predecessor: a cut is at most
     floor(n^2 / 4), 100 at n = 20 and 144 at n = 24, so uint8 holds every
     value.  The values are returned as uint16, like every table.  The cost
     is O(n 2^n) byte operations, in about a thousand numpy calls at
-    n = 20; besides the table and its cut table, the only index lists are
-    the popcount layers of the 2^(n-w) rows and of the 2^w columns.
+    n = 20 (1,700 with a gather per column predecessor).  Besides the
+    table and its uint8 cut table, the only index lists are
+    the popcount layers of the 2^(n-w) rows and of the 2^w columns with
+    their predecessors, built once per width by ``_popcount_steps``.
     """
     _require_cap(g.node_count, LATTICE_CAP, "monotone_resistance_table")
-    return ResistanceTable(g, _monotone_values(g, cut_table(g)).astype(np.uint16),
+    return ResistanceTable(g, _monotone_values(g, _narrow_cut_table(g)).astype(np.uint16),
                            converged_rounds=1)
 
 
 def _monotone_values(g: Graph, cut_t: np.ndarray) -> np.ndarray:
     """The values of ``monotone_resistance_table`` as uint8, from
-    ``cut_t`` = ``cut_table(g)``, which is not modified."""
+    ``cut_t``, g's cuts (read in place when uint8, as ``_narrow_cut_table``
+    builds them), which is not modified."""
     n = g.node_count
     w = min(BLOCK_NODES, n)
-    shape = (1 << (n - w), 1 << w)
-    cut_t = cut_t.astype(np.uint8).reshape(shape)
-    mg = np.empty(shape, dtype=np.uint8)
-    h = np.empty_like(mg)
-    columns = _popcount_steps(w)
-    for rows, preds in _popcount_steps(n - w):
-        best = np.full((len(rows), shape[1]), UNREACHED8, dtype=np.uint8)
-        for p in preds:
+    W, step = 1 << w, -(-TILE_BYTES >> w)
+    cut_t = cut_t.astype(np.uint8, copy=False).reshape(-1, W)
+    mg, h = np.empty_like(cut_t), np.empty_like(cut_t)
+    for rows, reads in _popcount_steps(n - w):
+        best = np.full((len(rows), W), UNREACHED8, dtype=np.uint8)
+        for p in reads[1:]:
             np.minimum(best, h[p], out=best)
-        if not len(preds):
+        if len(reads) == 1:
             best[0, 0] = 0    # the empty bag
-        best = best.T.copy()
-        cut_b = cut_t[rows].T.copy()
-        h_b = np.empty_like(best)
-        for cols, col_preds in columns:
-            val = best[cols]
-            for p in col_preds:
-                np.minimum(val, h_b[p], out=val)
-            best[cols] = val
-            h_b[cols] = np.maximum(cut_b[cols], val)
-        mg[rows] = best.T
-        h[rows] = h_b.T
+        # the layer's columns, transposed: h, then the running minimum
+        block = np.empty((2 * W, len(rows)), dtype=np.uint8)
+        cut_b = np.empty((W, len(rows)), dtype=np.uint8)
+        for i in range(0, len(rows), step):
+            block[W:, i:i + step] = best[i:i + step].T
+            cut_b[:, i:i + step] = cut_t[rows[i:i + step]].T
+        for cols, col_reads in _popcount_steps(w):
+            val = np.minimum.reduce(block[col_reads], axis=0)
+            block[W:][cols] = val
+            block[cols] = np.maximum(cut_b[cols], val)
+        mg[rows] = block[W:].T
+        h[rows] = block[:W].T
     return mg.reshape(-1)
 
 
@@ -527,7 +571,7 @@ def check_bellman(g: Graph, table: ResistanceTable) -> BellmanCheck:
         certified, report = table._fixed_point
         if certified is gamma and not gamma.flags.writeable:
             return report
-    cut_t, narrow = _narrowed(cut_table(g), gamma)
+    cut_t, narrow = _narrowed(_narrow_cut_table(g), gamma)
     return _fixed_point_check(narrow, _bellman_rhs(narrow, cut_t, g.node_count))
 
 
@@ -635,7 +679,7 @@ def witness_crusade(g: Graph, table: ResistanceTable, a: Bag) -> Crusade:
     t = table.gamma(a)
     mg = table._monotone
     if mg is None:
-        mg = _monotone_values(g, cut_table(g))
+        mg = _monotone_values(g, _narrow_cut_table(g))
     if int(mg[a.mask]) <= t:
         path = _removal_walk(g, mg, t, a.mask)
     else:
@@ -757,6 +801,10 @@ class CompleteGraphResistance:
 
     def gammas(self, masks: np.ndarray) -> np.ndarray:
         """gamma of every bag of a mask array (``graph.mask_array``)."""
+        return self._gammas(_lookup_masks(masks, self.node_count))
+
+    def _gammas(self, masks: np.ndarray) -> np.ndarray:
+        """``gammas`` without its check, for masks already checked."""
         return np.array(self.by_size)[np.bitwise_count(masks).astype(np.intp)]
 
     @property

@@ -8,7 +8,7 @@ max(gamma, cut).  The package's audit runs each node once, computes each
 difference once and reads nodes below ``TRANSPOSE_NODES`` from transposed
 copies; its reports must match these by ``repr``.  The cut table and the
 Bellman check are read through ``erl.analysis``, so a test that patches
-``erl.analysis.cut_table`` feeds both versions the same cuts.
+``erl.analysis._narrow_cut_table`` feeds both versions the same cuts.
 
 Its exhaustive branches' loops over bags, subsets and nodes are the only
 enumerations of the pair checks left: the package runs each as one array
@@ -71,7 +71,7 @@ def reference_verify_table_invariants(g, table, mode: str = "exhaustive",
     n = g.node_count
     size = 1 << n
     delta = g.degree_bound
-    cut_t = analysis.cut_table(g)
+    cut_t = analysis._narrow_cut_table(g)
     # values in [lo, hi] differ by at most hi - lo, which the signed dtype
     # holding lo - hi - 1 also holds
     lo = min(0, int(cut_t.min()), int(table.values.min()))

@@ -218,7 +218,7 @@ class TestInvariantSuite:
             raise AssertionError("the audit started")
 
         monkeypatch.setattr(erl.analysis, "check_bellman", no_work)
-        monkeypatch.setattr(erl.analysis, "cut_table", no_work)
+        monkeypatch.setattr(erl.analysis, "_narrow_cut_table", no_work)
         for mode in ("exhaustive", "sampled"):
             with pytest.raises(ErlError, match="samples"):
                 verify_table_invariants(g, t, mode=mode, samples=-5)
@@ -348,7 +348,7 @@ def golden_report(case, monkeypatch):
         table = ResistanceTable(g, _edit(table.values, n, how, count, 2), 1)
     elif target == "cut":
         bad_cuts = _edit(cut_table(g), n, how, count, 2 * g.degree_bound + 1)
-        monkeypatch.setattr(erl.analysis, "cut_table", lambda _g: bad_cuts.copy())
+        monkeypatch.setattr(erl.analysis, "_narrow_cut_table", lambda _g: bad_cuts.copy())
     return verify_table_invariants(g, table, mode=mode, samples=4000, seed=n)
 
 
@@ -419,7 +419,7 @@ class TestSubmodularOracle:
                                 replace=False)
             top = (2 * g.degree_bound + 1, 127, 300, 65535)[trial]
             cuts[picked] = rng.integers(0, top, size=len(picked), endpoint=True)
-            monkeypatch.setattr(erl.analysis, "cut_table",
+            monkeypatch.setattr(erl.analysis, "_narrow_cut_table",
                                 lambda _g: cuts.copy())
             report = verify_table_invariants(g, table, mode="sampled",
                                              samples=10, seed=n)
@@ -508,7 +508,7 @@ class TestRecoveryBoundAudit:
         class InflatedTable(CompleteGraphResistance):
             # claims a colossal resistance for every nonempty bag, so the
             # crossing-step cut can never cover the pre-crossing value
-            def gammas(self, masks):
+            def _gammas(self, masks):
                 return np.where(masks == 0, 0, 10**6)
 
         with pytest.raises(LemmaViolationError):
@@ -636,7 +636,7 @@ class TestHalvingWindow:
         class DropNeverTable(CompleteGraphResistance):
             # resistance "never halves" until the empty bag, then the cut
             # at the final step cannot cover it
-            def gammas(self, masks):
+            def _gammas(self, masks):
                 return np.where(masks == 0, 0, 256)
 
         with pytest.raises(LemmaViolationError):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from erl import (GENERATE_CAP, Bag, GenerationError, Graph, GraphParseError,
                  InvalidBagError, cut, generate, parse_graph, serialize_graph)
 import erl
-from erl.graph import cut_table, halves, rowwise, toggle_delta, transposed
+from erl.graph import (CUT8_NODES, _narrow_cut_table, cut_table, halves,
+                       rowwise, toggle_delta, transposed)
 from erl.resistance import _pack_bags, _unpack_bags
 
 from conftest import random_bounded_graph, rng_for
@@ -271,6 +272,34 @@ class TestCutTable:
                 assert table.tolist() == [cut(g, Bag.from_mask(m))
                                           for m in range(1 << n)]
 
+
+    def test_narrow_build_matches(self, zoo_graph):
+        table = _narrow_cut_table(zoo_graph)
+        assert table.dtype == np.uint8
+        assert np.array_equal(table, cut_table(zoo_graph))
+
+    def test_narrow_build_matches_at_n20(self):
+        for g in (generate("random_regular", (20, 3), seed=1),
+                  generate("complete", (20,))):
+            table = _narrow_cut_table(g)
+            assert table.dtype == np.uint8
+            assert np.array_equal(table, cut_table(g))
+
+    def test_narrow_build_dtype_by_size(self, monkeypatch):
+        """The largest cut of n nodes, floor(n^2 / 4), plus the degree the
+        build adds before it subtracts, fits in uint8 up to CUT8_NODES
+        nodes; past it the build is uint16.  The dtype is read from a
+        stand-in build, since a table of 2^30 bags is not built here."""
+        n = CUT8_NODES
+        assert (n // 2) * (n - n // 2) + n - 1 <= 255
+        monkeypatch.setattr(erl.graph, "_cut_table", lambda g, dtype: dtype)
+        assert _narrow_cut_table(Graph(n, [])) is np.uint8
+        assert _narrow_cut_table(Graph(n + 1, [])) is np.uint16
+
+    def test_narrow_build_of_complete_graphs(self):
+        for n in range(1, 17):
+            g = generate("complete", (n,))
+            assert np.array_equal(_narrow_cut_table(g), cut_table(g))
 
     def test_peak_memory(self):
         """Under 3 bytes per bag at n = 18 for a 2-byte-per-bag table: the

@@ -72,7 +72,7 @@ def audits(case, *runs):
                                       case["gamma_points"]), 1)
     cuts = bumped(cut_table(g), case["cut_pairs"], case["cut_points"])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(erl.analysis, "cut_table", lambda _g: cuts.copy())
+        mp.setattr(erl.analysis, "_narrow_cut_table", lambda _g: cuts.copy())
         return [audit(g, table, **kwargs) for audit, kwargs in runs]
 
 
@@ -194,7 +194,7 @@ def test_every_step_and_square_matches_literal(n, monkeypatch):
     cuts = bumped(cut_table(g), pairs, [])
     gam = bumped(table.values, [(a, a, int(rng.integers(-4, 5)))
                                 for a in range(n)], [])
-    monkeypatch.setattr(erl.analysis, "cut_table", lambda _g: cuts.copy())
+    monkeypatch.setattr(erl.analysis, "_narrow_cut_table", lambda _g: cuts.copy())
     monkeypatch.setattr(erl.analysis, "_Steps", StepsSpy)
     StepsSpy.made.clear()
     verify_table_invariants(g, ResistanceTable(g, gam, 1), mode="sampled",

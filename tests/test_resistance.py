@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import erl.resistance
 from erl import (LATTICE_CAP, Bag, CapacityError, CompleteGraphResistance,
@@ -14,11 +16,11 @@ from erl import (LATTICE_CAP, Bag, CapacityError, CompleteGraphResistance,
                  generate, monotone_resistance_table, resistance_table,
                  validate_crusade, verify_table_invariants, width,
                  witness_crusade)
-from erl.graph import cut_table
+from erl.graph import _narrow_cut_table, cut_table, mask_array
 from erl.resistance import (BLOCK_NODES, NO_STEP, UNREACHED, BellmanCheck,
                             _bellman_rhs, _crusade_steps, _monotone_values,
-                            _reach_round, _removal_walk, _search_walk,
-                            step_min, superset_min)
+                            _popcount_steps, _reach_round, _removal_walk,
+                            _search_walk, step_min, superset_min)
 
 from conftest import ZOO, random_bounded_graph, rng_for
 
@@ -180,12 +182,13 @@ class TestTableShape:
         assert np.array_equal(start, before)
 
     def test_peak_memory(self):
-        """Under 9 bytes per bag at n = 18 (7.1 measured): value iteration
-        holds the cut table, the iterate, the operator's fold and its
-        output in uint8 beside the uint16 cut table and the uint8 monotone
-        values the table keeps; with a uint16 monotone table it peaked at
-        9.0, on uint16 rounds at 12.2, and at 8.0 while two copies of the
-        last iterate were held beside its uint16 copy."""
+        """Under 9 bytes per bag at n = 18 (5.1 measured): value iteration
+        holds the uint8 cut table, the iterate, the operator's fold and
+        its output beside the uint8 monotone values the table keeps; with
+        the cut table built in uint16 and narrowed by a copy it peaked at
+        7.1, with a uint16 monotone table at 9.0, on uint16 rounds at
+        12.2, and at 8.0 while two copies of the last iterate were held
+        beside its uint16 copy."""
         g = generate("random_regular", (18, 3), seed=1)
         tracemalloc.start()
         try:
@@ -196,15 +199,22 @@ class TestTableShape:
         assert peak < 9 << 18
 
     def test_one_cut_table_per_call(self, monkeypatch):
+        """One cut table per call, built in uint8 by the private builder;
+        the public uint16 ``cut_table`` is not built at all."""
         g = generate("random_regular", (12, 3), seed=1)
         values, width = resistance_table(g).values, cutwidth(g)
         built = []
+        narrow = erl.resistance._narrow_cut_table
 
         def counting(graph):
             built.append(graph)
-            return cut_table(graph)
+            return narrow(graph)
 
-        monkeypatch.setattr(erl.resistance, "cut_table", counting)
+        def refused(graph):
+            raise AssertionError("uint16 cut table built")
+
+        monkeypatch.setattr(erl.resistance, "_narrow_cut_table", counting)
+        monkeypatch.setattr(erl.resistance, "cut_table", refused)
         assert np.array_equal(resistance_table(g).values, values)
         assert cutwidth(g) == width
         assert built == [g, g]
@@ -467,6 +477,7 @@ class TestWitness:
 
         monkeypatch.setattr(erl.resistance, "_reach_round", refused)
         monkeypatch.setattr(erl.resistance, "cut_table", refused)
+        monkeypatch.setattr(erl.resistance, "_narrow_cut_table", refused)
         c = witness_crusade(g, table, g.all_nodes())
         assert calls == []
         assert len(c.bags) == g.node_count + 1
@@ -734,6 +745,51 @@ class TestGammaArgument:
         with pytest.raises(InvalidBagError):
             make().gamma(bag)
 
+    @pytest.mark.parametrize("make", [
+        lambda: resistance_table(generate("line", (4,))),
+        lambda: CompleteGraphResistance(generate("complete", (4,)))],
+        ids=["table", "complete"])
+    def test_mask_arrays_read(self, make):
+        table = make()
+        want = [table.gamma(m) for m in range(16)]
+        for dtype in (np.uint64, np.int64, np.uint8, object):
+            masks = np.arange(16).astype(dtype)
+            assert table.gammas(masks).tolist() == want
+        assert table.gammas(np.array([], dtype=np.uint64)).tolist() == []
+
+    @pytest.mark.parametrize("masks", [
+        [-1], [16], [3, 16], [32, 2**40], [2**70], [0.0], [True], [1.5],
+        ["5"], [None]], ids=lambda m: repr(m))
+    @pytest.mark.parametrize("make", [
+        lambda: resistance_table(generate("line", (4,))),
+        lambda: CompleteGraphResistance(generate("complete", (4,)))],
+        ids=["table", "complete"])
+    def test_bad_mask_array_refused(self, make, masks):
+        with pytest.raises(InvalidBagError):
+            make().gammas(np.array(masks))
+
+    def test_named_cases(self):
+        """-1 read the CutWidth entry and 16 raised IndexError on line:4;
+        on complete:5, 32 and 2^40 read as the empty bag."""
+        line = resistance_table(generate("line", (4,)))
+        complete = CompleteGraphResistance(generate("complete", (5,)))
+        for table, masks in ((line, [-1]), (line, [16]),
+                             (complete, [32, 2**40])):
+            with pytest.raises(InvalidBagError, match="gammas needs"):
+                table.gammas(np.array(masks))
+
+    def test_wide_complete_graph_reads_object_masks(self):
+        """Above 64 nodes ``graph.mask_array`` makes object arrays of
+        Python ints, which the closed form reads."""
+        g = generate("complete", (70,))
+        table = CompleteGraphResistance(g)
+        masks = mask_array([0, 1, 3, g.full_mask], 70)
+        assert masks.dtype == object
+        assert table.gammas(masks).tolist() == [
+            table.gamma(int(m)) for m in masks]
+        with pytest.raises(InvalidBagError):
+            table.gammas(mask_array([1 << 70], 71))
+
 
 class TestStepMin:
     def test_matches_literal_definition(self):
@@ -841,6 +897,47 @@ class TestBlockedMonotone:
                 assert np.array_equal(monotone_resistance_table(g).values,
                                       layered_monotone_table(g))
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 11), st.integers(0, 2**32),
+           st.integers(1, 1 << 12))
+    def test_every_block_width(self, n, degree, seed, tile_bytes):
+        """Random graphs of up to 12 nodes, the DP run at every block
+        width 1..n, from the public uint16 cut table and the uint8 one,
+        with the layers transposed in tiles of as little as one row."""
+        g = random_bounded_graph(n, degree, rng_for(seed))
+        want = layered_monotone_table(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(erl.resistance, "TILE_BYTES", tile_bytes)
+            for w in range(1, n + 1):
+                mp.setattr(erl.resistance, "BLOCK_NODES", w)
+                for cuts in (cut_table(g), _narrow_cut_table(g)):
+                    got = _monotone_values(g, cuts)
+                    assert got.dtype == np.uint8
+                    assert np.array_equal(got, want), (n, w, cuts.dtype)
+
+    def test_popcount_steps_built_once_and_read_only(self):
+        for m in (0, 3, BLOCK_NODES):
+            first, again = _popcount_steps(m), _popcount_steps(m)
+            assert len(first) == m + 1
+            for step, same in zip(first, again):
+                for a, b in zip(step, same):
+                    assert a is b
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[...] = 0
+            for k, (layer, reads) in enumerate(first):
+                assert (np.bitwise_count(layer) == k).all()
+                assert reads.shape == (k + 1, len(layer))
+                assert np.array_equal(reads[0], layer + (1 << m))
+                for j, preds in enumerate(reads[1:]):
+                    # each mask without its j-th lowest set bit
+                    assert (np.bitwise_count(layer ^ preds) == 1).all()
+                    assert (preds & layer == preds).all()
+                    low = [((int(x) ^ int(p)) - 1).bit_count()
+                           for x, p in zip(layer, preds)]
+                    ranks = [(int(x) & ((1 << b) - 1)).bit_count()
+                             for x, b in zip(layer, low)]
+                    assert ranks == [j] * len(layer)
+
     def test_n22(self, monkeypatch):
         """The one n = 22 table; its digest was recorded from the layered
         DP before the blocked one replaced it."""
@@ -851,7 +948,7 @@ class TestBlockedMonotone:
         assert _sha(got.astype("<u2").tobytes()) == "1f33e476f6b719db"
 
     def test_peak_memory(self):
-        """Under 6 bytes per bag at n = 18: the peak, 5.08 bytes per bag,
+        """Under 6 bytes per bag at n = 18: the peak, 4.5 bytes per bag,
         comes from the DP's own uint8 arrays and uint16 result, not from
         the cut table's build, which stays below 3 (``TestCutTable``); the
         layered DP peaked at 9.4 without and 23 with its popcount index
