@@ -175,8 +175,9 @@ class InvariantReport:
 
 _MAX_WITNESSES = 5
 _NO_HITS = np.empty(0, dtype=np.int64)
-_STEP_CHECKS = ("cut_lipschitz", "resistance_smooth", "resistance_monotone",
-                "cut_at_drop")
+# the step checks that random pairs extend
+_SAMPLED_CHECKS = ("cut_lipschitz", "resistance_smooth", "resistance_monotone")
+_STEP_CHECKS = (*_SAMPLED_CHECKS, "cut_at_drop")
 
 
 def _collect(viols: list, bad_masks, detail) -> None:
@@ -281,52 +282,39 @@ def _first_pairs(bad: np.ndarray, **pairs: np.ndarray) -> list[dict]:
             for i in np.flatnonzero(bad)[:_MAX_WITNESSES]]
 
 
-def _pair_checks(cut_t: np.ndarray, gam: np.ndarray, delta: int,
-                 all_pairs: bool, all_subsets: bool, rng,
-                 samples: int) -> tuple[dict, dict]:
-    """The invariant checks on bag pairs beyond single-node steps, on the
-    mask-ordered tables.  Each check is one violation expression over pair
-    arrays: every pair in enumeration order when its branch covers the
-    whole lattice, reported as a ``CheckResult``, and otherwise its random
-    pairs, drawn in check order, whose bad bags are returned.  Its arrays
-    are freed on return, before the steps' buffers exist."""
+def _enumerated_pairs(cut_t: np.ndarray, gam: np.ndarray, delta: int,
+                      all_pairs: bool) -> dict[str, CheckResult]:
+    """The pair checks whose branch covers the whole lattice, on the
+    mask-ordered tables: monotonicity over every subset pair, and with
+    ``all_pairs`` also both Lipschitz checks over every pair and
+    submodularity over every subset pair and member.  Each is one
+    violation expression over pair arrays in enumeration order, reported
+    as a ``CheckResult``.  Its arrays are freed on return, before the
+    steps' buffers exist."""
     size = len(cut_t)
     whole: dict[str, CheckResult] = {}
-    sampled: dict[str, np.ndarray] = {}
 
     # |f(A) - f(B)| <= delta * |A xor B| for f in {cut, resistance}; every
     # pair runs B ascending, then A ascending
     if all_pairs:
         b, a = np.divmod(np.arange(size * size), size)
-    for name, vals in (("cut_lipschitz", cut_t), ("resistance_smooth", gam)):
-        if not all_pairs:
-            a = rng.integers(0, size, samples)
-            b = rng.integers(0, size, samples)
         dist = np.bitwise_count(a ^ b).astype(np.int64)
-        bad = np.abs(vals[a] - vals[b]) > delta * dist
-        if all_pairs:
+        for name, vals in (("cut_lipschitz", cut_t),
+                           ("resistance_smooth", gam)):
+            bad = np.abs(vals[a] - vals[b]) > delta * dist
             whole[name] = CheckResult(bad.size, "all_pairs",
                                       _first_pairs(bad, bag=a, other=b))
-        else:
-            sampled[name] = a[bad]
 
     # resistance is monotone under set inclusion; every subset pair runs B
     # ascending, then A descending through the subsets of B
-    if all_subsets:
-        masks = np.arange(size, dtype=np.uint16)
-        sup, sub = np.divmod(
-            np.flatnonzero((masks[::-1] & ~masks[:, None]) == 0), size)
-        sub = size - 1 - sub
-    else:
-        sup = rng.integers(0, size, samples)
-        sub = sup & rng.integers(0, size, samples)
+    masks = np.arange(size, dtype=np.uint16)
+    sup, sub = np.divmod(
+        np.flatnonzero((masks[::-1] & ~masks[:, None]) == 0), size)
+    sub = size - 1 - sub
     bad = gam[sub] > gam[sup]
-    if all_subsets:
-        whole["resistance_monotone"] = CheckResult(
-            bad.size, "all_subset_pairs", _first_pairs(bad, bag=sub,
-                                                       superset=sup))
-    else:
-        sampled["resistance_monotone"] = sub[bad]
+    whole["resistance_monotone"] = CheckResult(
+        bad.size, "all_subset_pairs", _first_pairs(bad, bag=sub,
+                                                   superset=sup))
 
     # cut submodularity: dropping v hurts a small bag at most as much as a
     # containing one: cut(A-v) - cut(A) <= cut(B-v) - cut(B) for A <= B;
@@ -340,7 +328,27 @@ def _pair_checks(cut_t: np.ndarray, gam: np.ndarray, delta: int,
         whole["cut_submodular"] = CheckResult(
             bad.size, "all_subset_pairs", _first_pairs(bad, bag=s, superset=bm,
                                                        node=v))
-    return whole, sampled
+    return whole
+
+
+def _sampled_pairs(cut_t: np.ndarray, gam: np.ndarray, delta: int, rng,
+                   samples: int, monotone: bool) -> dict[str, np.ndarray]:
+    """The bad bags of ``samples`` random pairs for both Lipschitz checks
+    and, with ``monotone``, ``samples`` random subset pairs for
+    monotonicity, on the mask-ordered tables, drawn in that check order:
+    A, then B, per Lipschitz check; B, then a mask whose AND with B is A."""
+    size = len(cut_t)
+    sampled: dict[str, np.ndarray] = {}
+    for name, vals in (("cut_lipschitz", cut_t), ("resistance_smooth", gam)):
+        a = rng.integers(0, size, samples)
+        b = rng.integers(0, size, samples)
+        dist = np.bitwise_count(a ^ b).astype(np.int64)
+        sampled[name] = a[np.abs(vals[a] - vals[b]) > delta * dist]
+    if monotone:
+        sup = rng.integers(0, size, samples)
+        sub = sup & rng.integers(0, size, samples)
+        sampled["resistance_monotone"] = sub[gam[sub] > gam[sup]]
+    return sampled
 
 
 # Nodes below TRANSPOSE_NODES are audited on transposed copies of the
@@ -364,14 +372,25 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     pairs, at most ``SAMPLE_CAP``.  The fixed-point and cut-at-drop checks
     are always complete.
 
-    Each pair check is one array pass (``_pair_checks``): its violation
-    expression over pair arrays, which hold either every pair in
-    enumeration order or the random pairs.  The exhaustive pairs come from
-    mask grids: every (B, A) for the Lipschitz checks; B's subsets A for
-    monotonicity, read from a 2^n x 2^n subset test (uint16 masks and
-    their booleans, 3 MB at n = 10, the largest grid); and those pairs
-    times A's members for submodularity.  Witnesses are the first bad
-    pairs in that order, so reports match a literal enumeration.
+    Each enumerated pair check is one array pass (``_enumerated_pairs``):
+    its violation expression over pair arrays that hold every pair in
+    enumeration order, from mask grids: every (B, A) for the Lipschitz
+    checks; B's subsets A for monotonicity, read from a 2^n x 2^n subset
+    test (uint16 masks and their booleans, 3 MB at n = 10, the largest
+    grid); and those pairs times A's members for submodularity.
+    Witnesses are the first bad pairs in that order, so reports match a
+    literal enumeration.
+
+    The random pairs (``_sampled_pairs``) are drawn only when a single
+    step of cut_lipschitz, resistance_smooth or resistance_monotone
+    fails.  A Lipschitz violation by a pair implies one by a step on any
+    path of |A xor B| steps between them (triangle inequality), and a
+    monotonicity violation by a subset pair implies one by a removal on
+    the chain between them (transitivity).  So on a table whose steps
+    pass the pairs cannot add a witness; the stream feeds nothing else,
+    and ``checked`` counts the pairs either way, so every report is the
+    one that drawing them would give.  When they are drawn, they are the
+    same pairs in the same order, on the tables put back in mask order.
 
     Single-node steps run one node at a time (``_Steps``).  Three passes
     over the ``graph.halves`` views of the two tables give node v's cut
@@ -414,8 +433,8 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     cut, every table entry, the degree bound and every difference of two
     of them exactly: int8 for any valid table up to n = 22, wider only for
     tables with larger entries.  The mask grids exist only in the n <= 8
-    and n <= 10 exhaustive branches, which run with the random pairs on
-    the mask-ordered tables before the steps.
+    and n <= 10 exhaustive branches, which run on the mask-ordered tables
+    before the steps.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ErlError(f"unknown mode {mode!r}")
@@ -440,8 +459,8 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     gam = table.values.astype(work)
     all_pairs = mode == "exhaustive" and n <= 8
     all_subsets = mode == "exhaustive" and n <= 10
-    whole, sampled = _pair_checks(cut_t, gam, delta, all_pairs, all_subsets,
-                                  rng, samples)
+    whole = (_enumerated_pairs(cut_t, gam, delta, all_pairs) if all_subsets
+             else {})
 
     # no bag is harder than the full set
     viols = []
@@ -466,6 +485,17 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
             steps.node(v, order, cut_t, gam,
                        [u for u in range(v + 1, n)
                         if (v, u) not in steps.squares])
+
+    # random pairs find a violation only where a single step does, so they
+    # are drawn only then; all_pairs leaves none to draw
+    sampled = {}
+    if not all_pairs and any(bags.size for name in _SAMPLED_CHECKS
+                             for bags in steps.hits[name]):
+        if low:
+            # back to mask order: node v < low sits at bit n - low + v
+            cut_t, gam = (transposed(x, n - low) for x in (cut_t, gam))
+        sampled = _sampled_pairs(cut_t, gam, delta, rng, samples,
+                                 not all_subsets)
 
     checks: dict[str, CheckResult] = {}
     for name in ("cut_lipschitz", "resistance_smooth"):

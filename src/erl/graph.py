@@ -11,6 +11,7 @@ the draws taken from raw Philox words (``_raw_draws``).
 from __future__ import annotations
 
 import json
+from operator import index
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -55,6 +56,22 @@ def members(mask: int) -> list[int]:
     return out
 
 
+def _node_id(v) -> int:
+    """``v`` as a Python int node id: a numpy int becomes one, so a mask
+    built from it stays a Python int.  A bool (true is no node id, as in
+    ``_is_int``), a non-integer and a negative id raise
+    ``InvalidBagError``."""
+    try:
+        if isinstance(v, bool):
+            raise TypeError
+        v = index(v)
+    except TypeError:
+        raise InvalidBagError(f"node id {v!r} is not an int") from None
+    if v < 0:
+        raise InvalidBagError(f"negative node id {v}")
+    return v
+
+
 class Bag:
     """Immutable subset of nodes, stored as a bitmask."""
 
@@ -63,9 +80,7 @@ class Bag:
     def __init__(self, nodes: Iterable[int] = ()):
         mask = 0
         for v in nodes:
-            if v < 0:
-                raise InvalidBagError(f"negative node id {v}")
-            mask |= 1 << v
+            mask |= 1 << _node_id(v)
         object.__setattr__(self, "mask", mask)
 
     @classmethod
@@ -116,10 +131,10 @@ class Bag:
         return Bag.from_mask(self.mask ^ other.mask)
 
     def add(self, v: int) -> "Bag":
-        return Bag.from_mask(self.mask | (1 << v))
+        return Bag.from_mask(self.mask | (1 << _node_id(v)))
 
     def remove(self, v: int) -> "Bag":
-        return Bag.from_mask(self.mask & ~(1 << v))
+        return Bag.from_mask(self.mask & ~(1 << _node_id(v)))
 
     def issubset(self, other: "Bag") -> bool:
         return self.mask & ~other.mask == 0
@@ -654,4 +669,4 @@ def serialize_graph(g: Graph, fmt: str = "edgelist") -> str:
              "edges": [list(e) for e in sorted(g.edges)],
              "degree_bound": g.degree_bound},
             separators=(",", ":")) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    raise ErlError(f"unknown graph format {fmt!r}: expected edgelist or json")

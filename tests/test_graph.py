@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from erl import (GENERATE_CAP, Bag, GenerationError, Graph, GraphParseError,
-                 InvalidBagError, cut, generate, parse_graph, serialize_graph)
+from erl import (GENERATE_CAP, Bag, ErlError, GenerationError, Graph,
+                 GraphParseError, InvalidBagError, cut, generate, parse_graph,
+                 serialize_graph)
 import erl
 from erl.graph import (CUT8_NODES, _narrow_cut_table, cut_table, halves,
                        rowwise, toggle_delta, transposed)
@@ -450,6 +451,10 @@ class TestSerialization:
         text = serialize_graph(zoo_graph, fmt="json")
         assert parse_graph(text) == zoo_graph
 
+    def test_unknown_format_refused(self):
+        with pytest.raises(ErlError, match="'xml'.*edgelist or json"):
+            serialize_graph(generate("line", (3,)), fmt="xml")
+
     def test_parse_basic(self):
         g = parse_graph("3\n0 1\n1 2\n")
         assert g.node_count == 3
@@ -543,6 +548,28 @@ class TestBagAlgebra:
     def test_negative_rejected(self):
         with pytest.raises(InvalidBagError):
             Bag([-1])
+
+    @pytest.mark.parametrize("v", [3, 63, 64, 70])
+    def test_numpy_ids_give_python_masks(self, v):
+        """A numpy id is the node it names: a bit of a Python int mask, at
+        every bit, so members and cuts read it as any other bag."""
+        for dtype in (np.int64, np.uint64, np.int32):
+            bag = Bag([dtype(v)])
+            assert type(bag.mask) is int and bag.mask == 1 << v
+            assert bag == Bag([v]) and bag.nodes() == (v,)
+            assert repr(bag) == f"Bag({{{v}}})"
+            assert Bag().add(dtype(v)) == bag
+            assert type(bag.remove(dtype(v)).mask) is int
+            assert bag.remove(dtype(v)) == Bag()
+        assert cut(generate("line", (5,)), Bag([np.int64(3)])) == 2
+
+    @pytest.mark.parametrize("v", [True, False, np.True_, 1.0, np.float64(2),
+                                   "a", None, np.int64(-2)])
+    def test_non_int_and_negative_ids_refused(self, v):
+        for make in (lambda: Bag([v]), lambda: Bag([1]).add(v),
+                     lambda: Bag([1]).remove(v)):
+            with pytest.raises(InvalidBagError, match="not an int|negative"):
+                make()
 
     def test_mask_round_trip(self):
         assert Bag.from_mask(0b1011).nodes() == (0, 1, 3)

@@ -4,7 +4,8 @@ edited tables, and every step and square it finds against a literal
 enumeration in mask order, on both sides of ``TRANSPOSE_NODES``.  The
 exhaustive pair checks' array passes are held to the reference's
 enumerations, witness order and cap included, and each check's verdict is
-the same with every pair, random pairs or none."""
+the same with every pair, random pairs or none; a table whose steps pass
+draws no random pair."""
 
 from __future__ import annotations
 
@@ -14,13 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import erl.analysis
+import erl.graph
 import reference_invariants
-from erl import (ResistanceTable, generate, resistance_table,
+from erl import (ErlError, ResistanceTable, generate, resistance_table,
                  verify_table_invariants)
-from erl.analysis import TRANSPOSE_NODES, _MAX_WITNESSES
+from erl.analysis import SAMPLE_CAP, TRANSPOSE_NODES, _MAX_WITNESSES
 from erl.graph import SHORT_ROW_BYTES, cut_table, rowwise
 
-from conftest import random_bounded_graph, rng_for
+from conftest import ZOO, random_bounded_graph, rng_for
 from reference_invariants import reference_verify_table_invariants
 
 K = TRANSPOSE_NODES
@@ -143,6 +145,85 @@ def test_pair_checks_only_add_witnesses(case):
     verdicts = [{name: check.ok for name, check in report.checks.items()}
                 for report in reports]
     assert verdicts[0] == verdicts[1] == verdicts[2]
+
+
+def counted_stream(draws: list):
+    """``graph._stream`` whose generators note each method they are asked
+    for in ``draws`` before handing it over."""
+    def stream(*args):
+        rng = erl.graph._stream(*args)
+
+        class Counted:
+            def __getattr__(self, name):
+                draws.append(name)
+                return getattr(rng, name)
+        return Counted()
+    return stream
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+@pytest.mark.parametrize("name,make", ZOO, ids=[name for name, _ in ZOO])
+def test_passing_tables_draw_no_pairs(name, make, mode, monkeypatch):
+    """A table whose steps pass needs no random pair to say so, and gets
+    the report that drawing them gives."""
+    g = make()
+    table = resistance_table(g)
+    draws = []
+    monkeypatch.setattr(erl.analysis, "_stream", counted_stream(draws))
+    got = verify_table_invariants(g, table, mode=mode, seed=3)
+    assert got.ok and draws == []
+    want = reference_verify_table_invariants(g, table, mode=mode, seed=3)
+    assert repr(got) == repr(want)
+
+
+# a bag whose cut is bumped at n = 2 fails two steps, four witnesses; the
+# full bag lowered to 0 at n = 4 fails its four removals
+@pytest.mark.parametrize("name,bumps", [
+    ("cut_lipschitz", case(2, cut_points=[(1, 9)])),
+    ("resistance_monotone", case(4, gamma_points=[(15, 0)]))])
+def test_failing_steps_draw_the_pairs(name, bumps, monkeypatch):
+    """Fewer step witnesses than the cap leave room for sampled pairs',
+    which carry a bag alone; they are the oracle's, draw for draw."""
+    draws = []
+    monkeypatch.setattr(erl.analysis, "_stream", counted_stream(draws))
+    got, want = both_reports(bumps)
+    assert repr(got) == repr(want)
+    assert draws
+    check = got.checks[name]
+    steps = [w for w in check.violations if len(w) > 1]
+    assert 0 < len(steps) < _MAX_WITNESSES
+    assert {"bag"} in [w.keys() for w in check.violations]
+
+
+@pytest.mark.parametrize("n", [K, K + 2, 12])
+def test_pairs_read_mask_ordered_tables(n, monkeypatch):
+    """The steps leave the tables transposed above K nodes; the random
+    pairs index them by mask."""
+    g = generate("random_regular", (n, 3), seed=n)
+    gam = bumped(resistance_table(g).values, [(0, 0, -3)], [])
+    seen = []
+
+    def spy(cut_t, gam_t, *args):
+        seen.append((cut_t.tolist(), gam_t.tolist()))
+        return sampled_pairs(cut_t, gam_t, *args)
+
+    sampled_pairs = erl.analysis._sampled_pairs
+    monkeypatch.setattr(erl.analysis, "_sampled_pairs", spy)
+    report = verify_table_invariants(g, ResistanceTable(g, gam, 1),
+                                     mode="sampled")
+    assert not report.checks["resistance_monotone"].ok
+    assert seen == [(cut_table(g).tolist(), gam.tolist())]
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(seed=-1), dict(seed=1.5), dict(seed=True), dict(samples=-1),
+    dict(samples=2.5), dict(samples=True), dict(samples=SAMPLE_CAP + 1)])
+def test_bad_arguments_refused_on_a_passing_table(kwargs):
+    g = generate("random_regular", (12, 3), seed=5)
+    table = resistance_table(g)
+    assert verify_table_invariants(g, table, mode="sampled").ok
+    with pytest.raises(ErlError, match="seed|samples"):
+        verify_table_invariants(g, table, mode="sampled", **kwargs)
 
 
 def literal_steps(cuts, gam, delta: int, n: int) -> dict:
