@@ -275,68 +275,12 @@ class _Steps:
                                                    order[:w] + order[w + 1:])
 
 
-def _first_pairs(bad: np.ndarray, **pairs: np.ndarray) -> list[dict]:
-    """The first bad entries of pair arrays, in their order, as witnesses
-    keyed as ``pairs`` is."""
-    return [{key: int(p[i]) for key, p in pairs.items()}
-            for i in np.flatnonzero(bad)[:_MAX_WITNESSES]]
-
-
-def _enumerated_pairs(cut_t: np.ndarray, gam: np.ndarray, delta: int,
-                      all_pairs: bool) -> dict[str, CheckResult]:
-    """The pair checks whose branch covers the whole lattice, on the
-    mask-ordered tables: monotonicity over every subset pair, and with
-    ``all_pairs`` also both Lipschitz checks over every pair and
-    submodularity over every subset pair and member.  Each is one
-    violation expression over pair arrays in enumeration order, reported
-    as a ``CheckResult``.  Its arrays are freed on return, before the
-    steps' buffers exist."""
-    size = len(cut_t)
-    whole: dict[str, CheckResult] = {}
-
-    # |f(A) - f(B)| <= delta * |A xor B| for f in {cut, resistance}; every
-    # pair runs B ascending, then A ascending
-    if all_pairs:
-        b, a = np.divmod(np.arange(size * size), size)
-        dist = np.bitwise_count(a ^ b).astype(np.int64)
-        for name, vals in (("cut_lipschitz", cut_t),
-                           ("resistance_smooth", gam)):
-            bad = np.abs(vals[a] - vals[b]) > delta * dist
-            whole[name] = CheckResult(bad.size, "all_pairs",
-                                      _first_pairs(bad, bag=a, other=b))
-
-    # resistance is monotone under set inclusion; every subset pair runs B
-    # ascending, then A descending through the subsets of B
-    masks = np.arange(size, dtype=np.uint16)
-    sup, sub = np.divmod(
-        np.flatnonzero((masks[::-1] & ~masks[:, None]) == 0), size)
-    sub = size - 1 - sub
-    bad = gam[sub] > gam[sup]
-    whole["resistance_monotone"] = CheckResult(
-        bad.size, "all_subset_pairs", _first_pairs(bad, bag=sub,
-                                                   superset=sup))
-
-    # cut submodularity: dropping v hurts a small bag at most as much as a
-    # containing one: cut(A-v) - cut(A) <= cut(B-v) - cut(B) for A <= B;
-    # every triple runs through the subset pairs above, then v ascending
-    if all_pairs:
-        n = size.bit_length() - 1
-        pair, v = np.divmod(np.flatnonzero(sub[:, None] >> np.arange(n) & 1),
-                            n)
-        s, bm, drop = sub[pair], sup[pair], ~(1 << v)
-        bad = cut_t[s & drop] - cut_t[s] > cut_t[bm & drop] - cut_t[bm]
-        whole["cut_submodular"] = CheckResult(
-            bad.size, "all_subset_pairs", _first_pairs(bad, bag=s, superset=bm,
-                                                       node=v))
-    return whole
-
-
 def _sampled_pairs(cut_t: np.ndarray, gam: np.ndarray, delta: int, rng,
-                   samples: int, monotone: bool) -> dict[str, np.ndarray]:
+                   samples: int) -> dict[str, np.ndarray]:
     """The bad bags of ``samples`` random pairs for both Lipschitz checks
-    and, with ``monotone``, ``samples`` random subset pairs for
-    monotonicity, on the mask-ordered tables, drawn in that check order:
-    A, then B, per Lipschitz check; B, then a mask whose AND with B is A."""
+    and ``samples`` random subset pairs for monotonicity, on the
+    mask-ordered tables, drawn in that check order: A, then B, per
+    Lipschitz check; B, then a mask whose AND with B is A."""
     size = len(cut_t)
     sampled: dict[str, np.ndarray] = {}
     for name, vals in (("cut_lipschitz", cut_t), ("resistance_smooth", gam)):
@@ -344,15 +288,15 @@ def _sampled_pairs(cut_t: np.ndarray, gam: np.ndarray, delta: int, rng,
         b = rng.integers(0, size, samples)
         dist = np.bitwise_count(a ^ b).astype(np.int64)
         sampled[name] = a[np.abs(vals[a] - vals[b]) > delta * dist]
-    if monotone:
-        sup = rng.integers(0, size, samples)
-        sub = sup & rng.integers(0, size, samples)
-        sampled["resistance_monotone"] = sub[gam[sub] > gam[sup]]
+    sup = rng.integers(0, size, samples)
+    sub = sup & rng.integers(0, size, samples)
+    sampled["resistance_monotone"] = sub[gam[sub] > gam[sup]]
     return sampled
 
 
 # Nodes below TRANSPOSE_NODES are audited on transposed copies of the
-# tables; see ``verify_table_invariants`` for the timings that chose it.
+# tables: 6 is the first width whose int8 rows reach 64 bytes, and it
+# timed within 2% of the best width at n = 16, 18 and 20 (CHANGES.md).
 TRANSPOSE_NODES = 6
 
 # Most random pairs ``verify_table_invariants`` draws.  Its arrays take
@@ -366,31 +310,24 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
                             seed: int = 0) -> InvariantReport:
     """Run the full invariant suite for cuts and resistances.
 
-    Exhaustive mode checks all bag pairs when n <= 8 and all subset pairs
-    for monotonicity when n <= 10; above that, and throughout sampled mode,
-    the pair checks run over all single-node steps plus ``samples`` random
-    pairs, at most ``SAMPLE_CAP``.  The fixed-point and cut-at-drop checks
-    are always complete.
+    Both Lipschitz checks, monotonicity and submodularity are decided by
+    their single-node steps.  A Lipschitz violation by a pair implies one
+    by a step on any path of |A xor B| steps between them (triangle
+    inequality), a monotonicity violation by a subset pair implies one by
+    a removal on the chain between them (transitivity), and a set
+    function is submodular if and only if it is submodular on every
+    square of two nodes (Topkis).  Exhaustive mode reports the steps
+    alone.  The fixed-point, cut-at-drop and below-cutwidth checks are
+    always complete.
 
-    Each enumerated pair check is one array pass (``_enumerated_pairs``):
-    its violation expression over pair arrays that hold every pair in
-    enumeration order, from mask grids: every (B, A) for the Lipschitz
-    checks; B's subsets A for monotonicity, read from a 2^n x 2^n subset
-    test (uint16 masks and their booleans, 3 MB at n = 10, the largest
-    grid); and those pairs times A's members for submodularity.
-    Witnesses are the first bad pairs in that order, so reports match a
-    literal enumeration.
-
-    The random pairs (``_sampled_pairs``) are drawn only when a single
-    step of cut_lipschitz, resistance_smooth or resistance_monotone
-    fails.  A Lipschitz violation by a pair implies one by a step on any
-    path of |A xor B| steps between them (triangle inequality), and a
-    monotonicity violation by a subset pair implies one by a removal on
-    the chain between them (transitivity).  So on a table whose steps
-    pass the pairs cannot add a witness; the stream feeds nothing else,
-    and ``checked`` counts the pairs either way, so every report is the
+    Sampled mode also counts ``samples`` random pairs, at most
+    ``SAMPLE_CAP``, for each Lipschitz check and for monotonicity
+    (``_sampled_pairs``).  They are drawn only when a step of one of those
+    checks fails, since on a table whose steps pass they cannot add a
+    witness; ``checked`` counts them either way, so every report is the
     one that drawing them would give.  When they are drawn, they are the
     same pairs in the same order, on the tables put back in mask order.
+    Exhaustive mode checks ``samples`` and ``seed`` but reads neither.
 
     Single-node steps run one node at a time (``_Steps``).  Three passes
     over the ``graph.halves`` views of the two tables give node v's cut
@@ -415,26 +352,12 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     compared on a transposed copy of u's difference, which puts the low
     nodes on top.  For n <= K nothing is copied.  Witnesses are mapped
     back to masks and sorted only for a condition with a hit, so reports
-    match a literal enumeration of the bags.  Milliseconds for the
-    sampled audit (10^5 pairs) on random_regular:n,3 (seed 1) at each K,
-    the best of three lower quartiles of 21 calls, on 2 cores of a
-    shared VM with numpy 2.4 (K = 0 copies nothing):
-
-        n     K=0    K=4    K=5    K=6    K=7    K=8
-        16    6.0    5.9    5.8    5.8    5.8    5.8
-        18    9.2    8.6    8.4    8.4    8.6    9.0
-        20   27.0   24.2   22.7   23.1   23.9   25.4
-
-    K = 5 and 6 are within 2% at every n; 6 is the first width whose rows
-    reach 64 bytes on int8.  The check-at-a-time oracle in
-    ``tests/reference_invariants.py`` takes 6.7, 10.8 and 32.3 ms.
+    match a literal enumeration of the bags.
 
     Values are compared in the narrowest signed dtype that holds every
     cut, every table entry, the degree bound and every difference of two
     of them exactly: int8 for any valid table up to n = 22, wider only for
-    tables with larger entries.  The mask grids exist only in the n <= 8
-    and n <= 10 exhaustive branches, which run on the mask-ordered tables
-    before the steps.
+    tables with larger entries.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ErlError(f"unknown mode {mode!r}")
@@ -457,10 +380,6 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     work = np.min_scalar_type(lo - hi - 1)
     cut_t = cut_t.astype(work)
     gam = table.values.astype(work)
-    all_pairs = mode == "exhaustive" and n <= 8
-    all_subsets = mode == "exhaustive" and n <= 10
-    whole = (_enumerated_pairs(cut_t, gam, delta, all_pairs) if all_subsets
-             else {})
 
     # no bag is harder than the full set
     viols = []
@@ -487,15 +406,17 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
                         if (v, u) not in steps.squares])
 
     # random pairs find a violation only where a single step does, so they
-    # are drawn only then; all_pairs leaves none to draw
+    # are drawn only then
     sampled = {}
-    if not all_pairs and any(bags.size for name in _SAMPLED_CHECKS
-                             for bags in steps.hits[name]):
-        if low:
-            # back to mask order: node v < low sits at bit n - low + v
-            cut_t, gam = (transposed(x, n - low) for x in (cut_t, gam))
-        sampled = _sampled_pairs(cut_t, gam, delta, rng, samples,
-                                 not all_subsets)
+    strategy, pairs = "single_steps", 0
+    if mode == "sampled":
+        strategy, pairs = "single_steps+sampled_pairs", samples
+        if any(bags.size for name in _SAMPLED_CHECKS
+               for bags in steps.hits[name]):
+            if low:
+                # back to mask order: node v < low sits at bit n - low + v
+                cut_t, gam = (transposed(x, n - low) for x in (cut_t, gam))
+            sampled = _sampled_pairs(cut_t, gam, delta, rng, samples)
 
     checks: dict[str, CheckResult] = {}
     for name in ("cut_lipschitz", "resistance_smooth"):
@@ -505,8 +426,7 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
             _collect(viols, np.sort(np.concatenate([bags, bags | 1 << v])),
                      lambda m, v=v: {"other": m ^ (1 << v)})
         _collect(viols, sampled.get(name, _NO_HITS), lambda m: {})
-        checks[name] = CheckResult(n * size + samples,
-                                   "single_steps+sampled_pairs", viols)
+        checks[name] = CheckResult(n * size + pairs, strategy, viols)
 
     viols = []
     for v, bags in enumerate(steps.hits["resistance_monotone"]):
@@ -514,8 +434,8 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
                  lambda m, v=v: {"bag": m & ~(1 << v), "superset": m})
     _collect(viols, sampled.get("resistance_monotone", _NO_HITS),
              lambda m: {})
-    checks["resistance_monotone"] = CheckResult(
-        n * size + samples, "single_steps+sampled_pairs", viols)
+    checks["resistance_monotone"] = CheckResult(n * size + pairs, strategy,
+                                                viols)
 
     # pair (v, u) reports its squares' bags holding v, in mask order
     viols = []
@@ -543,8 +463,6 @@ def verify_table_invariants(g: Graph, table: ResistanceTable,
     viols = [] if bc.passed else [{"bag": bc.witness_mask, "table": bc.lhs,
                                    "operator": bc.rhs}]
     checks["fixed_point"] = CheckResult(size, "all_bags", viols)
-    # the enumerated checks' reports replace the steps' in place
-    checks.update(whole)
     return InvariantReport(n, mode, checks)
 
 

@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_flags(p)
     p.add_argument("--mode", choices=["exhaustive", "sampled"],
                    default="exhaustive")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int, default=100_000,
+                   help="random pairs; read only with --mode sampled")
     p.add_argument("--trajectories", type=int, default=0)
     p.add_argument("--policy", default="max_cut_drop")
     p.add_argument("--budget", default=None)

@@ -11,6 +11,7 @@ the draws taken from raw Philox words (``_raw_draws``).
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from operator import index
 from typing import Iterable, Iterator
 
@@ -107,7 +108,7 @@ class Bag:
         return self.mask.bit_count()
 
     def __contains__(self, v: int) -> bool:
-        return v >= 0 and (self.mask >> v) & 1 == 1
+        return (self.mask >> _node_id(v)) & 1 == 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Bag) and self.mask == other.mask
@@ -512,10 +513,18 @@ def generate(kind: str, params: tuple[int, ...] = (), seed: int = 0) -> Graph:
     """Build a named graph family member; deterministic for a given seed.
 
     Members with more than ``GENERATE_CAP`` nodes or edges are rejected
-    before anything is built.
+    before anything is built.  ``params`` must be a sequence of ints
+    (numpy ints too, read as their value); a bool, a float, a string or a
+    non-sequence raises GenerationError.
     """
     if kind not in GENERATOR_ARITY:
         raise GenerationError(f"unknown graph kind {kind!r}")
+    if not isinstance(params, Sequence) or not all(
+            isinstance(p, (int, np.integer)) and not isinstance(p, bool)
+            for p in params):
+        raise GenerationError(f"{kind} parameters must be a sequence of "
+                              f"ints, got {params!r}")
+    params = tuple(map(index, params))
     if len(params) != GENERATOR_ARITY[kind]:
         raise GenerationError(f"{kind} takes {GENERATOR_ARITY[kind]} "
                               f"parameter(s), got {len(params)}")

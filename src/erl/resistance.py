@@ -45,9 +45,7 @@ MAGIC = b"RGT1"
 
 def _require_cap(n: int, cap: int, what: str) -> None:
     if n > cap:
-        raise CapacityError(
-            f"{what} is capped at n <= {cap}, got n = {n}; "
-            "use brute_force_resistance for single-source queries on small graphs")
+        raise CapacityError(f"{what} is capped at n <= {cap}, got n = {n}")
 
 
 def _superset(x: np.ndarray, nodes: range, ufunc) -> np.ndarray:

@@ -10,13 +10,17 @@ copies; its reports must match these by ``repr``.  The cut table and the
 Bellman check are read through ``erl.analysis``, so a test that patches
 ``erl.analysis._narrow_cut_table`` feeds both versions the same cuts.
 
-Its exhaustive branches' loops over bags, subsets and nodes are the only
-enumerations of the pair checks left: the package runs each as one array
-pass over every pair, and its witness order and cap are checked against
-these loops.
+Its ``enumerated`` mode, which the package does not have, tests the pair
+checks' definitions on every pair instead of on single-node steps: both
+Lipschitz checks on all pairs of bags, monotonicity on all subset pairs
+and submodularity on all subset pairs and members, each in the order of a
+literal enumeration.  These are the only enumerations of the pair checks,
+and the oracle of the package's claim that the steps decide each check.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -45,6 +49,32 @@ def _insert_bit(k, v: int, bit: int):
     return ((k & ~low) << 1) | (k & low) | (bit << v)
 
 
+@cache
+def _distances(size: int) -> np.ndarray:
+    """|A xor B| at row B, column A, read-only since it is cached."""
+    masks = np.arange(size, dtype=np.int32)
+    dist = np.bitwise_count(masks ^ masks[:, None]).astype(np.int32)
+    dist.flags.writeable = False
+    return dist
+
+
+@cache
+def _subset_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of bags A <= B, as the read-only arrays (A, B): B
+    ascending, then A descending through the subsets of B, which are those
+    holding B's top node and then those of B without it."""
+    subsets = [[0]]
+    for bm in range(1, size):
+        top = 1 << (bm.bit_length() - 1)
+        rest = subsets[bm ^ top]
+        subsets.append([s | top for s in rest] + rest)
+    pairs = (np.array([s for subs in subsets for s in subs]),
+             np.repeat(np.arange(size), [len(subs) for subs in subsets]))
+    for x in pairs:
+        x.flags.writeable = False
+    return pairs
+
+
 def _first(cond: np.ndarray) -> np.ndarray:
     """Indices of the first reportable witnesses in a flattened condition;
     one with no hit, the usual case, costs one ``any``."""
@@ -57,8 +87,10 @@ def reference_verify_table_invariants(g, table, mode: str = "exhaustive",
                                       samples: int = 100_000,
                                       seed: int = 0) -> InvariantReport:
     """The single-step audit one check at a time, each node's passes on
-    the ``graph.halves`` views of the mask-ordered tables."""
-    if mode not in ("exhaustive", "sampled"):
+    the ``graph.halves`` views of the mask-ordered tables; sampled mode
+    always draws its random pairs.  Mode ``enumerated`` replaces the steps
+    of the pair checks with loops over every pair."""
+    if mode not in ("exhaustive", "sampled", "enumerated"):
         raise ErlError(f"unknown mode {mode!r}")
     if not _is_int(samples) or not 0 <= samples <= SAMPLE_CAP:
         raise ErlError(f"samples must be an int in 0..{SAMPLE_CAP}, "
@@ -82,22 +114,24 @@ def reference_verify_table_invariants(g, table, mode: str = "exhaustive",
     # half-size work buffers, viewed in each pass with the half-view's shape
     diff = np.empty(size >> 1, dtype=work)
     cond = np.empty(size >> 1, dtype=bool)
-    all_pairs = mode == "exhaustive" and n <= 8
-    all_subsets = mode == "exhaustive" and n <= 10
+    enumerated = mode == "enumerated"
+    if enumerated:
+        reach = delta * _distances(size)
+        sub, sup = _subset_pairs(size)
     checks: dict[str, CheckResult] = {}
 
     # |f(A) - f(B)| <= delta * |A xor B| for f in {cut, resistance}
     for name, vals in (("cut_lipschitz", cut_t), ("resistance_smooth", gam)):
         viols: list = []
         checked = 0
-        if all_pairs:
-            masks = np.arange(size, dtype=np.int64)
-            pops = np.bitwise_count(masks).astype(np.int64)
-            for bm in range(size):
-                bad = np.nonzero(np.abs(vals - vals[bm])
-                                 > delta * pops[masks ^ bm])[0]
-                checked += size
-                _collect(viols, bad, lambda m, bm=bm: {"other": bm})
+        if enumerated:
+            # row B, column A: B ascending, then A ascending; the work
+            # dtype holds every difference and its absolute value
+            bad = np.abs(vals - vals[:, None]) > reach
+            for i in np.flatnonzero(bad)[:_MAX_WITNESSES]:
+                bm, a = divmod(int(i), size)
+                viols.append({"bag": a, "other": bm})
+            checked = bad.size
             strategy = "all_pairs"
         else:
             for v in range(n):
@@ -111,30 +145,25 @@ def reference_verify_table_invariants(g, table, mode: str = "exhaustive",
                 bad = np.sort(np.concatenate([_insert_bit(k, v, 0),
                                               _insert_bit(k, v, 1)]))
                 _collect(viols, bad, lambda m, v=v: {"other": m ^ (1 << v)})
-            a = rng.integers(0, size, samples)
-            bm = rng.integers(0, size, samples)
-            dist = np.bitwise_count(a ^ bm).astype(np.int64)
-            bad = np.nonzero(np.abs(vals[a] - vals[bm]) > delta * dist)[0]
-            checked += samples
-            _collect(viols, a[bad], lambda m: {})
-            strategy = "single_steps+sampled_pairs"
+            strategy = "single_steps"
+            if mode == "sampled":
+                a = rng.integers(0, size, samples)
+                bm = rng.integers(0, size, samples)
+                dist = np.bitwise_count(a ^ bm).astype(np.int64)
+                bad = np.nonzero(np.abs(vals[a] - vals[bm]) > delta * dist)[0]
+                checked += samples
+                _collect(viols, a[bad], lambda m: {})
+                strategy = "single_steps+sampled_pairs"
         checks[name] = CheckResult(checked, strategy, viols)
 
     # resistance is monotone under set inclusion
     viols = []
     checked = 0
-    if all_subsets:
-        gl = gam.tolist()
-        for bm in range(size):
-            gb = gl[bm]
-            s = bm
-            while True:
-                checked += 1
-                if gl[s] > gb and len(viols) < _MAX_WITNESSES:
-                    viols.append({"bag": s, "superset": bm})
-                if s == 0:
-                    break
-                s = (s - 1) & bm
+    if enumerated:
+        bad = gam[sub] > gam[sup]
+        for i in np.flatnonzero(bad)[:_MAX_WITNESSES]:
+            viols.append({"bag": int(sub[i]), "superset": int(sup[i])})
+        checked = bad.size
         strategy = "all_subset_pairs"
     else:
         for v in range(n):
@@ -144,36 +173,32 @@ def reference_verify_table_invariants(g, table, mode: str = "exhaustive",
             checked += size
             _collect(viols, _insert_bit(k, v, 1),
                      lambda m, v=v: {"bag": m & ~(1 << v), "superset": m})
-        sup = rng.integers(0, size, samples)
-        sub = sup & rng.integers(0, size, samples)
-        bad = np.nonzero(gam[sub] > gam[sup])[0]
-        checked += samples
-        _collect(viols, sub[bad], lambda m: {})
-        strategy = "single_steps+sampled_pairs"
+        strategy = "single_steps"
+        if mode == "sampled":
+            sup = rng.integers(0, size, samples)
+            sub = sup & rng.integers(0, size, samples)
+            bad = np.nonzero(gam[sub] > gam[sup])[0]
+            checked += samples
+            _collect(viols, sub[bad], lambda m: {})
+            strategy = "single_steps+sampled_pairs"
     checks["resistance_monotone"] = CheckResult(checked, strategy, viols)
 
     # cut submodularity: dropping v hurts a small bag at most as much as a
     # containing one: cut(A-v) - cut(A) <= cut(B-v) - cut(B) for A <= B
     viols = []
     checked = 0
-    if all_pairs:
-        cl = cut_t.tolist()
-        for bm in range(size):
-            s = bm
-            while True:
-                if s:
-                    t = s
-                    while t:
-                        vbit = t & -t
-                        t ^= vbit
-                        checked += 1
-                        if (cl[s & ~vbit] - cl[s] > cl[bm & ~vbit] - cl[bm]
-                                and len(viols) < _MAX_WITNESSES):
-                            viols.append({"bag": s, "superset": bm,
-                                          "node": vbit.bit_length() - 1})
-                if s == 0:
-                    break
-                s = (s - 1) & bm
+    if enumerated:
+        # drop[m, v] = cut(m - v) - cut(m), for the members v of m; every
+        # triple runs through the subset pairs, then v ascending
+        grid, bits = np.arange(size)[:, None], 1 << np.arange(n)
+        drop = cut_t[grid & ~bits] - cut_t[grid]
+        held = ((grid & bits) != 0)[sub]
+        bad = held & (drop[sub] > drop[sup])
+        for i in np.flatnonzero(bad)[:_MAX_WITNESSES]:
+            p, v = divmod(int(i), n)
+            viols.append({"bag": int(sub[p]), "superset": int(sup[p]),
+                          "node": v})
+        checked = int(held.sum())
         strategy = "all_subset_pairs"
     else:
         quarter = cond[:size >> 2]

@@ -295,31 +295,33 @@ GOLDEN_CASES = [
 
 # SHA-256 of json.dumps(report.to_json_dict(), sort_keys=True), recorded
 # with the mask-gather implementation of the single-step checks; the
-# integer-edit cases were recorded with int32 work arrays.
+# integer-edit cases were recorded with int32 work arrays.  The _exh cases
+# were re-recorded when exhaustive mode became the single-node steps alone,
+# with every check's verdict unchanged.
 GOLDEN_DIGESTS = {
     "clean_n12": "18dc80312a2d4aef0273fdd733126493cafdbdc38958ac8ef68fc84c8403345b",
     "clean_n14": "51856550c027050b5c0c69b33691667f362bbc787b4e1578ffb5fa708b16c37d",
-    "gamma_raise_n8_exh": "21d22cec807d2c938443d046a0a004df6a673d86935ccc32acf760af7906767c",
-    "gamma_raise_n9_exh": "0fdb491fa935ff1fbc333365ae31ed522266e32e8c088f4baef7c89e9d794efa",
+    "gamma_raise_n8_exh": "2ab9a652d5b8c7492075ad0cadff943c270c4da7fc65842d88a6f62e16a6f0f9",
+    "gamma_raise_n9_exh": "b428806544be9c030618e792df5191f43d9fee2eb5edaeec1e13c01c7bc389e5",
     "gamma_lower_n9_smp": "3cdf8aaf1bf2e25856f7e97c2ab8c7e16336117a54d0a72b57cec632f8297751",
-    "gamma_lower_n10_exh": "5fbbedfea6e43d18b6d0cafae295bb17bf6dd97755f8e00e59528ff5bfe4bb1a",
+    "gamma_lower_n10_exh": "1bfd9baad4e3386ecbeada7ef67a4dfd1101b101943a04d94479e280ad4c394e",
     "gamma_raise_n10_smp": "86d4c5da55357e75f2275bbb8284eac493bb231aa3a526fc102c81c0562b3729",
-    "gamma_raise_n11_exh": "7a57071042944086d90aae03e2b56a66ede225a0f2123dbb797448430f62afa8",
+    "gamma_raise_n11_exh": "01bd9a43c0c3496a0a267f5565e72d64354e33bbb6bbc5d52a32b53877a5a1b2",
     "gamma_lower_n11_smp": "24a246b14804eb849baf989b9f48430d27e388b5a861e9defd48a49706019a2f",
-    "gamma_lower_n12_exh": "f138e9a20e22a0bbf6113d7b105ec03b9c4bde4b4f4cb9df4b931f578f5ce41b",
+    "gamma_lower_n12_exh": "ed66cf54a2522c84eb06baa0606f5fbdbc6c5829de038775e25567fcfffce3c8",
     "gamma_raise_n12_smp": "2eedff9af3f93717936a55c66d891de7b764aed6352ebcf49edd82bd3428dda0",
-    "cut_raise_n8_exh": "494ca00b721ae8a447bba539668b53ae9aa862f2cf1218e0056de0a46c9024e6",
-    "cut_raise_n9_exh": "4757fedeb1a3e24472f4f8c8244951d3b4ccabf17b1adae524c7de5a9d4059bd",
+    "cut_raise_n8_exh": "f2039c6e9f941f3c13ba59af60ab1922f67b4bf53c002ed4c62c7b5f7092e661",
+    "cut_raise_n9_exh": "1041e15822d0e235dd604c7d24a01a0ab863eca069cb552bd117f00274b846e1",
     "cut_lower_n9_smp": "1e27ac97d412d8f3f4075c4519fe92c44796625553d4b1db05c8bea95eea9313",
-    "cut_lower_n10_exh": "897e3d6f46782163de5a400c7bce39a1cd8b6d34067b64106199ecc79613deff",
+    "cut_lower_n10_exh": "7b963550cae3dcea6e32aa35b6c358b6b2838bd4e18db7b5e8157dc41f6c7e0f",
     "cut_raise_n11_smp": "005c4bb1e97da6faf7e747ff85e67c5ed59fdb60d7fe333a7e2ba996ef20b265",
-    "cut_lower_n12_exh": "db2dd86a77b7a6aba8d86f52407f22128aef2a08544c8c2011998f231f289456",
+    "cut_lower_n12_exh": "49b33dd8379c607712baf34b7c5447d2c4e4d5a9ccab135846e26d81fbeb3c31",
     "cut_raise_n12_smp": "b93460eb3f6ff765ba47832bd3356ffdb65da20ecd97e218dca7bb79433c8a41",
-    "gamma_128_n8_exh": "52c1df3a950181879b7a7cf9ccfc7488b8e0b65d0bbf3354ab84f431f4e3e551",
+    "gamma_128_n8_exh": "a7b49d877e8e3791b98b9ed610f35546d1cb226e58e4ad7a68d714f258206325",
     "gamma_128_n10_smp": "3f8410227d79153412cc87d1eabcd759f20558e7b5a6651d329e6d0f23039393",
     "gamma_32768_n11_smp": "e1c30d03b03f7968d5d96e30f5fdf098e895683078e683d6b76b9ea5764466bc",
     "gamma_65535_n12_smp": "ca3ec2f0cfeb173cd2760aa744a33dd560eb91b84238b78f09a7d78fb5040ace",
-    "cut_128_n9_exh": "f4d20ebbb5e1e82ab7e549b615cc5f0e89e398041749b00bec5c2f11129bf8aa",
+    "cut_128_n9_exh": "8ffae3d9f7c807d0c1b6b1f07f0effd6949c7c1257afd2df6df35d41664d1614",
     "cut_128_n10_smp": "d39215d667a26e8c8c0f7fc9bb5550dba9893b707000b5e14b4f3d8432f1331a",
     "gamma_neg125_n10_smp": "85e3de037dbb0baebf3528baffa8d8489e6e46bc490e6b3be5b6bb411d728f44",
     "cut_neg125_n10_smp": "65cef13103cba09d54f1a11113335f7b4d8181da7e2b01b8a467e4b8ce18b269",

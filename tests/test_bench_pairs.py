@@ -148,3 +148,37 @@ def test_trace_adds_one_traced_run_per_side(tmp_path, monkeypatch):
         "parent": {"graph.cut_table.n20_s": 2.0},
         "change": {"graph.cut_table.n20_s": 1.0},
         "ratios": {"graph.cut_table.n20_s": 0.5}}
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("a bench run started")
+
+
+def test_out_directory_made_before_any_run(tmp_path, monkeypatch):
+    made = []
+
+    def canned(root, workload, seed, seconds, trace=0):
+        made.append(out.is_dir())
+        return result(1.0, 50.0)
+
+    out = tmp_path / "a" / "b"
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda root: root.name)
+    assert bench_pairs.main([str(tmp_path / "p"), str(tmp_path / "c"),
+                             "--label", "t", "--workload", "sweep",
+                             "--pairs", "1", "--out", str(out)]) == 0
+    assert made == [True, True]
+    assert (out / "BENCH_t.json").is_file()
+
+
+def test_unusable_out_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    """An --out that names a file, or lies under one, exits 2 at once."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    for out in (taken, taken / "sub"):
+        assert bench_pairs.main([str(tmp_path), str(tmp_path), "--label",
+                                 "t", "--workload", "sweep", "--out",
+                                 str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot use --out {out}: ")

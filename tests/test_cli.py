@@ -337,7 +337,9 @@ class TestVerifyCommand:
 
 # SHA-256 of the --out report (not its manifest) of each ``erl verify`` run,
 # with its exit code, recorded while the command replayed every simulated
-# log once per audit.
+# log once per audit.  The four runs in the default exhaustive mode were
+# re-recorded when that mode became the single-node steps alone, with every
+# check's verdict and every trajectory result unchanged.
 VERIFY_DIGESTS = {
     "--gen random_regular:12,3 --seed 4 --mode sampled --samples 500 "
     "--trajectories 12": (
@@ -346,14 +348,14 @@ VERIFY_DIGESTS = {
     "--trajectories 12 --inject-fault": (
         1, "db7f0c7de5d95da471472305bb4267b878d4f2b574be2c3b014eef6f0e9d3c17"),
     "--gen line:9 --trajectories 25 --seed 6": (
-        0, "635a46aa8cab8c09df2781e27789ac8a9748c11c578247bb3bfcf3a40ac66852"),
+        0, "5fae7da14a36a5edf9c61cd9f56183ee0c204fde9e420307d425f4bdf832939b"),
     "--gen complete:10 --trajectories 6 --seed 2 --budget 5 --inject-fault": (
-        1, "62d3635ec7810483da23e7dc9895f55fc5dc17a1625dbb0b5368c9ff81a7e1f7"),
+        1, "a10d2700630559df25d1d1a892a7986da2499e00f4d7f1680531dea55c598cc6"),
     "--gen hypercube:4 --trajectories 8 --seed 1 --policy uniform --budget 3": (
-        0, "609ef1649484595db3fff15890e5d24dcec461d7f9040cadaefaf8c816fa56d7"),
+        0, "ecdc887743d4acb9469ff02251b79c11cb60e212c0f91a7cfcf60f46bd88107b"),
     # every trajectory audit fails against the faulty table
     "--gen line:6 --trajectories 10 --seed 3 --inject-fault": (
-        1, "bb1450508b929847845e4374e6b3661b45e713528216db6d7247983a0f27157c"),
+        1, "392dd3bdc165628b4fb103d9b5a6fb3f1abed99766dc90f2729d36bf2be55147"),
 }
 
 

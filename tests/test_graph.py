@@ -74,6 +74,31 @@ class TestGenerators:
         with pytest.raises(GenerationError):
             generate("torus", (4,))
 
+    # parameters each family builds from; the bad ones below replace the
+    # first, or the whole sequence
+    GOOD = {"line": (4,), "cycle": (4,), "star": (3,), "complete": (4,),
+            "hypercube": (2,), "grid": (2, 3), "random_regular": (6, 3)}
+
+    @pytest.mark.parametrize("bad", [
+        lambda p: p[0], lambda p: None, lambda p: (float(p[0]), *p[1:]),
+        lambda p: (np.float64(p[0]), *p[1:]), lambda p: (True, *p[1:]),
+        lambda p: (np.True_, *p[1:]), lambda p: (str(p[0]), *p[1:]),
+        lambda p: str(p[0])],
+        ids=["int", "none", "float", "numpy_float", "bool", "numpy_bool",
+             "str_param", "str"])
+    @pytest.mark.parametrize("kind", sorted(GOOD))
+    def test_params_must_be_a_sequence_of_ints(self, kind, bad):
+        with pytest.raises(GenerationError, match="sequence of ints"):
+            generate(kind, bad(self.GOOD[kind]))
+
+    @pytest.mark.parametrize("kind", sorted(GOOD))
+    def test_numpy_int_params_read_as_ints(self, kind):
+        want = generate(kind, self.GOOD[kind], seed=3)
+        for dtype in (np.int64, np.uint8):
+            got = generate(kind, [dtype(p) for p in self.GOOD[kind]], seed=3)
+            assert (got.node_count, got.edges) == (want.node_count,
+                                                   want.edges)
+
     def test_degree_bound_is_exact_max(self, zoo_graph):
         assert zoo_graph.degree_bound == max(
             zoo_graph.degree(v) for v in range(zoo_graph.node_count))
@@ -557,6 +582,7 @@ class TestBagAlgebra:
             bag = Bag([dtype(v)])
             assert type(bag.mask) is int and bag.mask == 1 << v
             assert bag == Bag([v]) and bag.nodes() == (v,)
+            assert dtype(v) in bag and dtype(v + 1) not in bag
             assert repr(bag) == f"Bag({{{v}}})"
             assert Bag().add(dtype(v)) == bag
             assert type(bag.remove(dtype(v)).mask) is int
@@ -570,6 +596,15 @@ class TestBagAlgebra:
                      lambda: Bag([1]).remove(v)):
             with pytest.raises(InvalidBagError, match="not an int|negative"):
                 make()
+
+    @pytest.mark.parametrize("v,error", [(True, "not an int"),
+                                         (1.5, "not an int"),
+                                         (-1, "negative")])
+    def test_membership_takes_node_ids(self, v, error):
+        """``in`` reads a node id as ``Bag``, ``add`` and ``remove`` do:
+        true is not node 1, and a float raises the package's error."""
+        with pytest.raises(InvalidBagError, match=error):
+            v in Bag([1])
 
     def test_mask_round_trip(self):
         assert Bag.from_mask(0b1011).nodes() == (0, 1, 3)

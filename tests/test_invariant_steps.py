@@ -1,11 +1,10 @@
 """The node-at-a-time invariant audit against its check-at-a-time form in
 ``reference_invariants``: the same report, by ``repr``, on clean and on
 edited tables, and every step and square it finds against a literal
-enumeration in mask order, on both sides of ``TRANSPOSE_NODES``.  The
-exhaustive pair checks' array passes are held to the reference's
-enumerations, witness order and cap included, and each check's verdict is
-the same with every pair, random pairs or none; a table whose steps pass
-draws no random pair."""
+enumeration in mask order, on both sides of ``TRANSPOSE_NODES``.  Each
+check's verdict from the steps alone and with random pairs is the one the
+reference's enumeration of every pair gives; a table whose steps pass
+draws no random pair, and exhaustive mode draws none at all."""
 
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 
 import erl.analysis
 import erl.graph
-import reference_invariants
 from erl import (ErlError, ResistanceTable, generate, resistance_table,
                  verify_table_invariants)
 from erl.analysis import SAMPLE_CAP, TRANSPOSE_NODES, _MAX_WITNESSES
@@ -107,41 +105,18 @@ def test_report_matches_reference(case):
     assert repr(got) == repr(want)
 
 
-# point bumps give a witness or two in each of many rows (B ascending, then
-# A), and the node bump several in one row (A descending through B's
-# subsets); at n = 10 only monotonicity enumerates its pairs
-@pytest.mark.parametrize("n,pair_checks", [
-    (8, {"cut_lipschitz", "resistance_smooth", "resistance_monotone",
-         "cut_submodular"}),
-    (10, {"resistance_monotone"})])
-def test_exhaustive_witness_order_and_cap(n, pair_checks, monkeypatch):
-    bumps = case(n, "exhaustive", cut_points=[(37, 20), (200, 20)],
-                 gamma_points=[(6, 20), (131, 20)], gamma_pairs=[(0, 0, -3)])
-    got, want = both_reports(bumps)
-    assert repr(got) == repr(want)
-    monkeypatch.setattr(reference_invariants, "_MAX_WITNESSES", 1 << 30)
-    _, uncapped = both_reports(bumps)
-    enumerated = {name for name, check in got.checks.items()
-                  if check.strategy in ("all_pairs", "all_subset_pairs")}
-    assert enumerated == pair_checks
-    for name in pair_checks:
-        everyone = uncapped.checks[name].violations
-        assert len(everyone) > _MAX_WITNESSES
-        assert got.checks[name].violations == everyone[:_MAX_WITNESSES]
-
-
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(audit_cases(st.integers(2, 10)))
 def test_pair_checks_only_add_witnesses(case):
     """A pair violation implies a single-node one: a pair is |A xor B|
     steps apart, a subset is reached by removals, and submodularity
-    follows from its squares.  So every check's verdict is the same with
-    every pair enumerated, with no random pairs and with some."""
-    reports = audits(case, *[
-        (verify_table_invariants, dict(mode=mode, samples=samples,
-                                       seed=case["seed"]))
-        for mode, samples in (("exhaustive", 100), ("sampled", 0),
-                              ("sampled", 300))])
+    follows from its squares.  So every check's verdict from the steps,
+    alone or with random pairs, is the one every pair gives."""
+    reports = audits(
+        case, (verify_table_invariants, dict(mode="exhaustive")),
+        (verify_table_invariants, dict(mode="sampled", samples=300,
+                                       seed=case["seed"])),
+        (reference_verify_table_invariants, dict(mode="enumerated")))
     verdicts = [{name: check.ok for name, check in report.checks.items()}
                 for report in reports]
     assert verdicts[0] == verdicts[1] == verdicts[2]
@@ -165,7 +140,8 @@ def counted_stream(draws: list):
 @pytest.mark.parametrize("name,make", ZOO, ids=[name for name, _ in ZOO])
 def test_passing_tables_draw_no_pairs(name, make, mode, monkeypatch):
     """A table whose steps pass needs no random pair to say so, and gets
-    the report that drawing them gives."""
+    the report that drawing them gives; an exhaustive report counts the
+    steps alone."""
     g = make()
     table = resistance_table(g)
     draws = []
@@ -174,6 +150,11 @@ def test_passing_tables_draw_no_pairs(name, make, mode, monkeypatch):
     assert got.ok and draws == []
     want = reference_verify_table_invariants(g, table, mode=mode, seed=3)
     assert repr(got) == repr(want)
+    if mode == "exhaustive":
+        n = g.node_count
+        steps = [got.checks[check] for check in erl.analysis._SAMPLED_CHECKS]
+        assert {(c.strategy, c.checked) for c in steps} == {
+            ("single_steps", n << n)}
 
 
 # a bag whose cut is bumped at n = 2 fails two steps, four witnesses; the
@@ -193,6 +174,24 @@ def test_failing_steps_draw_the_pairs(name, bumps, monkeypatch):
     steps = [w for w in check.violations if len(w) > 1]
     assert 0 < len(steps) < _MAX_WITNESSES
     assert {"bag"} in [w.keys() for w in check.violations]
+
+
+@pytest.mark.parametrize("name,bumps", [
+    ("cut_lipschitz", case(2, "exhaustive", cut_points=[(1, 9)])),
+    ("resistance_monotone", case(4, "exhaustive", gamma_points=[(15, 0)])),
+    ("resistance_smooth", case(12, "exhaustive", gamma_pairs=[(0, 0, 9)]))])
+def test_failing_steps_draw_nothing_in_exhaustive_mode(name, bumps,
+                                                       monkeypatch):
+    """Exhaustive mode reports the failing steps and touches no generator
+    method."""
+    draws = []
+    monkeypatch.setattr(erl.analysis, "_stream", counted_stream(draws))
+    got, want = both_reports(bumps)
+    assert repr(got) == repr(want)
+    assert draws == []
+    check = got.checks[name]
+    assert not check.ok
+    assert all(len(w) > 1 for w in check.violations)
 
 
 @pytest.mark.parametrize("n", [K, K + 2, 12])

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import erl.resistance
-from erl import (LATTICE_CAP, Bag, CapacityError, CompleteGraphResistance,
-                 ErlError, Graph, InvalidBagError, ResistanceTable,
-                 brute_force_resistance,
+from erl import (LATTICE_CAP, ORACLE_CAP, Bag, CapacityError,
+                 CompleteGraphResistance, ErlError, Graph, InvalidBagError,
+                 ResistanceTable, brute_force_resistance,
                  brute_force_resistance_all, check_bellman, cut, cutwidth,
                  generate, monotone_resistance_table, resistance_table,
                  validate_crusade, verify_table_invariants, width,
@@ -224,6 +224,24 @@ class TestTableShape:
             resistance_table(generate("line", (21,)))
         with pytest.raises(CapacityError):
             brute_force_resistance(generate("line", (11,)), Bag([0]))
+
+    @pytest.mark.parametrize("name,cap,call", [
+        ("resistance_table", LATTICE_CAP, resistance_table),
+        ("monotone_resistance_table", LATTICE_CAP,
+         monotone_resistance_table),
+        ("witness_crusade", LATTICE_CAP,
+         lambda g: witness_crusade(g, None, Bag([0]))),
+        ("brute_force_resistance", ORACLE_CAP,
+         lambda g: brute_force_resistance(g, Bag([0]))),
+        ("brute_force_resistance_all", ORACLE_CAP,
+         brute_force_resistance_all)])
+    def test_capacity_error_names_only_the_cap(self, name, cap, call):
+        """Every capped entry point names its own cap and nothing else: the
+        oracle refuses the sizes the lattice refuses too."""
+        with pytest.raises(CapacityError) as info:
+            call(generate("line", (cap + 1,)))
+        assert str(info.value) == (f"{name} is capped at n <= {cap}, "
+                                   f"got n = {cap + 1}")
 
 
 class TestBellmanCheck:

@@ -183,12 +183,20 @@ def parse_args(argv):
     p.add_argument("--trace", action="store_true",
                    help="also one traced run per side and workload")
     p.add_argument("--out", type=Path, default=Path("."),
-                   help="directory the file is written to")
+                   help="directory the file is written to, made before "
+                        "the first run")
     return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    # a run can take hours, so the directory its record goes to is made
+    # before the first one
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use --out {args.out}: {exc}", file=sys.stderr)
+        return 2
     rules = metric_rules()
     roots = {"parent": args.parent, "change": args.change}
     record = {
